@@ -8,6 +8,7 @@ serving map fixed across fading draws, as a real network configures it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +30,8 @@ class BiasVector:
 
     1.0 means unbiased max-power association for that class; values above 1
     expand the small-cell footprint for the class. Values below 1 are not
-    representable; keep a class at 1 and raise the others instead.
+    representable; keep a class at 1 and raise the others instead. NaN and
+    infinity are rejected too.
     """
 
     stationary_bias: float = 1.0
@@ -38,8 +40,9 @@ class BiasVector:
 
     def __post_init__(self) -> None:
         for name in ("stationary_bias", "walking_bias", "vehicular_bias"):
-            if getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must be >= 1 (linear)")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 1.0):
+                raise ValueError(f"{name} must be finite and >= 1 (linear)")
 
     @classmethod
     def uniform(cls, bias: float) -> "BiasVector":

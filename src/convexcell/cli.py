@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -260,8 +261,8 @@ def run_analyze(manifest: RunManifest, args: argparse.Namespace) -> int:
 
 
 def run_evaluate(manifest: RunManifest, args: argparse.Namespace) -> int:
-    if min(args.bias) < 0.0:
-        raise CliError("bias values are in dB and must be >= 0")
+    if not all(0.0 <= value < math.inf for value in args.bias):
+        raise CliError("bias values are in dB and must be >= 0 and finite")
     config = _load_config(manifest)
     paths = _prepare_outputs(manifest, ("evaluate_report.json",))
     bias = BiasVector.from_db(*args.bias)

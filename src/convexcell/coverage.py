@@ -112,11 +112,16 @@ class CoverageEstimator:
     """Shared-realization evaluator of rate coverage for many bias vectors.
 
     Precomputes, per (user, trial), the best macro and best small station
-    by mean power together with their instantaneous SINR terms. Evaluating
-    a bias vector then reduces to a vectorized two-way choice per user plus
-    a load recount, so grid searches reuse the expensive geometry. Reports
-    are cached by bias triple; identical inputs give identical reports
-    regardless of evaluation order.
+    by mean power together with their instantaneous SINR terms, with users
+    grouped by mobility class. A user's serving station depends only on
+    its own class's bias, and station loads add up across classes, so each
+    (class, bias value) pair is reduced once per bandwidth to a part: the
+    class's serving ids, its rate factors times the bandwidth, and its
+    per-station loads. A bias triple then costs the sum of three load
+    vectors and one rate comparison per user, and grid searches over
+    n values per class build 3n parts instead of n^3 associations.
+    Reports are cached by bias triple; identical inputs give identical
+    reports regardless of evaluation order.
     """
 
     def __init__(
@@ -164,17 +169,29 @@ class CoverageEstimator:
         if n_trials == 0:
             raise EstimationError("at least one trial is required")
 
+        # users grouped by class, so each class is one contiguous slice
+        cls = np.concatenate(cls_parts)
+        order = np.argsort(cls, kind="stable")
+
+        def by_class(parts: list[np.ndarray]) -> np.ndarray:
+            return np.concatenate(parts)[order]
+
         self._trials = n_trials
-        self._cls = np.concatenate(cls_parts)
-        self._pw_macro = np.concatenate(pw_macro_parts)
-        self._pw_small = np.concatenate(pw_small_parts)
-        self._gid_macro = np.concatenate(gid_macro_parts)
-        self._gid_small = np.concatenate(gid_small_parts)
-        self._sig_macro = np.concatenate(sig_macro_parts)
-        self._sig_small = np.concatenate(sig_small_parts)
-        self._total_inst = np.concatenate(total_inst_parts)
+        self._cls = cls[order]
+        self._pw_macro = by_class(pw_macro_parts)
+        self._pw_small = by_class(pw_small_parts)
+        # int32 ids halve the part memo; the step turns the per-user choice
+        # of serving id into arithmetic instead of a much slower np.where
+        self._gid_macro = by_class(gid_macro_parts).astype(np.int32)
+        self._gid_step = (by_class(gid_small_parts) - self._gid_macro).astype(np.int32)
+        self._sig_macro = by_class(sig_macro_parts)
+        self._sig_small = by_class(sig_small_parts)
+        self._total_inst = by_class(total_inst_parts)
         self._n_station_ids = station_offset
-        self._class_index = [np.nonzero(self._cls == c)[0] for c in range(3)]
+        ends = np.cumsum(np.bincount(self._cls, minlength=3))
+        self._class_slices = [
+            slice(int(start), int(end)) for start, end in zip((0, *ends), ends)
+        ]
 
         self._requirements = np.array(
             [
@@ -237,7 +254,6 @@ class CoverageEstimator:
 
     def _bind_bandwidth(self, bandwidth: float) -> None:
         """Recompute the bandwidth-dependent per-user rate factors."""
-        self._bandwidth = bandwidth
         noise = self.config.noise_power * bandwidth
         with np.errstate(divide="ignore", invalid="ignore"):
             sinr_macro = self._sig_macro / (self._total_inst - self._sig_macro + noise)
@@ -246,12 +262,13 @@ class CoverageEstimator:
                 self._sig_small / (self._total_inst - self._sig_small + noise),
                 0.0,
             )
-        # efficiency * log2(1 + SINR); bandwidth/load sharing applied later
+        # efficiency * log2(1 + SINR) * W; division by the load applied later
         eff_macro = self._efficiency[self._cls, Tier.MACRO]
         eff_small = self._efficiency[self._cls, Tier.SMALL]
-        self._factor_macro = eff_macro * np.log1p(sinr_macro) / math.log(2.0)
-        self._factor_small = eff_small * np.log1p(sinr_small) / math.log(2.0)
+        self._scaled_macro = eff_macro * np.log1p(sinr_macro) / math.log(2.0) * bandwidth
+        self._scaled_small = eff_small * np.log1p(sinr_small) / math.log(2.0) * bandwidth
         self._cache: dict[tuple[float, float, float], CoverageReport] = {}
+        self._parts: dict[tuple[int, float], tuple[np.ndarray, ...]] = {}
 
     def with_bandwidth(self, bandwidth: float) -> "CoverageEstimator":
         """Cheap copy sharing the trial geometry but using another bandwidth."""
@@ -270,21 +287,14 @@ class CoverageEstimator:
         if cached is not None:
             return cached
 
-        user_bias = bias.as_array()[self._cls]
-        on_small = user_bias * self._pw_small > self._pw_macro
-        gid = np.where(on_small, self._gid_small, self._gid_macro)
-        loads = np.bincount(gid, minlength=self._n_station_ids)
-        rate = (
-            np.where(on_small, self._factor_small, self._factor_macro)
-            * self._bandwidth
-            / loads[gid]
-        )
-
-        per_class = []
-        for cls in range(3):
-            idx = self._class_index[cls]
-            covered = np.count_nonzero(rate[idx] >= self._requirements[cls])
-            per_class.append(covered / idx.size)
+        parts = [self._part(cls, value) for cls, value in enumerate(key)]
+        # float loads hold exact counts and spare the divide a conversion
+        loads = (parts[0][2] + parts[1][2] + parts[2][2]).astype(np.float64)
+        per_class = [
+            # take gathers with int32 ids without first copying them to intp
+            np.count_nonzero(scaled / loads.take(gid) >= requirement) / gid.size
+            for (gid, scaled, _), requirement in zip(parts, self._requirements)
+        ]
         average = float(np.dot(self._fractions, per_class))
         feasible = bool(np.all(np.asarray(per_class) >= self._min_coverage))
         report = CoverageReport(
@@ -295,6 +305,23 @@ class CoverageEstimator:
         )
         self._cache[key] = report
         return report
+
+    def _part(self, cls: int, bias: float) -> tuple[np.ndarray, ...]:
+        """Serving ids, bandwidth-scaled rate factors and loads of one class."""
+        key = (cls, bias)
+        part = self._parts.get(key)
+        if part is None:
+            users = self._class_slices[cls]
+            on_small = bias * self._pw_small[users] > self._pw_macro[users]
+            gid = self._gid_macro[users] + on_small * self._gid_step[users]
+            scaled = np.where(
+                on_small, self._scaled_small[users], self._scaled_macro[users]
+            )
+            # int32 loads halve the memo's per-station cost
+            loads = np.bincount(gid, minlength=self._n_station_ids).astype(np.int32)
+            part = (gid, scaled, loads)
+            self._parts[key] = part
+        return part
 
 
 def estimate_rate_coverage(config: NetworkConfig, bias: BiasVector) -> CoverageReport:

@@ -11,7 +11,8 @@ import enum
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, replace
+import numbers
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Mapping, Sequence
 
 import numpy as np
@@ -25,6 +26,21 @@ THERMAL_NOISE_W_PER_HZ = 3.981071705534985e-21
 
 class ConfigError(ValueError):
     """Raised when a configuration value is invalid; names the field."""
+
+
+def _check_number(name: str, value: Any, integer: bool = False) -> None:
+    """Reject non-numbers and bools, NaN and infinity, and non-integer counts."""
+    kind, noun = (numbers.Integral, "an integer") if integer else (numbers.Real, "a number")
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ConfigError(f"{name} must be {noun} (got {value!r})")
+    if integer:
+        return
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    if not finite:
+        raise ConfigError(f"{name} must be finite (got {value!r})")
 
 
 class UserClass(enum.IntEnum):
@@ -63,6 +79,8 @@ class ClassProfile:
 
     def __post_init__(self) -> None:
         name = self.user_class.label
+        for field_name in NetworkConfig._PROFILE_FIELDS:
+            _check_number(f"profiles.{name}.{field_name}", getattr(self, field_name))
         if not 0.0 <= self.density_fraction <= 1.0:
             raise ConfigError(f"profiles.{name}.density_fraction must be in [0, 1]")
         if self.traffic_volume < 0.0:
@@ -123,6 +141,13 @@ class NetworkConfig:
     seed: int = 42
 
     def __post_init__(self) -> None:
+        for item in fields(self):
+            if item.name != "profiles":
+                _check_number(
+                    item.name,
+                    getattr(self, item.name),
+                    integer=item.name in self._INTEGER_FIELDS,
+                )
         if self.area_side <= 0.0:
             raise ConfigError("area_side must be > 0")
         if self.macro_density <= 0.0:
@@ -199,6 +224,7 @@ class NetworkConfig:
     # -- serialization ------------------------------------------------------
 
     _PROFILE_FIELDS = ("density_fraction", "traffic_volume", "velocity", "min_coverage")
+    _INTEGER_FIELDS = ("user_count", "trials", "seed")
 
     def to_dict(self) -> dict[str, Any]:
         out: dict[str, Any] = {
@@ -230,8 +256,11 @@ class NetworkConfig:
 
         Profiles may be partially overridden per class, e.g.
         ``{"profiles": {"vehicular": {"traffic_volume": 50.0}}}``.
-        Unknown keys raise :class:`ConfigError`.
+        Unknown keys, wrong types, NaN or infinity and non-integer counts
+        raise :class:`ConfigError` naming the field.
         """
+        if not isinstance(data, Mapping):
+            raise ConfigError("config must be a mapping of field names to values")
         known = {
             "area_side", "macro_density", "small_density", "macro_power",
             "small_power", "path_loss_exponent", "reference_loss", "noise_power",
@@ -243,9 +272,6 @@ class NetworkConfig:
             raise ConfigError(f"unknown config field(s): {', '.join(sorted(unknown))}")
 
         kwargs: dict[str, Any] = {k: data[k] for k in data if k != "profiles"}
-        for key in ("user_count", "trials", "seed"):
-            if key in kwargs:
-                kwargs[key] = int(kwargs[key])
 
         profile_data = data.get("profiles", {})
         if not isinstance(profile_data, Mapping):
@@ -258,13 +284,17 @@ class NetworkConfig:
             )
         profiles = []
         for base in default_profiles():
-            override = profile_data.get(base.user_class.label, {})
+            label = base.user_class.label
+            override = profile_data.get(label, {})
+            if not isinstance(override, Mapping):
+                raise ConfigError(f"profiles.{label} must be a mapping of fields")
             bad = set(override) - set(cls._PROFILE_FIELDS)
             if bad:
                 raise ConfigError(
-                    f"unknown profile field(s) for {base.user_class.label}: "
-                    f"{', '.join(sorted(bad))}"
+                    f"unknown profile field(s) for {label}: {', '.join(sorted(bad))}"
                 )
+            for key, value in override.items():
+                _check_number(f"profiles.{label}.{key}", value)
             profiles.append(replace(base, **{k: float(v) for k, v in override.items()}))
         kwargs["profiles"] = tuple(profiles)
         return cls(**kwargs)

@@ -414,4 +414,5 @@ def convexity_sweep(
         for scheme in schemes:
             result = run_scheme(scheme, point_config, grid, estimator)
             rows.append(SweepPoint(convexity=convexity, scheme=scheme, result=result))
+        del estimator  # release this point's geometry before building the next
     return rows

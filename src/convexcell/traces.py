@@ -16,12 +16,12 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+from .coverage import SECONDS_PER_DAY
 from .model import UserClass
 
 EARTH_RADIUS_M = 6_371_000.0
 VEHICULAR_CUTOFF_KMH = 10.0
 DEFAULT_STATIONARY_CUTOFF_KMH = 0.5  # GPS-jitter floor
-SECONDS_PER_DAY = 86400.0
 BYTES_PER_MB = 1e6
 
 TRACE_CSV_HEADER = ("user_id", "timestamp", "lat", "lon", "rx_bytes")

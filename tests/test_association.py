@@ -39,6 +39,11 @@ class TestBiasVector:
         with pytest.raises(ValueError, match="walking_bias"):
             BiasVector(1.0, 0.5, 1.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite(self, value):
+        with pytest.raises(ValueError, match="vehicular_bias must be finite"):
+            BiasVector(1.0, 1.0, value)
+
     def test_uniform_and_from_db(self):
         assert BiasVector.uniform(2.0) == BiasVector(2.0, 2.0, 2.0)
         from_db = BiasVector.from_db(0.0, 10.0, 20.0)

@@ -293,6 +293,18 @@ class TestEvaluateCommand:
         assert code == 1
         assert "must be >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bias", [("nan", "0", "0"), ("0", "inf", "0")])
+    def test_non_finite_bias_rejected(self, tmp_path, config_path, capsys, bias):
+        out = tmp_path / "out"
+        code = run(
+            ["evaluate", "--config", config_path, "--out", str(out), "--bias", *bias]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "finite" in err
+        assert not (out / "evaluate_report.json").exists()
+
     def test_seed_changes_coverage(self, tmp_path, config_path):
         averages = []
         for seed in ("11", "12"):
@@ -318,6 +330,17 @@ class TestConfigHandling:
         )
         assert code == 1
         assert "bogus_knob" in capsys.readouterr().err
+
+    def test_mistyped_config_value_rejected(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"area_side": "abc"}))
+        code = run(
+            ["evaluate", "--config", str(path), "--out", str(tmp_path / "out"),
+             "--bias", "0", "0", "0"]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: area_side") and err.count("\n") == 1
 
     def test_malformed_json_rejected(self, tmp_path, capsys):
         path = tmp_path / "config.json"

@@ -226,6 +226,8 @@ class TestEstimator:
             BiasVector.uniform(10.0),
             BiasVector(1.0, 4.0, 1.0),
             BiasVector(6.0, 1.0, 100.0),
+            BiasVector(1.37, 1.0, 9.9),
+            BiasVector(2.5, 17.3, 1.01),
         ],
     )
     def test_matches_loop_reference(self, tiny_config, bias):
@@ -314,6 +316,17 @@ class TestEstimator:
         assert estimator.evaluate(bias) == before  # original untouched
         with pytest.raises(ValueError):
             estimator.with_bandwidth(0.0)
+
+    def test_rebind_does_not_reuse_parts_across_bandwidths(self, tiny_config):
+        biases = [BiasVector(b, 1.0, v) for b in (1.0, 3.0) for v in (1.0, 9.9)]
+        narrow = CoverageEstimator(dataclasses.replace(tiny_config, bandwidth=2e6))
+        before = [narrow.evaluate(bias) for bias in biases]
+        wide = narrow.with_bandwidth(4e7)
+        fresh = CoverageEstimator(dataclasses.replace(tiny_config, bandwidth=4e7))
+        after = [wide.evaluate(bias) for bias in biases]
+        assert after == [fresh.evaluate(bias) for bias in biases]
+        assert after != before  # the bandwidth matters for these biases
+        assert [narrow.evaluate(bias) for bias in biases] == before
 
     def test_at_least_one_trial_required(self, tiny_config):
         with pytest.raises(EstimationError, match="trial"):

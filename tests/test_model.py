@@ -110,6 +110,29 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown profile field"):
             NetworkConfig.from_dict({"profiles": {"walking": {"speed": 3.0}}})
 
+    @pytest.mark.parametrize(
+        "data,field",
+        [
+            ({"area_side": "abc"}, "area_side"),
+            ({"area_side": math.nan}, "area_side"),
+            ({"area_side": 10**400}, "area_side"),
+            ({"bandwidth": math.inf}, "bandwidth"),
+            ({"small_power": None}, "small_power"),
+            ({"trials": 1.7}, "trials"),
+            ({"trials": 2.0}, "trials"),
+            ({"user_count": True}, "user_count"),
+            ({"seed": "42"}, "seed"),
+            ({"profiles": {"walking": {"velocity": math.nan}}}, "walking.velocity"),
+            ({"profiles": {"vehicular": {"traffic_volume": "1"}}}, "traffic_volume"),
+            ({"profiles": {"stationary": {"min_coverage": False}}}, "min_coverage"),
+            ({"profiles": {"walking": 3.0}}, "profiles.walking"),
+            ([["area_side", 1.0]], "config"),
+        ],
+    )
+    def test_from_dict_rejects_bad_values(self, data, field):
+        with pytest.raises(ConfigError, match=field):
+            NetworkConfig.from_dict(data)
+
     def test_config_hash_tracks_content(self):
         a = NetworkConfig()
         b = NetworkConfig()
