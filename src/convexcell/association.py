@@ -17,7 +17,10 @@ from .model import Deployment, NetworkConfig, Tier, UserClass, mean_power_matrix
 
 
 def linear_from_db(db: float) -> float:
-    return 10.0 ** (db / 10.0)
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        raise ValueError(f"{db!r} dB overflows as a linear factor") from None
 
 
 def db_from_linear(linear: float) -> float:

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .association import BiasVector, db_from_linear
-from .coverage import estimate_rate_coverage
+from .coverage import TrialGeometry, estimate_rate_coverage
 from .model import ConfigError, NetworkConfig, UserClass
 from .optimizer import (
     DEFAULT_CONVEXITY_VALUES,
@@ -176,6 +176,7 @@ def run_bandwidth(manifest: RunManifest, args: argparse.Namespace) -> int:
     schemes = _parse_schemes(manifest.scheme, (Scheme.THREE_STAGE, Scheme.CRE))
     paths = _prepare_outputs(manifest, ("bandwidth.csv", "bandwidth_meta.json"))
 
+    geometry = TrialGeometry(config)
     rows = []
     failed = False
     for volume in args.volumes:
@@ -189,7 +190,8 @@ def run_bandwidth(manifest: RunManifest, args: argparse.Namespace) -> int:
         for scheme in schemes:
             try:
                 width = required_bandwidth(
-                    point_config, grid, scheme, args.wmin, args.wmax, args.tolerance
+                    point_config, grid, scheme, args.wmin, args.wmax, args.tolerance,
+                    geometry=geometry,
                 )
                 rows.append((volume, scheme.value, width))
             except UnsatisfiableRequirementError as exc:
@@ -263,9 +265,9 @@ def run_analyze(manifest: RunManifest, args: argparse.Namespace) -> int:
 def run_evaluate(manifest: RunManifest, args: argparse.Namespace) -> int:
     if not all(0.0 <= value < math.inf for value in args.bias):
         raise CliError("bias values are in dB and must be >= 0 and finite")
+    bias = BiasVector.from_db(*args.bias)
     config = _load_config(manifest)
     paths = _prepare_outputs(manifest, ("evaluate_report.json",))
-    bias = BiasVector.from_db(*args.bias)
     report = estimate_rate_coverage(config, bias)
     _write_json(
         paths["evaluate_report.json"],

@@ -108,20 +108,46 @@ def user_rate(
     return efficiency * (width / loads[station]) * math.log2(1.0 + snr)
 
 
-class CoverageEstimator:
-    """Shared-realization evaluator of rate coverage for many bias vectors.
+# NetworkConfig fields a trial's deployment and mean powers depend on; the
+# profiles' density_fraction values are part of the key as well
+GEOMETRY_FIELDS = (
+    "area_side",
+    "macro_density",
+    "small_density",
+    "macro_power",
+    "small_power",
+    "path_loss_exponent",
+    "reference_loss",
+    "user_count",
+    "trials",
+    "seed",
+)
 
-    Precomputes, per (user, trial), the best macro and best small station
-    by mean power together with their instantaneous SINR terms, with users
-    grouped by mobility class. A user's serving station depends only on
-    its own class's bias, and station loads add up across classes, so each
-    (class, bias value) pair is reduced once per bandwidth to a part: the
-    class's serving ids, its rate factors times the bandwidth, and its
-    per-station loads. A bias triple then costs the sum of three load
-    vectors and one rate comparison per user, and grid searches over
-    n values per class build 3n parts instead of n^3 associations.
-    Reports are cached by bias triple; identical inputs give identical
-    reports regardless of evaluation order.
+
+def _geometry_key(config: NetworkConfig) -> tuple:
+    """The config values a :class:`TrialGeometry` is built from."""
+    return (
+        *(getattr(config, name) for name in GEOMETRY_FIELDS),
+        tuple(p.density_fraction for p in config.profiles),
+    )
+
+
+class TrialGeometry:
+    """Per-(user, trial) link quantities of every trial, built once.
+
+    Samples each trial and keeps, per user, the best macro and best small
+    station by mean power with their instantaneous signal terms and the
+    total instantaneous power, with users grouped by mobility class so each
+    class is one contiguous slice. It depends only on the deployment fields
+    of the config (``GEOMETRY_FIELDS`` and each profile's
+    ``density_fraction``), not on bandwidth, noise, velocities, handover
+    parameters, volumes, ``min_coverage`` or ``demand_peak_factor``. So one
+    geometry serves every demand mix and bandwidth of a command: a sweep's
+    convexity points and a bandwidth run's (volume, scheme) pairs each bind
+    their own :class:`CoverageEstimator` to it. Its arrays cost 49 bytes
+    per user-trial, about 5 MB at the defaults (500 users, 200 trials), and
+    are read-only. ``deployments`` replaces the sampled trials, for example
+    with hand-built ones; the key is still taken from ``config``.
     """
 
     def __init__(
@@ -129,7 +155,7 @@ class CoverageEstimator:
         config: NetworkConfig,
         deployments: Iterable[Deployment] | None = None,
     ) -> None:
-        self.config = config
+        self.key = _geometry_key(config)
         if deployments is None:
             deployments = (
                 sample_deployment(config, t) for t in range(config.trials)
@@ -154,7 +180,7 @@ class CoverageEstimator:
         station_offset = 0
         n_trials = 0
         for deployment in deployments:
-            part = self._reduce(deployment, station_offset)
+            part = self._reduce(config, deployment, station_offset)
             (cls_t, pw_m, pw_s, gid_m, gid_s, sig_m, sig_s, tot, n_st) = part
             cls_parts.append(cls_t)
             pw_macro_parts.append(pw_m)
@@ -176,48 +202,32 @@ class CoverageEstimator:
         def by_class(parts: list[np.ndarray]) -> np.ndarray:
             return np.concatenate(parts)[order]
 
-        self._trials = n_trials
-        self._cls = cls[order]
-        self._pw_macro = by_class(pw_macro_parts)
-        self._pw_small = by_class(pw_small_parts)
+        self.trials = n_trials
+        self.cls = cls[order]
+        self.pw_macro = by_class(pw_macro_parts)
+        self.pw_small = by_class(pw_small_parts)
         # int32 ids halve the part memo; the step turns the per-user choice
         # of serving id into arithmetic instead of a much slower np.where
-        self._gid_macro = by_class(gid_macro_parts).astype(np.int32)
-        self._gid_step = (by_class(gid_small_parts) - self._gid_macro).astype(np.int32)
-        self._sig_macro = by_class(sig_macro_parts)
-        self._sig_small = by_class(sig_small_parts)
-        self._total_inst = by_class(total_inst_parts)
-        self._n_station_ids = station_offset
-        ends = np.cumsum(np.bincount(self._cls, minlength=3))
-        self._class_slices = [
+        self.gid_macro = by_class(gid_macro_parts).astype(np.int32)
+        self.gid_step = (by_class(gid_small_parts) - self.gid_macro).astype(np.int32)
+        self.sig_macro = by_class(sig_macro_parts)
+        self.sig_small = by_class(sig_small_parts)
+        self.total_inst = by_class(total_inst_parts)
+        self.n_station_ids = station_offset
+        ends = np.cumsum(np.bincount(self.cls, minlength=3))
+        self.class_slices = [
             slice(int(start), int(end)) for start, end in zip((0, *ends), ends)
         ]
+        for array in (
+            self.cls, self.pw_macro, self.pw_small, self.gid_macro, self.gid_step,
+            self.sig_macro, self.sig_small, self.total_inst,
+        ):
+            array.flags.writeable = False
 
-        self._requirements = np.array(
-            [
-                rate_requirement(p.traffic_volume, config.demand_peak_factor)
-                for p in config.profiles
-            ]
-        )
-        self._min_coverage = np.array([p.min_coverage for p in config.profiles])
-        self._fractions = config.density_fractions()
-
-        eff = np.empty((3, 2))
-        for cls in UserClass:
-            velocity = config.profiles[cls].velocity
-            eff[cls, Tier.MACRO] = handover_efficiency(
-                velocity, config.macro_density, config
-            )
-            eff[cls, Tier.SMALL] = handover_efficiency(
-                velocity, config.small_density, config
-            )
-        self._efficiency = eff
-
-        self._bind_bandwidth(config.bandwidth)
-
-    def _reduce(self, deployment: Deployment, station_offset: int):
+    @staticmethod
+    def _reduce(config: NetworkConfig, deployment: Deployment, station_offset: int):
         """Collapse one trial to per-user best-of-tier link quantities."""
-        mean_power = mean_power_matrix(deployment, self.config)
+        mean_power = mean_power_matrix(deployment, config)
         inst_power = mean_power * deployment.fading
         total_inst = inst_power.sum(axis=1)
         n_users = deployment.n_users
@@ -252,32 +262,93 @@ class CoverageEstimator:
             deployment.n_stations,
         )
 
+
+class CoverageEstimator:
+    """Shared-realization evaluator of rate coverage for many bias vectors.
+
+    Binds the demand (per-class rate requirements and coverage thresholds),
+    handover efficiencies and bandwidth of ``config`` to a
+    :class:`TrialGeometry`. The geometry is built from ``config`` when none
+    is given; a given geometry must have been built from a config with the
+    same deployment fields (see ``GEOMETRY_FIELDS``), else ``ValueError``.
+    Binding costs milliseconds where building costs seconds, so a command
+    builds one geometry and binds each demand mix to it.
+
+    A user's serving station depends only on its own class's bias, and
+    station loads add up across classes, so each (class, bias value) pair
+    is reduced once per bandwidth to a part: the class's serving ids, its
+    rate factors times the bandwidth, and its per-station loads. A bias
+    triple then costs the sum of three load vectors and one rate comparison
+    per user, and grid searches over n values per class build 3n parts
+    instead of n^3 associations. Reports are cached by bias triple;
+    identical inputs give identical reports regardless of evaluation order.
+    """
+
+    def __init__(
+        self,
+        config: NetworkConfig,
+        geometry: TrialGeometry | None = None,
+    ) -> None:
+        if geometry is None:
+            geometry = TrialGeometry(config)
+        elif geometry.key != _geometry_key(config):
+            raise ValueError(
+                "geometry was built from a config with other deployment fields "
+                f"({', '.join(GEOMETRY_FIELDS)} or density_fraction)"
+            )
+        self._bind(config, geometry)
+
+    def _bind(self, config: NetworkConfig, geometry: TrialGeometry) -> None:
+        """Attach the demand and bandwidth of config to the geometry."""
+        self.config = config
+        self.geometry = geometry
+        self._requirements = np.array(
+            [
+                rate_requirement(p.traffic_volume, config.demand_peak_factor)
+                for p in config.profiles
+            ]
+        )
+        self._min_coverage = np.array([p.min_coverage for p in config.profiles])
+        self._fractions = config.density_fractions()
+
+        eff = np.empty((3, 2))
+        for cls in UserClass:
+            velocity = config.profiles[cls].velocity
+            eff[cls, Tier.MACRO] = handover_efficiency(
+                velocity, config.macro_density, config
+            )
+            eff[cls, Tier.SMALL] = handover_efficiency(
+                velocity, config.small_density, config
+            )
+        self._efficiency = eff
+
+        self._bind_bandwidth(config.bandwidth)
+
     def _bind_bandwidth(self, bandwidth: float) -> None:
         """Recompute the bandwidth-dependent per-user rate factors."""
+        geo = self.geometry
         noise = self.config.noise_power * bandwidth
         with np.errstate(divide="ignore", invalid="ignore"):
-            sinr_macro = self._sig_macro / (self._total_inst - self._sig_macro + noise)
+            sinr_macro = geo.sig_macro / (geo.total_inst - geo.sig_macro + noise)
             sinr_small = np.where(
-                self._pw_small > 0.0,
-                self._sig_small / (self._total_inst - self._sig_small + noise),
+                geo.pw_small > 0.0,
+                geo.sig_small / (geo.total_inst - geo.sig_small + noise),
                 0.0,
             )
         # efficiency * log2(1 + SINR) * W; division by the load applied later
-        eff_macro = self._efficiency[self._cls, Tier.MACRO]
-        eff_small = self._efficiency[self._cls, Tier.SMALL]
+        eff_macro = self._efficiency[geo.cls, Tier.MACRO]
+        eff_small = self._efficiency[geo.cls, Tier.SMALL]
         self._scaled_macro = eff_macro * np.log1p(sinr_macro) / math.log(2.0) * bandwidth
         self._scaled_small = eff_small * np.log1p(sinr_small) / math.log(2.0) * bandwidth
         self._cache: dict[tuple[float, float, float], CoverageReport] = {}
         self._parts: dict[tuple[int, float], tuple[np.ndarray, ...]] = {}
 
     def with_bandwidth(self, bandwidth: float) -> "CoverageEstimator":
-        """Cheap copy sharing the trial geometry but using another bandwidth."""
+        """Estimator bound to the same geometry and demand at another bandwidth."""
         if bandwidth <= 0.0:
             raise ValueError("bandwidth must be > 0")
         clone = object.__new__(CoverageEstimator)
-        clone.__dict__.update(self.__dict__)
-        clone.config = replace(self.config, bandwidth=bandwidth)
-        clone._bind_bandwidth(bandwidth)
+        clone._bind(replace(self.config, bandwidth=bandwidth), self.geometry)
         return clone
 
     def evaluate(self, bias: BiasVector) -> CoverageReport:
@@ -301,7 +372,7 @@ class CoverageEstimator:
             per_class_coverage=tuple(per_class),
             average_coverage=average,
             feasible=feasible,
-            trials_used=self._trials,
+            trials_used=self.geometry.trials,
         )
         self._cache[key] = report
         return report
@@ -311,14 +382,15 @@ class CoverageEstimator:
         key = (cls, bias)
         part = self._parts.get(key)
         if part is None:
-            users = self._class_slices[cls]
-            on_small = bias * self._pw_small[users] > self._pw_macro[users]
-            gid = self._gid_macro[users] + on_small * self._gid_step[users]
+            geo = self.geometry
+            users = geo.class_slices[cls]
+            on_small = bias * geo.pw_small[users] > geo.pw_macro[users]
+            gid = geo.gid_macro[users] + on_small * geo.gid_step[users]
             scaled = np.where(
                 on_small, self._scaled_small[users], self._scaled_macro[users]
             )
             # int32 loads halve the memo's per-station cost
-            loads = np.bincount(gid, minlength=self._n_station_ids).astype(np.int32)
+            loads = np.bincount(gid, minlength=geo.n_station_ids).astype(np.int32)
             part = (gid, scaled, loads)
             self._parts[key] = part
         return part

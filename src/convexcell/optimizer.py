@@ -15,10 +15,10 @@ import enum
 import itertools
 import warnings
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .association import BiasVector, linear_from_db
-from .coverage import CoverageEstimator, CoverageReport
+from .coverage import CoverageEstimator, CoverageReport, TrialGeometry
 from .model import NetworkConfig, UserClass
 
 FULL_SEARCH_WARN_CANDIDATES = 2000
@@ -251,6 +251,29 @@ def three_stage_optimize(
     )
 
 
+def _select(
+    biases: Iterable[BiasVector], estimator: CoverageEstimator
+) -> tuple[BiasVector, CoverageReport]:
+    """Highest average coverage, feasible candidates first.
+
+    Only a strictly better average replaces the incumbent, so the first
+    of equal candidates wins. When no candidate is feasible the best
+    infeasible one is returned.
+    """
+    best_feasible = None
+    best_any = None
+    for bias in biases:
+        report = estimator.evaluate(bias)
+        average = report.average_coverage
+        if best_any is None or average > best_any[1].average_coverage:
+            best_any = (bias, report)
+        if report.feasible and (
+            best_feasible is None or average > best_feasible[1].average_coverage
+        ):
+            best_feasible = (bias, report)
+    return best_feasible if best_feasible is not None else best_any
+
+
 def cre_optimize(
     config: NetworkConfig,
     grid: BiasGrid | None = None,
@@ -262,18 +285,7 @@ def cre_optimize(
     is returned with feasible=False. Ties break to the smallest bias.
     """
     grid, estimator = _resolve(config, grid, estimator)
-    best_feasible = None
-    best_any = None
-    for candidate in grid:
-        bias = BiasVector.uniform(candidate)
-        report = estimator.evaluate(bias)
-        entry = (report.average_coverage, bias, report)
-        if best_any is None or entry[0] > best_any[0]:
-            best_any = entry
-        if report.feasible and (best_feasible is None or entry[0] > best_feasible[0]):
-            best_feasible = entry
-    chosen = best_feasible if best_feasible is not None else best_any
-    _, bias, report = chosen
+    bias, report = _select((BiasVector.uniform(b) for b in grid), estimator)
     return OptimizerResult(
         bias=bias, report=report, feasible=report.feasible, scheme=Scheme.CRE
     )
@@ -296,18 +308,8 @@ def full_search(
             f"full search over {n_candidates} candidates may be slow",
             stacklevel=2,
         )
-    best_feasible = None
-    best_any = None
-    for triple in itertools.product(grid, repeat=3):
-        bias = BiasVector(*triple)
-        report = estimator.evaluate(bias)
-        entry = (report.average_coverage, bias, report)
-        if best_any is None or entry[0] > best_any[0]:
-            best_any = entry
-        if report.feasible and (best_feasible is None or entry[0] > best_feasible[0]):
-            best_feasible = entry
-    chosen = best_feasible if best_feasible is not None else best_any
-    _, bias, report = chosen
+    biases = (BiasVector(*triple) for triple in itertools.product(grid, repeat=3))
+    bias, report = _select(biases, estimator)
     return OptimizerResult(
         bias=bias, report=report, feasible=report.feasible, scheme=Scheme.FULL_SEARCH
     )
@@ -337,12 +339,21 @@ def required_bandwidth(
     w_min: float,
     w_max: float,
     tolerance: float,
+    geometry: TrialGeometry | None = None,
 ) -> float:
     """Smallest bandwidth at which the scheme's optimizer is feasible.
 
-    Bisects on bandwidth; deployments and fading depend only on the seed,
-    so feasibility is monotone in bandwidth under common random numbers.
+    Bisects on bandwidth, which assumes feasibility is monotone in it.
+    For a fixed bias vector it is: association and loads do not depend on
+    the bandwidth, and each user's rate W/load * log2(1 + S/(I + N0*W))
+    increases with W, so every per-class coverage can only rise. CRE and
+    full search are feasible iff some candidate of a fixed set is, so
+    their feasibility is monotone too. Three-stage chooses its biases from
+    coverages that move with W, so for it monotonicity is only observed,
+    not proven.
     Raises UnsatisfiableRequirementError when even w_max is infeasible.
+    ``geometry`` lets callers share one :class:`TrialGeometry` across
+    demand mixes; it is built from ``config`` when omitted.
     """
     if not 0.0 < w_min <= w_max:
         raise ValueError("need 0 < w_min <= w_max")
@@ -350,7 +361,7 @@ def required_bandwidth(
         raise ValueError("tolerance must be > 0")
     if grid is None:
         grid = BiasGrid.default()
-    base = CoverageEstimator(config)
+    base = CoverageEstimator(config, geometry)
 
     def result_at(width: float) -> OptimizerResult:
         return run_scheme(scheme, config, grid, base.with_bandwidth(width))
@@ -399,20 +410,22 @@ def convexity_sweep(
     """Evaluate every scheme across a range of user-convexity values.
 
     Total volume and the stationary share stay fixed; only the split of
-    moving traffic between walking and vehicular users varies. Every cell
-    uses identical seeds, so rows are exactly comparable.
+    moving traffic between walking and vehicular users varies. One trial
+    geometry is built and every point binds its demand to it, so rows see
+    identical deployments and fading and are exactly comparable.
     """
     if any(value <= 0.0 for value in convexity_values):
         raise ValueError("convexity values must be > 0")
     if grid is None:
         grid = BiasGrid.default()
+    geometry = TrialGeometry(config)
     rows: list[SweepPoint] = []
     for convexity in convexity_values:
         scenario = base.with_convexity(convexity)
         point_config = scenario.apply(config)
-        estimator = CoverageEstimator(point_config)
+        estimator = CoverageEstimator(point_config, geometry)
         for scheme in schemes:
             result = run_scheme(scheme, point_config, grid, estimator)
             rows.append(SweepPoint(convexity=convexity, scheme=scheme, result=result))
-        del estimator  # release this point's geometry before building the next
+        del estimator  # release this point's part memo before binding the next
     return rows

@@ -24,6 +24,7 @@ from convexcell import (
     Deployment,
     NetworkConfig,
     Scheme,
+    TrialGeometry,
     UserClass,
     analyze_trace,
     associate,
@@ -413,7 +414,7 @@ def test_criterion_7_hand_enumerated_optimum():
         [0, 0, 0, 1, 2],
         np.ones((5, 3)),
     )
-    estimator = CoverageEstimator(config, deployments=[deployment])
+    estimator = CoverageEstimator(config, TrialGeometry(config, [deployment]))
     grid = BiasGrid((1.0, 2.0, 4.0))
 
     # Exhaustive enumeration, cross-checked against the loop reference.

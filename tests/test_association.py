@@ -34,6 +34,11 @@ def test_db_anchors():
     assert linear_from_db(3.0) == pytest.approx(1.995262, rel=1e-6)
 
 
+def test_db_overflow_is_a_value_error():
+    with pytest.raises(ValueError, match="4000"):
+        linear_from_db(4000.0)
+
+
 class TestBiasVector:
     def test_rejects_sub_unity(self):
         with pytest.raises(ValueError, match="walking_bias"):

@@ -12,7 +12,7 @@ from convexcell import (
     NetworkConfig,
     estimate_rate_coverage,
 )
-from convexcell import cli
+from convexcell import cli, coverage
 
 TINY_CONFIG = {
     "user_count": 40,
@@ -159,6 +159,33 @@ class TestBandwidthCommand:
         rows = read_rows(out / "bandwidth.csv")
         assert [row[2] for row in rows[1:]] == [cli.UNSATISFIABLE] * 2
 
+    def test_samples_each_trial_once(self, tmp_path, config_path, monkeypatch):
+        calls = []
+        sample = coverage.sample_deployment
+        monkeypatch.setattr(
+            coverage, "sample_deployment", lambda *a: calls.append(a) or sample(*a)
+        )
+        code = run(
+            [
+                "bandwidth", "--config", config_path, "--out", str(tmp_path / "out"),
+                "--volumes", "60", "120", "--grid-db", "0", "6",
+            ]
+        )
+        assert code == 0
+        assert len(calls) == TINY_CONFIG["trials"]  # 4 (volume, scheme) pairs
+
+
+@pytest.mark.parametrize("command", ["sweep", "bandwidth"])
+def test_overflowing_grid_db_rejected(tmp_path, config_path, capsys, command):
+    out = tmp_path / "out"
+    code = run(
+        [command, "--config", config_path, "--out", str(out), "--grid-db", "0", "4000"]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "4000" in err
+
 
 def lat_step(meters):
     return meters / EARTH_RADIUS_M * 180.0 / math.pi
@@ -303,6 +330,20 @@ class TestEvaluateCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert "finite" in err
+        assert not (out / "evaluate_report.json").exists()
+
+    def test_overflowing_bias_rejected(self, tmp_path, config_path, capsys):
+        out = tmp_path / "out"
+        code = run(
+            [
+                "evaluate", "--config", config_path, "--out", str(out),
+                "--bias", "4000", "0", "0",
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "4000" in err
         assert not (out / "evaluate_report.json").exists()
 
     def test_seed_changes_coverage(self, tmp_path, config_path):

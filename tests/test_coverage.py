@@ -14,6 +14,7 @@ from convexcell import (
     CoverageEstimator,
     EstimationError,
     NetworkConfig,
+    TrialGeometry,
     UserClass,
     associate,
     estimate_rate_coverage,
@@ -199,7 +200,7 @@ class TestEstimator:
             [0, 1, 2],
             np.ones((3, 2)),
         )
-        estimator = CoverageEstimator(config, deployments=[deployment])
+        estimator = CoverageEstimator(config, TrialGeometry(config, [deployment]))
         report = estimator.evaluate(BiasVector.uniform(1.0))
 
         # association by mean power: u0 macro (2 vs 1/343), u1 small
@@ -235,7 +236,9 @@ class TestEstimator:
         deployments = [
             sample_deployment(tiny_config, t) for t in range(tiny_config.trials)
         ]
-        estimator = CoverageEstimator(tiny_config, deployments=deployments)
+        estimator = CoverageEstimator(
+            tiny_config, TrialGeometry(tiny_config, deployments)
+        )
         report = estimator.evaluate(bias)
         per_class, average, feasible = reference_rate_coverage(
             tiny_config, deployments, bias
@@ -330,7 +333,81 @@ class TestEstimator:
 
     def test_at_least_one_trial_required(self, tiny_config):
         with pytest.raises(EstimationError, match="trial"):
-            CoverageEstimator(tiny_config, deployments=[])
+            TrialGeometry(tiny_config, [])
+
+
+class TestTrialGeometry:
+    BIASES = [
+        BiasVector.uniform(1.0),
+        BiasVector(3.0, 1.0, 9.9),
+        BiasVector(1.37, 17.3, 2.5),
+    ]
+
+    def test_shared_geometry_matches_fresh_estimators(self, tiny_config):
+        geometry = TrialGeometry(tiny_config)
+        seen = []
+        for volumes in ([20.0, 5.0, 10.0], [120.0, 30.0, 200.0]):
+            config = tiny_config.with_volumes(volumes)
+            shared = CoverageEstimator(config, geometry)
+            fresh = CoverageEstimator(config)
+            reports = [shared.evaluate(bias) for bias in self.BIASES]
+            assert reports == [fresh.evaluate(bias) for bias in self.BIASES]
+            wide, wide_fresh = shared.with_bandwidth(4e7), fresh.with_bandwidth(4e7)
+            assert [wide.evaluate(bias) for bias in self.BIASES] == [
+                wide_fresh.evaluate(bias) for bias in self.BIASES
+            ]
+            assert wide.geometry is geometry
+            seen.append(reports)
+        assert seen[0] != seen[1]  # the demand binding matters
+
+    def test_demand_and_link_fields_bind_without_rebuilding(self, tiny_config):
+        geometry = TrialGeometry(tiny_config)
+        config = dataclasses.replace(
+            tiny_config, bandwidth=2e6, handover_delay=3.0, demand_peak_factor=9.0
+        )
+        shared = CoverageEstimator(config, geometry)
+        fresh = CoverageEstimator(config)
+        assert [shared.evaluate(b) for b in self.BIASES] == [
+            fresh.evaluate(b) for b in self.BIASES
+        ]
+
+    @pytest.mark.parametrize("field", [{"seed": 8}, {"user_count": 61}])
+    def test_other_deployment_config_rejected(self, tiny_config, field):
+        geometry = TrialGeometry(tiny_config)
+        with pytest.raises(ValueError, match="geometry"):
+            CoverageEstimator(dataclasses.replace(tiny_config, **field), geometry)
+
+    def test_arrays_are_read_only(self, tiny_config):
+        geometry = TrialGeometry(tiny_config)
+        with pytest.raises(ValueError):
+            geometry.pw_macro[0] = 0.0
+
+
+# tiny_config of conftest with demand heavy enough that coverage moves with W
+MONOTONE_CONFIG = NetworkConfig(
+    area_side=1000.0,
+    macro_density=3.0,
+    small_density=12.0,
+    user_count=60,
+    trials=3,
+    seed=7,
+).with_volumes([120.0, 30.0, 80.0])
+MONOTONE_GEOMETRY = TrialGeometry(MONOTONE_CONFIG)
+
+
+@given(
+    st.tuples(*[st.floats(1.0, 200.0)] * 3),
+    st.floats(1e5, 1e8),
+    st.floats(1.5, 100.0),
+)
+def test_coverage_monotone_in_bandwidth_per_candidate(bias, width, ratio):
+    """The monotonicity the bandwidth bisection relies on, per bias vector."""
+    estimator = CoverageEstimator(MONOTONE_CONFIG, MONOTONE_GEOMETRY)
+    candidate = BiasVector(*bias)
+    narrow = estimator.with_bandwidth(width).evaluate(candidate)
+    wide = estimator.with_bandwidth(width * ratio).evaluate(candidate)
+    for low, high in zip(narrow.per_class_coverage, wide.per_class_coverage):
+        assert high >= low
 
 
 @given(st.integers(0, 10_000))

@@ -16,6 +16,7 @@ from convexcell import (
     UnsatisfiableRequirementError,
     UserClass,
     convexity_sweep,
+    coverage,
     cre_optimize,
     full_search,
     required_bandwidth,
@@ -278,6 +279,17 @@ class TestConvexitySweep:
     def test_deterministic(self, tiny_config):
         args = (DemandScenario.measured_2015(), (1.0, 4.0), tiny_config, SMALL_GRID)
         assert convexity_sweep(*args) == convexity_sweep(*args)
+
+    def test_samples_each_trial_once(self, tiny_config, monkeypatch):
+        calls = []
+        sample = coverage.sample_deployment
+        monkeypatch.setattr(
+            coverage, "sample_deployment", lambda *a: calls.append(a) or sample(*a)
+        )
+        convexity_sweep(
+            DemandScenario.measured_2015(), (1.0, 4.0, 8.0), tiny_config, SMALL_GRID
+        )
+        assert len(calls) == tiny_config.trials
 
     def test_rejects_non_positive_convexity(self, tiny_config):
         with pytest.raises(ValueError, match="convexity"):
