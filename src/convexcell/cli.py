@@ -18,7 +18,12 @@ from pathlib import Path
 from typing import Sequence
 
 from .association import BiasVector, db_from_linear
-from .coverage import TrialGeometry, estimate_rate_coverage
+from .coverage import (
+    CoverageEstimator,
+    EstimationError,
+    TrialGeometry,
+    estimate_rate_coverage,
+)
 from .model import ConfigError, NetworkConfig, UserClass
 from .optimizer import (
     DEFAULT_CONVEXITY_VALUES,
@@ -188,10 +193,10 @@ def run_bandwidth(manifest: RunManifest, args: argparse.Namespace) -> int:
         )
         point_config = scenario.apply(config)
         for scheme in schemes:
+            estimator = CoverageEstimator(point_config, geometry)
             try:
                 width = required_bandwidth(
-                    point_config, grid, scheme, args.wmin, args.wmax, args.tolerance,
-                    geometry=geometry,
+                    estimator, grid, scheme, args.wmin, args.wmax, args.tolerance
                 )
                 rows.append((volume, scheme.value, width))
             except UnsatisfiableRequirementError as exc:
@@ -395,6 +400,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         InsufficientDataError,
         ConvexityUndefinedError,
         UnsatisfiableRequirementError,
+        EstimationError,
         FileNotFoundError,
         json.JSONDecodeError,
         ValueError,

@@ -15,7 +15,8 @@ import enum
 import itertools
 import warnings
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from functools import partial
+from typing import Callable, Iterable, Sequence
 
 from .association import BiasVector, linear_from_db
 from .coverage import CoverageEstimator, CoverageReport, TrialGeometry
@@ -131,119 +132,68 @@ class DemandScenario:
         return config.with_volumes(self.class_volumes())
 
 
-def _resolve(
-    config: NetworkConfig,
-    grid: BiasGrid | None,
-    estimator: CoverageEstimator | None,
-) -> tuple[BiasGrid, CoverageEstimator]:
-    if grid is None:
-        grid = BiasGrid.default()
-    if estimator is None:
-        estimator = CoverageEstimator(config)
-    return grid, estimator
-
-
-def stage1_stationary_bias(
-    config: NetworkConfig,
-    grid: BiasGrid | None = None,
-    estimator: CoverageEstimator | None = None,
-) -> float:
-    """Bias maximizing stationary coverage with the other classes unbiased.
-
-    Ties break to the smallest bias.
-    """
-    grid, estimator = _resolve(config, grid, estimator)
-    best_bias = None
-    best_coverage = -1.0
-    for candidate in grid:
-        report = estimator.evaluate(BiasVector(candidate, 1.0, 1.0))
-        coverage = report.per_class_coverage[UserClass.STATIONARY]
-        if coverage > best_coverage:
-            best_coverage = coverage
-            best_bias = candidate
-    return best_bias
-
-
-def _stage3(
+def _argmax(
     estimator: CoverageEstimator,
     grid: BiasGrid,
-    fixed_stationary: float,
-    fixed_walking: float,
+    user_class: UserClass,
+    bias_of: Callable[[float], BiasVector],
 ) -> tuple[float, CoverageReport]:
-    """Vehicular-coverage argmax over the grid; returns (bias, its report)."""
-    best_bias = None
-    best_report = None
+    """Grid value maximizing one class's coverage; returns (value, its report).
+
+    ``bias_of`` places the candidate value in a bias vector. Only a
+    strictly better coverage replaces the incumbent, so ties break to the
+    smallest bias.
+    """
+    best = None
     best_coverage = -1.0
     for candidate in grid:
-        bias = BiasVector(fixed_stationary, fixed_walking, candidate)
-        report = estimator.evaluate(bias)
-        coverage = report.per_class_coverage[UserClass.VEHICULAR]
+        report = estimator.evaluate(bias_of(candidate))
+        coverage = report.per_class_coverage[user_class]
         if coverage > best_coverage:
             best_coverage = coverage
-            best_bias = candidate
-            best_report = report
-    return best_bias, best_report
-
-
-def stage3_vehicular_bias(
-    config: NetworkConfig,
-    grid: BiasGrid | None = None,
-    fixed_stationary: float = 1.0,
-    fixed_walking: float = 1.0,
-    estimator: CoverageEstimator | None = None,
-) -> float:
-    """Bias maximizing vehicular coverage given the first two stages."""
-    grid, estimator = _resolve(config, grid, estimator)
-    bias, _ = _stage3(estimator, grid, fixed_stationary, fixed_walking)
-    return bias
+            best = (candidate, report)
+    return best
 
 
 def _stage2(
     estimator: CoverageEstimator,
     grid: BiasGrid,
-    fixed_stationary: float,
+    stationary: float,
 ) -> tuple[float, float, CoverageReport]:
     """Walking-bias scan; returns (walking, vehicular bias, final report).
 
     Scans the grid upward and stops at the first walking bias whose
-    stage-3 completion meets the vehicular coverage threshold: the macro
-    resources vacated by walking users are just enough. Falls back to the
-    candidate with the best vehicular coverage when none qualifies.
+    stage-3 completion (the vehicular-coverage argmax) meets the vehicular
+    coverage threshold: the macro resources vacated by walking users are
+    just enough. Falls back to the candidate with the best vehicular
+    coverage when none qualifies.
     """
     min_vehicular = estimator.config.profiles[UserClass.VEHICULAR].min_coverage
     best = None
     best_coverage = -1.0
-    for candidate in grid:
-        vehicular_bias, report = _stage3(estimator, grid, fixed_stationary, candidate)
+    for walking in grid:
+        completion = partial(BiasVector, stationary, walking)
+        vehicular, report = _argmax(estimator, grid, UserClass.VEHICULAR, completion)
         coverage = report.per_class_coverage[UserClass.VEHICULAR]
         if coverage >= min_vehicular:
-            return candidate, vehicular_bias, report
+            return walking, vehicular, report
         if coverage > best_coverage:
             best_coverage = coverage
-            best = (candidate, vehicular_bias, report)
+            best = (walking, vehicular, report)
     return best
 
 
-def stage2_walking_bias(
-    config: NetworkConfig,
-    grid: BiasGrid | None = None,
-    fixed_stationary: float = 1.0,
-    estimator: CoverageEstimator | None = None,
-) -> float:
-    """Smallest bias whose stage-3 completion satisfies vehicular coverage."""
-    grid, estimator = _resolve(config, grid, estimator)
-    walking_bias, _, _ = _stage2(estimator, grid, fixed_stationary)
-    return walking_bias
-
-
 def three_stage_optimize(
-    config: NetworkConfig,
-    grid: BiasGrid | None = None,
-    estimator: CoverageEstimator | None = None,
+    estimator: CoverageEstimator, grid: BiasGrid
 ) -> OptimizerResult:
-    """Compose the three per-class stages under common random numbers."""
-    grid, estimator = _resolve(config, grid, estimator)
-    stationary = stage1_stationary_bias(config, grid, estimator)
+    """Compose the three per-class stages under common random numbers.
+
+    Stage 1 takes the bias maximizing stationary coverage with the other
+    classes unbiased; stages 2 and 3 are the walking scan of ``_stage2``.
+    """
+    stationary, _ = _argmax(
+        estimator, grid, UserClass.STATIONARY, lambda b: BiasVector(b, 1.0, 1.0)
+    )
     walking, vehicular, report = _stage2(estimator, grid, stationary)
     bias = BiasVector(stationary, walking, vehicular)
     return OptimizerResult(
@@ -274,34 +224,24 @@ def _select(
     return best_feasible if best_feasible is not None else best_any
 
 
-def cre_optimize(
-    config: NetworkConfig,
-    grid: BiasGrid | None = None,
-    estimator: CoverageEstimator | None = None,
-) -> OptimizerResult:
+def cre_optimize(estimator: CoverageEstimator, grid: BiasGrid) -> OptimizerResult:
     """Best common bias: highest average coverage, feasible candidates first.
 
     When no common bias is feasible the best-average infeasible candidate
     is returned with feasible=False. Ties break to the smallest bias.
     """
-    grid, estimator = _resolve(config, grid, estimator)
     bias, report = _select((BiasVector.uniform(b) for b in grid), estimator)
     return OptimizerResult(
         bias=bias, report=report, feasible=report.feasible, scheme=Scheme.CRE
     )
 
 
-def full_search(
-    config: NetworkConfig,
-    grid: BiasGrid | None = None,
-    estimator: CoverageEstimator | None = None,
-) -> OptimizerResult:
+def full_search(estimator: CoverageEstimator, grid: BiasGrid) -> OptimizerResult:
     """Exhaustive search over the grid cube; the optimality oracle.
 
     Feasible candidates are preferred; among equals the lexicographically
     smallest (stationary, walking, vehicular) triple wins.
     """
-    grid, estimator = _resolve(config, grid, estimator)
     n_candidates = len(grid) ** 3
     if n_candidates > FULL_SEARCH_WARN_CANDIDATES:
         warnings.warn(
@@ -323,27 +263,24 @@ _SCHEME_RUNNERS = {
 
 
 def run_scheme(
-    scheme: Scheme,
-    config: NetworkConfig,
-    grid: BiasGrid | None = None,
-    estimator: CoverageEstimator | None = None,
+    scheme: Scheme, estimator: CoverageEstimator, grid: BiasGrid
 ) -> OptimizerResult:
     """Dispatch one association scheme by name."""
-    return _SCHEME_RUNNERS[scheme](config, grid, estimator)
+    return _SCHEME_RUNNERS[scheme](estimator, grid)
 
 
 def required_bandwidth(
-    config: NetworkConfig,
-    grid: BiasGrid | None,
+    estimator: CoverageEstimator,
+    grid: BiasGrid,
     scheme: Scheme,
     w_min: float,
     w_max: float,
     tolerance: float,
-    geometry: TrialGeometry | None = None,
 ) -> float:
     """Smallest bandwidth at which the scheme's optimizer is feasible.
 
-    Bisects on bandwidth, which assumes feasibility is monotone in it.
+    Bisects on bandwidth by rebinding ``estimator``, whose geometry and
+    demand stay fixed. This assumes feasibility is monotone in bandwidth.
     For a fixed bias vector it is: association and loads do not depend on
     the bandwidth, and each user's rate W/load * log2(1 + S/(I + N0*W))
     increases with W, so every per-class coverage can only rise. CRE and
@@ -352,26 +289,22 @@ def required_bandwidth(
     coverages that move with W, so for it monotonicity is only observed,
     not proven.
     Raises UnsatisfiableRequirementError when even w_max is infeasible.
-    ``geometry`` lets callers share one :class:`TrialGeometry` across
-    demand mixes; it is built from ``config`` when omitted.
     """
     if not 0.0 < w_min <= w_max:
         raise ValueError("need 0 < w_min <= w_max")
-    if tolerance <= 0.0:
+    if not tolerance > 0.0:  # also refuses NaN
         raise ValueError("tolerance must be > 0")
-    if grid is None:
-        grid = BiasGrid.default()
-    base = CoverageEstimator(config, geometry)
 
     def result_at(width: float) -> OptimizerResult:
-        return run_scheme(scheme, config, grid, base.with_bandwidth(width))
+        return run_scheme(scheme, estimator.with_bandwidth(width), grid)
 
     top = result_at(w_max)
     if not top.feasible:
+        profiles = estimator.config.profiles
         failing = tuple(
             cls
             for cls in UserClass
-            if top.report.per_class_coverage[cls] < config.profiles[cls].min_coverage
+            if top.report.per_class_coverage[cls] < profiles[cls].min_coverage
         )
         names = ", ".join(cls.label for cls in failing)
         raise UnsatisfiableRequirementError(
@@ -404,7 +337,7 @@ def convexity_sweep(
     base: DemandScenario,
     convexity_values: Sequence[float],
     config: NetworkConfig,
-    grid: BiasGrid | None = None,
+    grid: BiasGrid,
     schemes: Sequence[Scheme] = tuple(Scheme),
 ) -> list[SweepPoint]:
     """Evaluate every scheme across a range of user-convexity values.
@@ -416,8 +349,6 @@ def convexity_sweep(
     """
     if any(value <= 0.0 for value in convexity_values):
         raise ValueError("convexity values must be > 0")
-    if grid is None:
-        grid = BiasGrid.default()
     geometry = TrialGeometry(config)
     rows: list[SweepPoint] = []
     for convexity in convexity_values:
@@ -425,7 +356,7 @@ def convexity_sweep(
         point_config = scenario.apply(config)
         estimator = CoverageEstimator(point_config, geometry)
         for scheme in schemes:
-            result = run_scheme(scheme, point_config, grid, estimator)
+            result = run_scheme(scheme, estimator, grid)
             rows.append(SweepPoint(convexity=convexity, scheme=scheme, result=result))
         del estimator  # release this point's part memo before binding the next
     return rows

@@ -64,6 +64,8 @@ class TraceSample:
             raise ValueError("longitude must be in [-180, 180]")
         if self.rx_bytes < 0.0:
             raise ValueError("rx_bytes must be >= 0")
+        if not math.isfinite(self.rx_bytes):
+            raise ValueError("rx_bytes is not a number")
 
 
 @dataclass(frozen=True)
@@ -171,25 +173,22 @@ def build_segments(
     return segments
 
 
-def aggregate_user(
-    samples: Sequence[TraceSample],
-    stationary_cutoff: float = DEFAULT_STATIONARY_CUTOFF_KMH,
-) -> tuple[float, float, float]:
+def aggregate_user(segments: Sequence[MobilitySegment]) -> tuple[float, float, float]:
     """Per-state traffic volumes of one user in MB/day.
 
-    Attributes each segment's bytes wholly to its classified state and
-    normalizes by the user's observed span, so concatenating identical
-    days leaves the result unchanged.
+    Takes the user's segments from :func:`build_segments`. Attributes each
+    segment's bytes wholly to its classified state and normalizes by the
+    user's observed span, so concatenating identical days leaves the
+    result unchanged.
     """
-    if len(samples) < 2:
+    if not segments:
         raise InsufficientDataError(
             "at least two samples are required to aggregate a user"
         )
-    segments = build_segments(samples, stationary_cutoff)
     state_bytes = [0.0, 0.0, 0.0]
     for segment in segments:
         state_bytes[segment.state] += segment.rx_bytes
-    span_days = (samples[-1].timestamp - samples[0].timestamp).total_seconds()
+    span_days = (segments[-1].end - segments[0].start).total_seconds()
     span_days /= SECONDS_PER_DAY
     return tuple(b / BYTES_PER_MB / span_days for b in state_bytes)
 
@@ -237,7 +236,10 @@ def _parse_timestamp(text: str) -> datetime:
     stamp = datetime.fromisoformat(cleaned)
     if stamp.tzinfo is None:
         stamp = stamp.replace(tzinfo=timezone.utc)
-    return stamp.astimezone(timezone.utc)
+    try:
+        return stamp.astimezone(timezone.utc)
+    except OverflowError:  # e.g. year 1 at a positive offset
+        raise ValueError(f"timestamp {cleaned} is out of range in UTC") from None
 
 
 def read_trace_csv(
@@ -274,8 +276,6 @@ def read_trace_csv(
                     longitude=float(row[3]),
                     rx_bytes=float(row[4]),
                 )
-                if sample.rx_bytes != sample.rx_bytes:  # NaN guard
-                    raise ValueError("rx_bytes is not a number")
                 previous = samples.get(sample.user_id)
                 if previous and sample.timestamp <= previous[-1].timestamp:
                     raise ValueError(
@@ -316,8 +316,9 @@ def analyze_trace(
                     f"user {user_id} has fewer than two samples"
                 )
             continue
-        segments.extend(build_segments(user_samples, stationary_cutoff))
-        triples.append(aggregate_user(user_samples, stationary_cutoff))
+        user_segments = build_segments(user_samples, stationary_cutoff)
+        segments.extend(user_segments)
+        triples.append(aggregate_user(user_segments))
     if not triples:
         raise InsufficientDataError("no user has two or more samples")
     try:

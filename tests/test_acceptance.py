@@ -84,12 +84,14 @@ def bandwidth_table(headline):
     config = headline["config"]
     grid = headline["grid"]
     scenario = DemandScenario.measured_2015()
+    geometry = TrialGeometry(config)
     table = {}
     for total in (145.05, 290.1):
         point_config = scenario.with_total(total).apply(config)
+        estimator = CoverageEstimator(point_config, geometry)
         for scheme in (Scheme.THREE_STAGE, Scheme.CRE):
             table[(total, scheme)] = required_bandwidth(
-                point_config, grid, scheme, w_min=1e6, w_max=1e8,
+                estimator, grid, scheme, w_min=1e6, w_max=1e8,
                 tolerance=BANDWIDTH_TOL_HZ,
             )
     return table
@@ -437,9 +439,9 @@ def test_criterion_7_hand_enumerated_optimum():
     }
     assert {t for t, f in feasibles.items() if f} == expected_feasible
 
-    full = full_search(config, grid, estimator=estimator)
-    cre = cre_optimize(config, grid, estimator=estimator)
-    three = three_stage_optimize(config, grid, estimator=estimator)
+    full = full_search(estimator, grid)
+    cre = cre_optimize(estimator, grid)
+    three = three_stage_optimize(estimator, grid)
 
     ref_full_key, ref_full_report = reference_full_search(estimator, grid)
     ref_cre_key, ref_cre_report = reference_cre(estimator, grid)

@@ -174,6 +174,20 @@ class TestBandwidthCommand:
         assert code == 0
         assert len(calls) == TINY_CONFIG["trials"]  # 4 (volume, scheme) pairs
 
+    def test_nan_tolerance_rejected(self, tmp_path, config_path, capsys):
+        out = tmp_path / "out"
+        code = run(
+            [
+                "bandwidth", "--config", config_path, "--out", str(out),
+                "--tolerance", "nan", "--grid-db", "0", "6",
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "tolerance" in err
+        assert not (out / "bandwidth.csv").exists()
+
 
 @pytest.mark.parametrize("command", ["sweep", "bandwidth"])
 def test_overflowing_grid_db_rejected(tmp_path, config_path, capsys, command):
@@ -382,6 +396,17 @@ class TestConfigHandling:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: area_side") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command", [["evaluate", "--bias", "0", "0", "0"], ["sweep"]]
+    )
+    def test_empty_class_rejected(self, tmp_path, capsys, command):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"user_count": 5, "trials": 1}))
+        code = run([*command, "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: class walking") and err.count("\n") == 1
 
     def test_malformed_json_rejected(self, tmp_path, capsys):
         path = tmp_path / "config.json"

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convexcell import (
@@ -23,6 +23,59 @@ from convexcell import (
     sinr,
 )
 from helpers import make_deployment
+
+# Config fuzz: each field is omitted, set near its default (the value
+# itself, as int or float, or scaled), or set to a JSON-style value of
+# any type, including bools, NaN, infinity and integers beyond the float
+# range.
+FUZZ_JUNK = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(-3, 3),
+        st.integers(10**300, 10**400),
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.text(max_size=3),
+    ),
+    lambda inner: st.lists(inner, max_size=2)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=3,
+)
+
+
+def fuzz_field(default):
+    near = st.one_of(
+        st.sampled_from([default, float(default), int(default)]),
+        st.floats(0.0, 2.0).map(lambda k: default * k),
+    )
+    return near | FUZZ_JUNK
+
+
+def fuzz_mapping(defaults):
+    return st.fixed_dictionaries(
+        {}, optional={name: fuzz_field(value) for name, value in defaults.items()}
+    )
+
+
+_DEFAULTS = NetworkConfig().to_dict()
+FUZZ_CONFIGS = st.fixed_dictionaries(
+    {},
+    optional={
+        **{
+            name: fuzz_field(value)
+            for name, value in _DEFAULTS.items()
+            if name != "profiles"
+        },
+        "profiles": st.fixed_dictionaries(
+            {},
+            optional={
+                label: fuzz_mapping(fields) | FUZZ_JUNK
+                for label, fields in _DEFAULTS["profiles"].items()
+            },
+        )
+        | FUZZ_JUNK,
+    },
+)
 
 
 class TestConfig:
@@ -132,6 +185,29 @@ class TestConfig:
     def test_from_dict_rejects_bad_values(self, data, field):
         with pytest.raises(ConfigError, match=field):
             NetworkConfig.from_dict(data)
+
+    @settings(max_examples=200)
+    @given(FUZZ_CONFIGS)
+    def test_from_dict_fuzz_raises_or_is_valid(self, data):
+        try:
+            config = NetworkConfig.from_dict(data)
+        except ConfigError:
+            return
+        for name in NetworkConfig._INTEGER_FIELDS:
+            assert type(getattr(config, name)) is int
+        reals = [
+            getattr(config, item.name)
+            for item in dataclasses.fields(config)
+            if item.name not in ("profiles", *NetworkConfig._INTEGER_FIELDS)
+        ]
+        reals += [
+            getattr(profile, name)
+            for profile in config.profiles
+            for name in NetworkConfig._PROFILE_FIELDS
+        ]
+        assert all(not isinstance(v, bool) and math.isfinite(v) for v in reals)
+        assert config.user_count > 0 and config.trials > 0
+        assert NetworkConfig.from_dict(config.to_dict()) == config
 
     def test_config_hash_tracks_content(self):
         a = NetworkConfig()

@@ -1,5 +1,8 @@
 """Bias selection schemes, bandwidth dimensioning, convexity sweep."""
 
+import math
+from functools import partial
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -21,11 +24,9 @@ from convexcell import (
     full_search,
     required_bandwidth,
     run_scheme,
-    stage1_stationary_bias,
-    stage2_walking_bias,
-    stage3_vehicular_bias,
     three_stage_optimize,
 )
+from convexcell.optimizer import _argmax, _stage2
 from helpers import (
     reference_cre,
     reference_full_search,
@@ -101,99 +102,108 @@ class TestDemandScenario:
         )
 
 
+def stage1_bias(b):
+    return BiasVector(b, 1.0, 1.0)
+
+
 class TestStages:
-    def test_singleton_grid_forces_unbiased(self, tiny_config, estimator):
+    def test_singleton_grid_forces_unbiased(self, estimator):
         grid = BiasGrid((1.0,))
-        assert stage1_stationary_bias(tiny_config, grid, estimator) == 1.0
-        assert stage2_walking_bias(tiny_config, grid, estimator=estimator) == 1.0
-        assert stage3_vehicular_bias(tiny_config, grid, estimator=estimator) == 1.0
+        assert _argmax(estimator, grid, UserClass.STATIONARY, stage1_bias)[0] == 1.0
+        assert _stage2(estimator, grid, 1.0)[0] == 1.0
+        stage3_bias = partial(BiasVector, 1.0, 1.0)
+        assert _argmax(estimator, grid, UserClass.VEHICULAR, stage3_bias)[0] == 1.0
 
     def test_stage1_all_candidates_tie_without_smalls(self):
         config = NetworkConfig(
             area_side=1000.0, macro_density=3.0, small_density=0.0,
             user_count=60, trials=2,
         )
-        assert stage1_stationary_bias(config, SMALL_GRID) == 1.0
+        result = three_stage_optimize(CoverageEstimator(config), SMALL_GRID)
+        assert result.bias.stationary_bias == 1.0
 
-    def test_stage1_matches_brute_force(self, tiny_config, estimator):
+    def test_stage1_matches_brute_force(self, estimator):
         expected = reference_stage1(estimator, SMALL_GRID)
-        assert stage1_stationary_bias(tiny_config, SMALL_GRID, estimator) == expected
+        result = three_stage_optimize(estimator, SMALL_GRID)
+        assert result.bias.stationary_bias == expected
 
-    def test_stage3_matches_brute_force(self, tiny_config, estimator):
-        expected = reference_stage3(estimator, SMALL_GRID, 2.0, 1.0)[0]
-        got = stage3_vehicular_bias(
-            tiny_config, SMALL_GRID, fixed_stationary=2.0, estimator=estimator
+    def test_stage3_matches_brute_force(self, estimator):
+        expected_bias, _, expected_report = reference_stage3(
+            estimator, SMALL_GRID, 2.0, 1.0
         )
-        assert got == expected
+        got = _argmax(
+            estimator, SMALL_GRID, UserClass.VEHICULAR, partial(BiasVector, 2.0, 1.0)
+        )
+        assert got == (expected_bias, expected_report)
 
     def test_stage2_zero_vehicular_demand_stays_low(self, tiny_config):
         config = tiny_config.with_volumes([50.0, 10.0, 0.0])
-        assert stage2_walking_bias(config, SMALL_GRID) == 1.0
+        assert _stage2(CoverageEstimator(config), SMALL_GRID, 1.0)[0] == 1.0
 
-    def test_stage2_matches_scan_rule(self, tiny_config, estimator):
-        b_s = stage1_stationary_bias(tiny_config, SMALL_GRID, estimator)
+    def test_stage2_matches_scan_rule(self, estimator):
+        b_s = reference_stage1(estimator, SMALL_GRID)
         expected_w, expected_v, _ = reference_stage2(estimator, SMALL_GRID, b_s)
-        result = three_stage_optimize(tiny_config, SMALL_GRID, estimator)
+        result = three_stage_optimize(estimator, SMALL_GRID)
         assert result.bias.walking_bias == expected_w
         assert result.bias.vehicular_bias == expected_v
 
 
 class TestThreeStage:
-    def test_singleton_grid(self, tiny_config):
-        result = three_stage_optimize(tiny_config, BiasGrid((1.0,)))
+    def test_singleton_grid(self, estimator):
+        result = three_stage_optimize(estimator, BiasGrid((1.0,)))
         assert result.bias == BiasVector(1.0, 1.0, 1.0)
         assert result.scheme is Scheme.THREE_STAGE
 
     def test_zero_demand_ties_to_unbiased(self, tiny_config):
         config = tiny_config.with_volumes([0.0, 0.0, 0.0])
-        result = three_stage_optimize(config, SMALL_GRID)
+        result = three_stage_optimize(CoverageEstimator(config), SMALL_GRID)
         assert result.bias == BiasVector(1.0, 1.0, 1.0)
         assert result.report.average_coverage == 1.0
         assert result.feasible
 
-    def test_report_matches_returned_bias(self, tiny_config):
-        result = three_stage_optimize(tiny_config, SMALL_GRID)
+    def test_report_matches_returned_bias(self, tiny_config, estimator):
+        result = three_stage_optimize(estimator, SMALL_GRID)
         fresh = CoverageEstimator(tiny_config).evaluate(result.bias)
         assert result.report == fresh
         assert result.feasible == fresh.feasible
 
 
 class TestCre:
-    def test_singleton_grid(self, tiny_config):
-        result = cre_optimize(tiny_config, BiasGrid((1.0,)))
+    def test_singleton_grid(self, estimator):
+        result = cre_optimize(estimator, BiasGrid((1.0,)))
         assert result.bias == BiasVector(1.0, 1.0, 1.0)
         assert result.scheme is Scheme.CRE
 
-    def test_common_bias_by_construction(self, tiny_config):
-        result = cre_optimize(tiny_config, SMALL_GRID)
+    def test_common_bias_by_construction(self, estimator):
+        result = cre_optimize(estimator, SMALL_GRID)
         bias = result.bias
         assert bias.stationary_bias == bias.walking_bias == bias.vehicular_bias
 
-    def test_matches_selection_reference(self, tiny_config, estimator):
+    def test_matches_selection_reference(self, estimator):
         expected_bias, expected_report = reference_cre(estimator, SMALL_GRID)
-        result = cre_optimize(tiny_config, SMALL_GRID, estimator)
+        result = cre_optimize(estimator, SMALL_GRID)
         assert result.bias == BiasVector.uniform(expected_bias)
         assert result.report == expected_report
 
 
 class TestFullSearch:
-    def test_singleton_grid(self, tiny_config):
-        result = full_search(tiny_config, BiasGrid((1.0,)))
+    def test_singleton_grid(self, estimator):
+        result = full_search(estimator, BiasGrid((1.0,)))
         assert result.bias == BiasVector(1.0, 1.0, 1.0)
         assert result.scheme is Scheme.FULL_SEARCH
 
-    def test_matches_enumeration_reference(self, tiny_config, estimator):
+    def test_matches_enumeration_reference(self, estimator):
         expected_triple, expected_report = reference_full_search(
             estimator, SMALL_GRID
         )
-        result = full_search(tiny_config, SMALL_GRID, estimator)
+        result = full_search(estimator, SMALL_GRID)
         assert result.bias == BiasVector(*expected_triple)
         assert result.report == expected_report
 
-    def test_dominates_both_schemes(self, tiny_config, estimator):
-        oracle = full_search(tiny_config, SMALL_GRID, estimator)
-        heuristic = three_stage_optimize(tiny_config, SMALL_GRID, estimator)
-        baseline = cre_optimize(tiny_config, SMALL_GRID, estimator)
+    def test_dominates_both_schemes(self, estimator):
+        oracle = full_search(estimator, SMALL_GRID)
+        heuristic = three_stage_optimize(estimator, SMALL_GRID)
+        baseline = cre_optimize(estimator, SMALL_GRID)
         assert oracle.report.average_coverage >= heuristic.report.average_coverage
         assert oracle.report.average_coverage >= baseline.report.average_coverage
 
@@ -204,33 +214,40 @@ class TestFullSearch:
         )
         wide = BiasGrid.from_db([float(d) for d in range(0, 26, 2)])  # 13^3 cells
         with pytest.warns(UserWarning, match="full search"):
-            full_search(config, wide)
+            full_search(CoverageEstimator(config), wide)
 
 
-def test_run_scheme_dispatch(tiny_config, estimator):
+def test_run_scheme_dispatch(estimator):
     for scheme in Scheme:
-        result = run_scheme(scheme, tiny_config, SMALL_GRID, estimator)
+        result = run_scheme(scheme, estimator, SMALL_GRID)
         assert result.scheme is scheme
 
 
 class TestRequiredBandwidth:
     def test_zero_demand_returns_w_min(self, tiny_config):
         config = tiny_config.with_volumes([0.0, 0.0, 0.0])
-        width = required_bandwidth(config, SMALL_GRID, Scheme.CRE, 1e6, 1e8, 1e5)
+        width = required_bandwidth(
+            CoverageEstimator(config), SMALL_GRID, Scheme.CRE, 1e6, 1e8, 1e5
+        )
         assert width == 1e6
 
-    def test_validation(self, tiny_config):
+    def test_validation(self, estimator):
         with pytest.raises(ValueError, match="w_min"):
-            required_bandwidth(tiny_config, SMALL_GRID, Scheme.CRE, 0.0, 1e8, 1e5)
+            required_bandwidth(estimator, SMALL_GRID, Scheme.CRE, 0.0, 1e8, 1e5)
         with pytest.raises(ValueError, match="w_min"):
-            required_bandwidth(tiny_config, SMALL_GRID, Scheme.CRE, 2e8, 1e8, 1e5)
-        with pytest.raises(ValueError, match="tolerance"):
-            required_bandwidth(tiny_config, SMALL_GRID, Scheme.CRE, 1e6, 1e8, 0.0)
+            required_bandwidth(estimator, SMALL_GRID, Scheme.CRE, 2e8, 1e8, 1e5)
+        for tolerance in (0.0, math.nan):
+            with pytest.raises(ValueError, match="tolerance"):
+                required_bandwidth(
+                    estimator, SMALL_GRID, Scheme.CRE, 1e6, 1e8, tolerance
+                )
 
     def test_unsatisfiable_names_failing_classes(self, tiny_config):
         config = tiny_config.with_volumes([12000.0, 3000.0, 8000.0])
         with pytest.raises(UnsatisfiableRequirementError) as excinfo:
-            required_bandwidth(config, SMALL_GRID, Scheme.CRE, 1e6, 2e6, 1e5)
+            required_bandwidth(
+                CoverageEstimator(config), SMALL_GRID, Scheme.CRE, 1e6, 2e6, 1e5
+            )
         assert excinfo.value.failing_classes
         assert all(cls in tuple(UserClass) for cls in excinfo.value.failing_classes)
         assert "infeasible" in str(excinfo.value)
@@ -239,13 +256,12 @@ class TestRequiredBandwidth:
     def test_bisection_brackets_the_threshold(self, tiny_config, scheme):
         tolerance = 1e5
         config = tiny_config.with_volumes([120.0, 30.0, 80.0])
-        width = required_bandwidth(config, SMALL_GRID, scheme, 1e6, 1e9, tolerance)
-        assert width > 1e6 + 2 * tolerance  # interior solution, not the edge
         base = CoverageEstimator(config)
-        at = run_scheme(scheme, config, SMALL_GRID, base.with_bandwidth(width))
+        width = required_bandwidth(base, SMALL_GRID, scheme, 1e6, 1e9, tolerance)
+        assert width > 1e6 + 2 * tolerance  # interior solution, not the edge
+        at = run_scheme(scheme, base.with_bandwidth(width), SMALL_GRID)
         below = run_scheme(
-            scheme, config, SMALL_GRID,
-            base.with_bandwidth(width - 2 * tolerance),
+            scheme, base.with_bandwidth(width - 2 * tolerance), SMALL_GRID
         )
         assert at.feasible
         assert not below.feasible
@@ -253,8 +269,12 @@ class TestRequiredBandwidth:
     def test_monotone_in_total_volume(self, tiny_config):
         lighter = tiny_config.with_volumes([120.0, 30.0, 80.0])
         heavier = tiny_config.with_volumes([240.0, 60.0, 160.0])
-        w_light = required_bandwidth(lighter, SMALL_GRID, Scheme.CRE, 1e6, 1e9, 1e5)
-        w_heavy = required_bandwidth(heavier, SMALL_GRID, Scheme.CRE, 1e6, 1e9, 1e5)
+        w_light = required_bandwidth(
+            CoverageEstimator(lighter), SMALL_GRID, Scheme.CRE, 1e6, 1e9, 1e5
+        )
+        w_heavy = required_bandwidth(
+            CoverageEstimator(heavier), SMALL_GRID, Scheme.CRE, 1e6, 1e9, 1e5
+        )
         assert w_heavy >= w_light
 
 

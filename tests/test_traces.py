@@ -1,10 +1,11 @@
 """Trace pipeline: velocity, mobility states, per-state volumes, convexity."""
 
+import csv
 import math
 from datetime import datetime, timedelta, timezone
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convexcell import (
@@ -140,6 +141,20 @@ class TestSampleValidation:
         with pytest.raises(ValueError, match="rx_bytes"):
             TraceSample("u", T0, 0.0, 0.0, -1.0)
 
+    @pytest.mark.parametrize(
+        "rx_bytes, reason",
+        [
+            (math.inf, "rx_bytes is not a number"),
+            (math.nan, "rx_bytes is not a number"),
+            (-math.inf, "rx_bytes must be >= 0"),
+            (-5.0, "rx_bytes must be >= 0"),
+        ],
+    )
+    def test_rx_bytes_must_be_finite(self, rx_bytes, reason):
+        with pytest.raises(ValueError) as excinfo:
+            TraceSample("u", T0, 0.0, 0.0, rx_bytes)
+        assert str(excinfo.value) == reason
+
 
 class TestBuildSegments:
     def test_segment_fields(self):
@@ -173,7 +188,7 @@ class TestBuildSegments:
 class TestAggregateUser:
     def test_all_stationary(self):
         legs = [(5, 0.0, 10e6), (10, 0.0, 20e6), (24 * 60, 0.0, 0.0)]
-        volumes = aggregate_user(walk_user("u", legs))
+        volumes = aggregate_user(build_segments(walk_user("u", legs)))
         assert volumes == pytest.approx((30.0, 0.0, 0.0))
 
     def test_hand_built_mixed_day(self):
@@ -183,7 +198,7 @@ class TestAggregateUser:
             (15, 2658.3333333, 20e6),
             (24 * 60, 0.0, 0.0),
         ]
-        volumes = aggregate_user(walk_user("u", legs))
+        volumes = aggregate_user(build_segments(walk_user("u", legs)))
         assert volumes == pytest.approx((50.0, 5.0, 20.0), rel=1e-9)
 
     def test_two_identical_days_average_out(self):
@@ -202,13 +217,13 @@ class TestAggregateUser:
                 (24 * 60, 0.0, 0.0),
             ]
         ]
-        single = aggregate_user(walk_user("u", one_day))
-        double = aggregate_user(walk_user("u", one_day + second_day))
+        single = aggregate_user(build_segments(walk_user("u", one_day)))
+        double = aggregate_user(build_segments(walk_user("u", one_day + second_day)))
         assert double == pytest.approx(single, rel=1e-9)
 
     def test_bytes_conserved(self):
         samples = walk_user("u", DAY_2012)
-        volumes = aggregate_user(samples)
+        volumes = aggregate_user(build_segments(samples))
         span_days = (
             samples[-1].timestamp - samples[0].timestamp
         ).total_seconds() / 86400.0
@@ -218,7 +233,7 @@ class TestAggregateUser:
 
     def test_requires_two_samples(self):
         with pytest.raises(InsufficientDataError):
-            aggregate_user([TraceSample("u", T0, 0.0, 0.0, 0.0)])
+            aggregate_user(build_segments([TraceSample("u", T0, 0.0, 0.0, 0.0)]))
 
 
 class TestAggregatePopulation:
@@ -284,14 +299,42 @@ class TestAggregatePopulation:
                         s.rx_bytes * k)
             for s in base
         ]
-        report_a = aggregate_population([aggregate_user(base)])
-        report_b = aggregate_population([aggregate_user(scaled)])
+        report_a = aggregate_population([aggregate_user(build_segments(base))])
+        report_b = aggregate_population([aggregate_user(build_segments(scaled))])
         assert report_b.user_convexity == pytest.approx(
             report_a.user_convexity, rel=1e-9
         )
 
 
 TRACE_HEADER = "user_id,timestamp,lat,lon,rx_bytes\n"
+
+# Fuzzed data rows: mostly five fields of plausible shape, with NaN, inf,
+# out-of-range numbers, timestamps at the ends of the datetime range and
+# free text mixed in. Control characters are left out so one row stays
+# one CSV record.
+FUZZ_TEXT = st.text(st.characters(blacklist_categories=("Cs", "Cc")), max_size=6)
+FUZZ_NUMBERS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-200, 200).map(str),
+    st.sampled_from(["nan", "inf", "-inf", "1e999", "-0", " 5 "]),
+    FUZZ_TEXT,
+)
+FUZZ_STAMPS = st.one_of(
+    st.datetimes(
+        timezones=st.sampled_from(
+            [None, timezone.utc, timezone(timedelta(hours=14)),
+             timezone(timedelta(hours=-12))]
+        )
+    ).map(datetime.isoformat),
+    st.sampled_from(
+        ["0001-01-01T00:00:00+01:00", "2015-06-01T00:00:00Z", "2015-13-01T00:00:00"]
+    ),
+    FUZZ_TEXT,
+)
+FUZZ_ROWS = st.one_of(
+    st.tuples(FUZZ_TEXT, FUZZ_STAMPS, FUZZ_NUMBERS, FUZZ_NUMBERS, FUZZ_NUMBERS),
+    st.lists(FUZZ_TEXT, min_size=1, max_size=7),
+).map(list)
 
 
 def write_trace(path, rows):
@@ -350,6 +393,51 @@ class TestReadTraceCsv:
         samples, bad = read_trace_csv(path, strict=False)
         assert [line for line, _ in bad] == [3]
         assert len(samples["u1"]) == 2
+
+    def test_lenient_mode_skips_infinite_bytes(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        write_trace(
+            path,
+            [
+                "u1,2015-06-01T00:00:00Z,0.0,0.0,0\n",
+                "u1,2015-06-01T00:05:00Z,0.0,0.0,inf\n",
+                "u1,2015-06-01T00:10:00Z,0.0,0.0,10\n",
+            ],
+        )
+        samples, bad = read_trace_csv(path, strict=False)
+        assert bad == [(3, "rx_bytes is not a number")]
+        assert [s.rx_bytes for s in samples["u1"]] == [0.0, 10.0]
+
+    @pytest.mark.parametrize(
+        "stamp", ["0001-01-01T00:00:00+01:00", "9999-12-31T23:30:00-01:00"]
+    )
+    def test_timestamp_beyond_utc_range_is_a_bad_row(self, tmp_path, stamp):
+        path = tmp_path / "trace.csv"
+        write_trace(path, [f"u1,{stamp},0.0,0.0,0\n"])
+        samples, bad = read_trace_csv(path, strict=False)
+        assert samples == {}
+        assert [line for line, _ in bad] == [2]
+        assert "out of range" in bad[0][1]
+
+    @settings(max_examples=200)
+    @given(data_row=FUZZ_ROWS)
+    def test_fuzzed_row_is_skipped_or_finite(self, tmp_path_factory, data_row):
+        path = tmp_path_factory.getbasetemp() / "fuzzed_row.csv"
+        with open(path, "w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(TRACE_HEADER.strip().split(","))
+            writer.writerow(data_row)
+        samples, bad = read_trace_csv(path, strict=False)
+        if bad:
+            assert samples == {}
+            [(line, reason)] = bad
+            assert line == 2 and reason
+            return
+        [[sample]] = samples.values()
+        assert math.isfinite(sample.rx_bytes) and sample.rx_bytes >= 0.0
+        assert -90.0 <= sample.latitude <= 90.0
+        assert -180.0 <= sample.longitude <= 180.0
+        assert sample.timestamp.utcoffset() == timedelta(0)
 
     def test_blank_lines_ignored(self, tmp_path):
         path = tmp_path / "trace.csv"
