@@ -136,7 +136,6 @@ def run_sweep(manifest: RunManifest, args: argparse.Namespace) -> int:
     scenario = DemandScenario(
         total_volume=args.total_volume,
         stationary_share=args.stationary_share,
-        moving_share=1.0 - args.stationary_share,
         user_convexity=args.convexity[0],
     )
     paths = _prepare_outputs(manifest, ("sweep.csv", "sweep_meta.json"))
@@ -188,7 +187,6 @@ def run_bandwidth(manifest: RunManifest, args: argparse.Namespace) -> int:
         scenario = DemandScenario(
             total_volume=volume,
             stationary_share=args.stationary_share,
-            moving_share=1.0 - args.stationary_share,
             user_convexity=args.convexity,
         )
         point_config = scenario.apply(config)

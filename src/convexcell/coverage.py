@@ -169,98 +169,65 @@ class TrialGeometry:
                     "increase user_count or its density_fraction"
                 )
 
-        cls_parts = []
-        pw_macro_parts = []
-        pw_small_parts = []
-        gid_macro_parts = []
-        gid_small_parts = []
-        sig_macro_parts = []
-        sig_small_parts = []
-        total_inst_parts = []
+        parts: dict[str, list[np.ndarray]] = {}
         station_offset = 0
-        n_trials = 0
         for deployment in deployments:
-            part = self._reduce(config, deployment, station_offset)
-            (cls_t, pw_m, pw_s, gid_m, gid_s, sig_m, sig_s, tot, n_st) = part
-            cls_parts.append(cls_t)
-            pw_macro_parts.append(pw_m)
-            pw_small_parts.append(pw_s)
-            gid_macro_parts.append(gid_m)
-            gid_small_parts.append(gid_s)
-            sig_macro_parts.append(sig_m)
-            sig_small_parts.append(sig_s)
-            total_inst_parts.append(tot)
-            station_offset += n_st
-            n_trials += 1
-        if n_trials == 0:
+            for name, array in self._reduce(config, deployment, station_offset).items():
+                parts.setdefault(name, []).append(array)
+            station_offset += deployment.n_stations
+        if not parts:
             raise EstimationError("at least one trial is required")
 
-        # users grouped by class, so each class is one contiguous slice
-        cls = np.concatenate(cls_parts)
-        order = np.argsort(cls, kind="stable")
-
-        def by_class(parts: list[np.ndarray]) -> np.ndarray:
-            return np.concatenate(parts)[order]
-
-        self.trials = n_trials
-        self.cls = cls[order]
-        self.pw_macro = by_class(pw_macro_parts)
-        self.pw_small = by_class(pw_small_parts)
-        # int32 ids halve the part memo; the step turns the per-user choice
-        # of serving id into arithmetic instead of a much slower np.where
-        self.gid_macro = by_class(gid_macro_parts).astype(np.int32)
-        self.gid_step = (by_class(gid_small_parts) - self.gid_macro).astype(np.int32)
-        self.sig_macro = by_class(sig_macro_parts)
-        self.sig_small = by_class(sig_small_parts)
-        self.total_inst = by_class(total_inst_parts)
+        self.trials = len(parts["cls"])
         self.n_station_ids = station_offset
+        # users grouped by class, so each class is one contiguous slice
+        order = np.argsort(np.concatenate(parts["cls"]), kind="stable")
+        for name in list(parts):  # pop frees each name's per-trial arrays early
+            array = np.concatenate(parts.pop(name))[order]
+            array.flags.writeable = False
+            setattr(self, name, array)
         ends = np.cumsum(np.bincount(self.cls, minlength=3))
         self.class_slices = [
             slice(int(start), int(end)) for start, end in zip((0, *ends), ends)
         ]
-        for array in (
-            self.cls, self.pw_macro, self.pw_small, self.gid_macro, self.gid_step,
-            self.sig_macro, self.sig_small, self.total_inst,
-        ):
-            array.flags.writeable = False
 
     @staticmethod
-    def _reduce(config: NetworkConfig, deployment: Deployment, station_offset: int):
-        """Collapse one trial to per-user best-of-tier link quantities."""
+    def _reduce(
+        config: NetworkConfig, deployment: Deployment, station_offset: int
+    ) -> dict[str, np.ndarray]:
+        """Collapse one trial to per-user best-of-tier link quantities.
+
+        Each key names the geometry attribute its array is concatenated into.
+        """
         mean_power = mean_power_matrix(deployment, config)
         inst_power = mean_power * deployment.fading
-        total_inst = inst_power.sum(axis=1)
         n_users = deployment.n_users
         n_macro = deployment.n_macro
         rows = np.arange(n_users)
 
         best_macro = np.argmax(mean_power[:, :n_macro], axis=1)
-        pw_macro = mean_power[rows, best_macro]
-        sig_macro = inst_power[rows, best_macro]
-        gid_macro = best_macro + station_offset
-
         if deployment.n_small > 0:
             best_small = np.argmax(mean_power[:, n_macro:], axis=1) + n_macro
             pw_small = mean_power[rows, best_small]
             sig_small = inst_power[rows, best_small]
-            gid_small = best_small + station_offset
         else:
             # no small tier: zero power is never selected by the bias compare
+            best_small = best_macro
             pw_small = np.zeros(n_users)
             sig_small = np.zeros(n_users)
-            gid_small = gid_macro.copy()
 
-        return (
-            deployment.user_classes.astype(np.int8),
-            pw_macro,
-            pw_small,
-            gid_macro,
-            gid_small,
-            sig_macro,
-            sig_small,
-            total_inst,
-            deployment.n_stations,
-        )
+        return {
+            "cls": deployment.user_classes.astype(np.int8),
+            "pw_macro": mean_power[rows, best_macro],
+            "pw_small": pw_small,
+            # int32 ids halve the part memo; the step turns the per-user choice
+            # of serving id into arithmetic instead of a much slower np.where
+            "gid_macro": (best_macro + station_offset).astype(np.int32),
+            "gid_step": (best_small - best_macro).astype(np.int32),
+            "sig_macro": inst_power[rows, best_macro],
+            "sig_small": sig_small,
+            "total_inst": inst_power.sum(axis=1),
+        }
 
 
 class CoverageEstimator:
@@ -301,7 +268,7 @@ class CoverageEstimator:
     def _bind(self, config: NetworkConfig, geometry: TrialGeometry) -> None:
         """Attach the demand and bandwidth of config to the geometry."""
         self.config = config
-        self.geometry = geometry
+        self.geometry = geo = geometry
         self._requirements = np.array(
             [
                 rate_requirement(p.traffic_volume, config.demand_peak_factor)
@@ -320,14 +287,10 @@ class CoverageEstimator:
             eff[cls, Tier.SMALL] = handover_efficiency(
                 velocity, config.small_density, config
             )
-        self._efficiency = eff
 
-        self._bind_bandwidth(config.bandwidth)
-
-    def _bind_bandwidth(self, bandwidth: float) -> None:
-        """Recompute the bandwidth-dependent per-user rate factors."""
-        geo = self.geometry
-        noise = self.config.noise_power * bandwidth
+        # bandwidth-dependent per-user rate factors
+        bandwidth = config.bandwidth
+        noise = config.noise_power * bandwidth
         with np.errstate(divide="ignore", invalid="ignore"):
             sinr_macro = geo.sig_macro / (geo.total_inst - geo.sig_macro + noise)
             sinr_small = np.where(
@@ -336,8 +299,8 @@ class CoverageEstimator:
                 0.0,
             )
         # efficiency * log2(1 + SINR) * W; division by the load applied later
-        eff_macro = self._efficiency[geo.cls, Tier.MACRO]
-        eff_small = self._efficiency[geo.cls, Tier.SMALL]
+        eff_macro = eff[geo.cls, Tier.MACRO]
+        eff_small = eff[geo.cls, Tier.SMALL]
         self._scaled_macro = eff_macro * np.log1p(sinr_macro) / math.log(2.0) * bandwidth
         self._scaled_small = eff_small * np.log1p(sinr_small) / math.log(2.0) * bandwidth
         self._cache: dict[tuple[float, float, float], CoverageReport] = {}

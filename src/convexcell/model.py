@@ -227,26 +227,10 @@ class NetworkConfig:
     _INTEGER_FIELDS = ("user_count", "trials", "seed")
 
     def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "area_side": self.area_side,
-            "macro_density": self.macro_density,
-            "small_density": self.small_density,
-            "macro_power": self.macro_power,
-            "small_power": self.small_power,
-            "path_loss_exponent": self.path_loss_exponent,
-            "reference_loss": self.reference_loss,
-            "noise_power": self.noise_power,
-            "bandwidth": self.bandwidth,
-            "user_count": self.user_count,
-            "handover_delay": self.handover_delay,
-            "crossing_coefficient": self.crossing_coefficient,
-            "demand_peak_factor": self.demand_peak_factor,
-            "trials": self.trials,
-            "seed": self.seed,
-            "profiles": {
-                p.user_class.label: {f: getattr(p, f) for f in self._PROFILE_FIELDS}
-                for p in self.profiles
-            },
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["profiles"] = {
+            p.user_class.label: {f: getattr(p, f) for f in self._PROFILE_FIELDS}
+            for p in self.profiles
         }
         return out
 
@@ -261,12 +245,7 @@ class NetworkConfig:
         """
         if not isinstance(data, Mapping):
             raise ConfigError("config must be a mapping of field names to values")
-        known = {
-            "area_side", "macro_density", "small_density", "macro_power",
-            "small_power", "path_loss_exponent", "reference_loss", "noise_power",
-            "bandwidth", "user_count", "handover_delay", "crossing_coefficient",
-            "demand_peak_factor", "trials", "seed", "profiles",
-        }
+        known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:
             raise ConfigError(f"unknown config field(s): {', '.join(sorted(unknown))}")

@@ -82,42 +82,44 @@ class OptimizerResult:
 
     bias: BiasVector
     report: CoverageReport
-    feasible: bool
     scheme: Scheme
+
+    @property
+    def feasible(self) -> bool:
+        return self.report.feasible
 
 
 @dataclass(frozen=True)
 class DemandScenario:
     """Total daily traffic split into per-class volumes by user convexity.
 
-    The stationary share of the total is fixed; the moving share is split
-    between walking and vehicular users in the ratio 1 : user_convexity.
+    The stationary share of the total is fixed; the rest, the moving share,
+    is split between walking and vehicular users in the ratio
+    1 : user_convexity.
     """
 
     total_volume: float
     stationary_share: float
-    moving_share: float
     user_convexity: float
 
     def __post_init__(self) -> None:
         if self.total_volume < 0.0:
             raise ValueError("total_volume must be >= 0")
-        if abs(self.stationary_share + self.moving_share - 1.0) > 1e-9:
-            raise ValueError("stationary_share + moving_share must equal 1")
-        if min(self.stationary_share, self.moving_share) < 0.0:
-            raise ValueError("shares must be >= 0")
+        if not 0.0 <= self.stationary_share <= 1.0:  # also refuses NaN
+            raise ValueError("stationary_share must be in [0, 1]")
         if self.user_convexity <= 0.0:
             raise ValueError("user_convexity must be > 0")
 
     @classmethod
     def measured_2015(cls) -> "DemandScenario":
         """The 145.05 MB/day field-measurement mix."""
-        return cls(145.05, 0.6107, 0.3893, 3.04)
+        return cls(145.05, 0.6107, 3.04)
 
     def class_volumes(self) -> tuple[float, float, float]:
         """(stationary, walking, vehicular) volumes in MB/day."""
         stationary = self.stationary_share * self.total_volume
-        walking = self.moving_share * self.total_volume / (1.0 + self.user_convexity)
+        moving_share = 1.0 - self.stationary_share
+        walking = moving_share * self.total_volume / (1.0 + self.user_convexity)
         vehicular = self.user_convexity * walking
         return (stationary, walking, vehicular)
 
@@ -140,19 +142,13 @@ def _argmax(
 ) -> tuple[float, CoverageReport]:
     """Grid value maximizing one class's coverage; returns (value, its report).
 
-    ``bias_of`` places the candidate value in a bias vector. Only a
-    strictly better coverage replaces the incumbent, so ties break to the
-    smallest bias.
+    ``bias_of`` places the candidate value in a bias vector. ``max`` keeps
+    the first of equal maxima, so ties break to the smallest bias.
     """
-    best = None
-    best_coverage = -1.0
-    for candidate in grid:
-        report = estimator.evaluate(bias_of(candidate))
-        coverage = report.per_class_coverage[user_class]
-        if coverage > best_coverage:
-            best_coverage = coverage
-            best = (candidate, report)
-    return best
+    return max(
+        ((value, estimator.evaluate(bias_of(value))) for value in grid),
+        key=lambda item: item[1].per_class_coverage[user_class],
+    )
 
 
 def _stage2(
@@ -196,9 +192,7 @@ def three_stage_optimize(
     )
     walking, vehicular, report = _stage2(estimator, grid, stationary)
     bias = BiasVector(stationary, walking, vehicular)
-    return OptimizerResult(
-        bias=bias, report=report, feasible=report.feasible, scheme=Scheme.THREE_STAGE
-    )
+    return OptimizerResult(bias=bias, report=report, scheme=Scheme.THREE_STAGE)
 
 
 def _select(
@@ -206,22 +200,13 @@ def _select(
 ) -> tuple[BiasVector, CoverageReport]:
     """Highest average coverage, feasible candidates first.
 
-    Only a strictly better average replaces the incumbent, so the first
-    of equal candidates wins. When no candidate is feasible the best
-    infeasible one is returned.
+    ``max`` keeps the first of equal candidates. When no candidate is
+    feasible the best infeasible one is returned.
     """
-    best_feasible = None
-    best_any = None
-    for bias in biases:
-        report = estimator.evaluate(bias)
-        average = report.average_coverage
-        if best_any is None or average > best_any[1].average_coverage:
-            best_any = (bias, report)
-        if report.feasible and (
-            best_feasible is None or average > best_feasible[1].average_coverage
-        ):
-            best_feasible = (bias, report)
-    return best_feasible if best_feasible is not None else best_any
+    return max(
+        ((bias, estimator.evaluate(bias)) for bias in biases),
+        key=lambda item: (item[1].feasible, item[1].average_coverage),
+    )
 
 
 def cre_optimize(estimator: CoverageEstimator, grid: BiasGrid) -> OptimizerResult:
@@ -231,9 +216,7 @@ def cre_optimize(estimator: CoverageEstimator, grid: BiasGrid) -> OptimizerResul
     is returned with feasible=False. Ties break to the smallest bias.
     """
     bias, report = _select((BiasVector.uniform(b) for b in grid), estimator)
-    return OptimizerResult(
-        bias=bias, report=report, feasible=report.feasible, scheme=Scheme.CRE
-    )
+    return OptimizerResult(bias=bias, report=report, scheme=Scheme.CRE)
 
 
 def full_search(estimator: CoverageEstimator, grid: BiasGrid) -> OptimizerResult:
@@ -250,9 +233,7 @@ def full_search(estimator: CoverageEstimator, grid: BiasGrid) -> OptimizerResult
         )
     biases = (BiasVector(*triple) for triple in itertools.product(grid, repeat=3))
     bias, report = _select(biases, estimator)
-    return OptimizerResult(
-        bias=bias, report=report, feasible=report.feasible, scheme=Scheme.FULL_SEARCH
-    )
+    return OptimizerResult(bias=bias, report=report, scheme=Scheme.FULL_SEARCH)
 
 
 _SCHEME_RUNNERS = {

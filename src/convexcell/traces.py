@@ -252,18 +252,33 @@ def read_trace_csv(
     ISO-8601 UTC timestamps. Rows that fail to parse, fall outside valid
     ranges, or go backward in time for their user are rejected: strict
     mode raises TraceFormatError listing all bad line numbers, lenient
-    mode skips them and returns (line_number, reason) pairs.
+    mode skips them and returns (line_number, reason) pairs. A row is
+    numbered by the line it starts on, and rows the CSV reader refuses
+    (such as an oversized field) or whose user id is not UTF-8 are
+    malformed rows too.
     """
     samples: dict[str, list[TraceSample]] = {}
     bad: list[tuple[int, str]] = []
-    with open(path, newline="", encoding="utf-8") as handle:
+    # undecodable bytes become lone surrogates, so they fail their row only
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as handle:
         reader = csv.reader(handle)
-        header = next(reader, None)
+        try:
+            header = next(reader, None)
+        except csv.Error as exc:
+            raise TraceFormatError(f"unreadable header: {exc}") from None
         if header is None or tuple(h.strip() for h in header) != TRACE_CSV_HEADER:
             raise TraceFormatError(
                 f"expected header {','.join(TRACE_CSV_HEADER)!r}, got {header!r}"
             )
-        for line_no, row in enumerate(reader, start=2):
+        while True:
+            line_no = reader.line_num + 1  # a quoted field may span lines
+            try:
+                row = next(reader)
+            except StopIteration:
+                break
+            except csv.Error as exc:
+                bad.append((line_no, str(exc)))
+                continue
             if not row:
                 continue
             try:
@@ -277,7 +292,14 @@ def read_trace_csv(
                     rx_bytes=float(row[4]),
                 )
                 previous = samples.get(sample.user_id)
-                if previous and sample.timestamp <= previous[-1].timestamp:
+                if previous is None:  # only ids that passed this check are keys
+                    try:
+                        sample.user_id.encode("utf-8")
+                    except UnicodeEncodeError:
+                        raise ValueError(
+                            f"user_id {sample.user_id!r} is not valid UTF-8"
+                        ) from None
+                elif sample.timestamp <= previous[-1].timestamp:
                     raise ValueError(
                         f"timestamp not increasing for user {sample.user_id}"
                     )

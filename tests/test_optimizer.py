@@ -26,7 +26,8 @@ from convexcell import (
     run_scheme,
     three_stage_optimize,
 )
-from convexcell.optimizer import _argmax, _stage2
+from convexcell.coverage import CoverageReport
+from convexcell.optimizer import _argmax, _select, _stage2
 from helpers import (
     reference_cre,
     reference_full_search,
@@ -83,19 +84,20 @@ class TestDemandScenario:
 
     @given(st.floats(0.1, 20.0), st.floats(1.0, 500.0))
     def test_volumes_conserve_total(self, convexity, total):
-        scenario = DemandScenario(total, 0.6107, 0.3893, convexity)
+        scenario = DemandScenario(total, 0.6107, convexity)
         assert sum(scenario.class_volumes()) == pytest.approx(total, rel=1e-9)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="total_volume"):
-            DemandScenario(-1.0, 0.6, 0.4, 1.0)
-        with pytest.raises(ValueError, match="equal 1"):
-            DemandScenario(1.0, 0.6, 0.5, 1.0)
+            DemandScenario(-1.0, 0.6, 1.0)
+        for share in (-0.1, 1.5, math.nan):
+            with pytest.raises(ValueError, match="stationary_share"):
+                DemandScenario(1.0, share, 1.0)
         with pytest.raises(ValueError, match="user_convexity"):
-            DemandScenario(1.0, 0.6, 0.4, 0.0)
+            DemandScenario(1.0, 0.6, 0.0)
 
     def test_apply_writes_profile_volumes(self, tiny_config):
-        scenario = DemandScenario(100.0, 0.5, 0.5, 4.0)
+        scenario = DemandScenario(100.0, 0.5, 4.0)
         config = scenario.apply(tiny_config)
         assert [p.traffic_volume for p in config.profiles] == pytest.approx(
             [50.0, 10.0, 40.0]
@@ -215,6 +217,65 @@ class TestFullSearch:
         wide = BiasGrid.from_db([float(d) for d in range(0, 26, 2)])  # 13^3 cells
         with pytest.warns(UserWarning, match="full search"):
             full_search(CoverageEstimator(config), wide)
+
+
+class StubEstimator:
+    """Fixed reports by bias triple; records the order of evaluation."""
+
+    def __init__(self, reports):
+        self.reports = reports
+        self.calls = []
+
+    def evaluate(self, bias):
+        key = (bias.stationary_bias, bias.walking_bias, bias.vehicular_bias)
+        self.calls.append(key)
+        return self.reports[key]
+
+
+def stub_report(average, feasible, vehicular=0.0):
+    return CoverageReport((average, average, vehicular), average, feasible, 1)
+
+
+# (feasible, average) of candidates 1, 2, 3, ... and the index that must win
+SELECTION_CASES = {
+    "equal averages keep the first": ([(True, 0.5), (True, 0.5), (True, 0.5)], 0),
+    "equal infeasible keep the first": ([(False, 0.5), (False, 0.5)], 0),
+    "feasible beats higher infeasible": (
+        [(False, 0.9), (True, 0.6), (False, 0.95), (True, 0.6)], 1
+    ),
+    "best feasible among feasible": ([(True, 0.4), (False, 0.9), (True, 0.7)], 2),
+    "all infeasible give the best average": (
+        [(False, 0.3), (False, 0.7), (False, 0.5), (False, 0.7)], 1
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "candidates, winner", SELECTION_CASES.values(), ids=SELECTION_CASES.keys()
+)
+def test_select_rule_on_fixed_reports(candidates, winner):
+    biases = [BiasVector.uniform(float(i + 1)) for i in range(len(candidates))]
+    reports = [stub_report(average, feasible) for feasible, average in candidates]
+    stub = StubEstimator(
+        {(b.stationary_bias,) * 3: r for b, r in zip(biases, reports)}
+    )
+    assert _select(biases, stub) == (biases[winner], reports[winner])
+    assert stub.calls == [(b.stationary_bias,) * 3 for b in biases]
+
+
+@pytest.mark.parametrize(
+    "coverages, winner",
+    [([0.5, 0.5, 0.5], 0), ([0.2, 0.7, 0.7, 0.1], 1), ([0.1, 0.2, 0.3], 2)],
+)
+def test_argmax_rule_on_fixed_reports(coverages, winner):
+    grid = BiasGrid(tuple(float(i + 1) for i in range(len(coverages))))
+    # the average runs against the class coverage, so only the class counts
+    reports = [stub_report(1.0 - c, True, vehicular=c) for c in coverages]
+    stub = StubEstimator({(1.0, 1.0, b): r for b, r in zip(grid, reports)})
+    completion = partial(BiasVector, 1.0, 1.0)
+    got = _argmax(stub, grid, UserClass.VEHICULAR, completion)
+    assert got == (grid.values[winner], reports[winner])
+    assert stub.calls == [(1.0, 1.0, b) for b in grid]
 
 
 def test_run_scheme_dispatch(estimator):

@@ -364,6 +364,9 @@ class TestReadTraceCsv:
         path.write_text("id,time,x,y,bytes\nu,2015-06-01T00:00:00Z,0,0,1\n")
         with pytest.raises(TraceFormatError, match="header"):
             read_trace_csv(path)
+        path.write_text(f"user_id,{'x' * (csv.field_size_limit() + 1)}\n")
+        with pytest.raises(TraceFormatError, match="unreadable header"):
+            read_trace_csv(path)
 
     def test_strict_mode_lists_bad_lines(self, tmp_path):
         path = tmp_path / "trace.csv"
@@ -438,6 +441,54 @@ class TestReadTraceCsv:
         assert -90.0 <= sample.latitude <= 90.0
         assert -180.0 <= sample.longitude <= 180.0
         assert sample.timestamp.utcoffset() == timedelta(0)
+
+    def test_oversized_field_is_a_bad_row(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        write_trace(
+            path,
+            [
+                "u1,2015-06-01T00:00:00Z,0.0,0.0,0\n",
+                f"u1,{'x' * (csv.field_size_limit() + 1)},0.0,0.0,10\n",
+                "u1,2015-06-01T00:05:00Z,0.0,0.0,10\n",
+                "u1,not-a-time,0.0,0.0,10\n",
+                "u1,2015-06-01T00:10:00Z,0.0,0.0,20\n",
+            ],
+        )
+        samples, bad = read_trace_csv(path, strict=False)
+        assert [line for line, _ in bad] == [3, 5]
+        assert "field larger than field limit" in bad[0][1]
+        assert [s.rx_bytes for s in samples["u1"]] == [0.0, 10.0, 20.0]
+        with pytest.raises(TraceFormatError, match="line.s. 3, 5;"):
+            read_trace_csv(path, strict=True)
+
+    def test_user_id_that_is_not_utf8_is_a_bad_row(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_bytes(
+            TRACE_HEADER.encode()
+            + b"u1,2015-06-01T00:00:00Z,0.0,0.0,0\n"
+            + b"u\xff1,2015-06-01T00:05:00Z,0.0,0.0,10\n"
+            + b"u1,2015-06-01T00:10:00Z,0.0,0.0,20\n"
+        )
+        samples, bad = read_trace_csv(path, strict=False)
+        assert [line for line, _ in bad] == [3]
+        assert "not valid UTF-8" in bad[0][1]
+        assert list(samples) == ["u1"]
+        assert [s.rx_bytes for s in samples["u1"]] == [0.0, 20.0]
+        with pytest.raises(TraceFormatError, match="line 3: user_id .* UTF-8"):
+            read_trace_csv(path, strict=True)
+
+    def test_line_numbers_count_lines_of_multiline_fields(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        write_trace(
+            path,
+            [
+                '"u\n2",2015-06-01T00:00:00Z,0.0,0.0,0\n',  # lines 2 and 3
+                "u1,not-a-time,0.0,0.0,10\n",
+            ],
+        )
+        samples, bad = read_trace_csv(path, strict=False)
+        assert [line for line, _ in bad] == [4]
+        assert list(samples) == ["u\n2"]
 
     def test_blank_lines_ignored(self, tmp_path):
         path = tmp_path / "trace.csv"
