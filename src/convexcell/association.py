@@ -1,9 +1,12 @@
-"""Biased cell association and per-station load accounting.
+"""Per-class small-cell association bias and its dB conversions.
 
 Association is quasi-static: each user attaches to the station with the
 highest fading-averaged received power, after multiplying small-cell powers
 by the bias of the user's mobility class. Biasing on mean power keeps the
 serving map fixed across fading draws, as a real network configures it.
+:class:`~convexcell.coverage.TrialGeometry` and
+:class:`~convexcell.coverage.CoverageEstimator` apply that rule; this
+module holds only the bias itself.
 """
 
 from __future__ import annotations
@@ -12,8 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .model import Deployment, NetworkConfig, Tier, UserClass, mean_power_matrix
 
 
 def linear_from_db(db: float) -> float:
@@ -59,53 +60,3 @@ class BiasVector:
             linear_from_db(walking_db),
             linear_from_db(vehicular_db),
         )
-
-    def as_array(self) -> np.ndarray:
-        """Linear biases indexed by UserClass value."""
-        return np.array([self.stationary_bias, self.walking_bias, self.vehicular_bias])
-
-    def for_class(self, user_class: UserClass) -> float:
-        return float(self.as_array()[user_class])
-
-
-@dataclass(frozen=True)
-class AssociationMap:
-    """Serving station id and tier per user."""
-
-    serving: np.ndarray
-    tier: np.ndarray
-
-    @property
-    def n_users(self) -> int:
-        return self.serving.shape[0]
-
-
-def associate(
-    deployment: Deployment, bias: BiasVector, config: NetworkConfig
-) -> AssociationMap:
-    """Assign each user the station maximizing bias-scaled mean power.
-
-    Small-cell mean received power is multiplied by the bias of the user's
-    class; macro power is never scaled. Ties resolve to the lowest station
-    id, which favors macros since they occupy the low ids.
-    """
-    if deployment.n_macro == 0:
-        raise ValueError("deployment must contain at least one macro station")
-    mean_power = mean_power_matrix(deployment, config)
-    user_bias = bias.as_array()[deployment.user_classes]
-    effective = mean_power.copy()
-    effective[:, deployment.n_macro:] *= user_bias[:, None]
-    serving = np.argmax(effective, axis=1)  # first max -> lowest station id
-    tier = np.where(serving >= deployment.n_macro, Tier.SMALL, Tier.MACRO).astype(np.int8)
-    return AssociationMap(serving=serving, tier=tier)
-
-
-def cell_loads(assoc: AssociationMap, deployment: Deployment) -> np.ndarray:
-    """User count per station id; unused stations report 0."""
-    if assoc.n_users != deployment.n_users:
-        raise ValueError("association map does not match deployment user count")
-    if assoc.serving.size and (
-        assoc.serving.min() < 0 or assoc.serving.max() >= deployment.n_stations
-    ):
-        raise ValueError("association map references unknown station ids")
-    return np.bincount(assoc.serving, minlength=deployment.n_stations)

@@ -17,14 +17,14 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .association import BiasVector, db_from_linear
+from .association import BiasVector
 from .coverage import (
     CoverageEstimator,
     EstimationError,
     TrialGeometry,
     estimate_rate_coverage,
 )
-from .model import ConfigError, NetworkConfig, UserClass
+from .model import NetworkConfig, UserClass
 from .optimizer import (
     DEFAULT_CONVEXITY_VALUES,
     DEFAULT_GRID_DB,
@@ -37,9 +37,6 @@ from .optimizer import (
 )
 from .traces import (
     DEFAULT_STATIONARY_CUTOFF_KMH,
-    ConvexityUndefinedError,
-    InsufficientDataError,
-    TraceFormatError,
     analyze_trace,
     read_trace_csv,
 )
@@ -89,8 +86,8 @@ def _load_config(manifest: RunManifest) -> NetworkConfig:
 
 
 def _prepare_outputs(manifest: RunManifest, names: Sequence[str]) -> dict[str, Path]:
+    """Output paths, refusing existing files; the writers create the directory."""
     out_dir = Path(manifest.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     paths = {name: out_dir / name for name in names}
     if not manifest.overwrite:
         existing = [str(p) for p in paths.values() if p.exists()]
@@ -101,15 +98,21 @@ def _prepare_outputs(manifest: RunManifest, names: Sequence[str]) -> dict[str, P
     return paths
 
 
+def _create(path: Path, **kwargs):
+    """Open a result file, creating its directory; failed commands leave none."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return open(path, "w", encoding="utf-8", **kwargs)
+
+
 def _write_csv(path: Path, columns: Sequence[str], rows: Sequence[Sequence]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
+    with _create(path, newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(columns)
         writer.writerows(rows)
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
+    with _create(path) as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
@@ -178,18 +181,20 @@ def run_bandwidth(manifest: RunManifest, args: argparse.Namespace) -> int:
     config = _load_config(manifest)
     grid = BiasGrid.from_db(args.grid_db)
     schemes = _parse_schemes(manifest.scheme, (Scheme.THREE_STAGE, Scheme.CRE))
+    point_configs = [
+        DemandScenario(
+            total_volume=volume,
+            stationary_share=args.stationary_share,
+            user_convexity=args.convexity,
+        ).apply(config)
+        for volume in args.volumes
+    ]
     paths = _prepare_outputs(manifest, ("bandwidth.csv", "bandwidth_meta.json"))
 
     geometry = TrialGeometry(config)
     rows = []
     failed = False
-    for volume in args.volumes:
-        scenario = DemandScenario(
-            total_volume=volume,
-            stationary_share=args.stationary_share,
-            user_convexity=args.convexity,
-        )
-        point_config = scenario.apply(config)
+    for volume, point_config in zip(args.volumes, point_configs):
         for scheme in schemes:
             estimator = CoverageEstimator(point_config, geometry)
             try:
@@ -393,15 +398,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _COMMANDS[args.command](manifest, args)
     except (
         CliError,
-        ConfigError,
-        TraceFormatError,
-        InsufficientDataError,
-        ConvexityUndefinedError,
         UnsatisfiableRequirementError,
         EstimationError,
-        FileNotFoundError,
-        json.JSONDecodeError,
-        ValueError,
+        OSError,
+        ValueError,  # also config, trace and JSON errors
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

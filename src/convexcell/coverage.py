@@ -1,4 +1,4 @@
-"""Per-user rates, handover loss, and Monte-Carlo rate-coverage estimation.
+"""Rate requirements, handover loss, and Monte-Carlo rate-coverage estimation.
 
 Rate coverage of a class is the fraction of (user, trial) pairs whose
 achieved rate meets the class's demand-derived requirement. All bias
@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .association import AssociationMap, BiasVector, cell_loads
+from .association import BiasVector
 from .model import (
     Deployment,
     NetworkConfig,
@@ -22,7 +22,6 @@ from .model import (
     UserClass,
     mean_power_matrix,
     sample_deployment,
-    sinr,
 )
 
 SECONDS_PER_DAY = 86400.0
@@ -45,9 +44,6 @@ class CoverageReport:
     average_coverage: float
     feasible: bool
     trials_used: int
-
-    def coverage_of(self, user_class: UserClass) -> float:
-        return self.per_class_coverage[user_class]
 
 
 def rate_requirement(volume_mb_per_day: float, peak_factor: float) -> float:
@@ -80,32 +76,6 @@ def handover_efficiency(
     density_m2 = tier_density_per_km2 * 1e-6
     rate = config.crossing_coefficient * v_ms * math.sqrt(density_m2)
     return max(0.0, 1.0 - rate * config.handover_delay)
-
-
-def user_rate(
-    user_index: int,
-    assoc: AssociationMap,
-    deployment: Deployment,
-    config: NetworkConfig,
-    bandwidth: float | None = None,
-    loads: np.ndarray | None = None,
-) -> float:
-    """Achieved rate of one user in bits/s.
-
-    Equal intra-cell sharing: the serving station splits its bandwidth
-    evenly over its load. The handover efficiency of the user's class on
-    the serving tier scales the result.
-    """
-    width = config.bandwidth if bandwidth is None else bandwidth
-    if loads is None:
-        loads = cell_loads(assoc, deployment)
-    station = int(assoc.serving[user_index])
-    tier = Tier(int(assoc.tier[user_index]))
-    user_class = UserClass(int(deployment.user_classes[user_index]))
-    velocity = config.profiles[user_class].velocity
-    efficiency = handover_efficiency(velocity, config.tier_density(tier), config)
-    snr = sinr(user_index, station, deployment, config, bandwidth=width)
-    return efficiency * (width / loads[station]) * math.log2(1.0 + snr)
 
 
 # NetworkConfig fields a trial's deployment and mean powers depend on; the

@@ -1,4 +1,4 @@
-"""Two-tier cellular network model: deployment sampling, propagation, SINR.
+"""Two-tier cellular network model: configuration, deployment sampling, path loss.
 
 Distances are in meters, powers in watts, densities in stations per km^2.
 A deployment is one Monte-Carlo realization of station and user placement
@@ -135,6 +135,9 @@ class NetworkConfig:
     )
     handover_delay: float = 14.3        # s lost per crossing (interruption
                                         # plus signaling and ramp-up)
+    # Poisson-Voronoi crossings per second = coefficient * v * sqrt(density):
+    # Lin, Ganti, Fleming, Andrews, "Towards Understanding the Fundamentals
+    # of Mobility in Cellular Networks", IEEE Trans. Wireless Commun. 2013
     crossing_coefficient: float = 4.0 / math.pi
     demand_peak_factor: float = 5.4     # mean daily volume -> busy-period rate
     trials: int = 200
@@ -196,12 +199,6 @@ class NetworkConfig:
     @property
     def area_km2(self) -> float:
         return (self.area_side / 1000.0) ** 2
-
-    def tier_density(self, tier: Tier) -> float:
-        return self.macro_density if tier is Tier.MACRO else self.small_density
-
-    def tier_power(self, tier: Tier) -> float:
-        return self.macro_power if tier is Tier.MACRO else self.small_power
 
     def density_fractions(self) -> np.ndarray:
         return np.array([p.density_fraction for p in self.profiles])
@@ -326,15 +323,6 @@ class Deployment:
     def station_positions(self) -> np.ndarray:
         return np.vstack([self.macro_positions, self.small_positions])
 
-    def station_tiers(self) -> np.ndarray:
-        """Tier value per global station id."""
-        return np.concatenate(
-            [
-                np.full(self.n_macro, Tier.MACRO, dtype=np.int8),
-                np.full(self.n_small, Tier.SMALL, dtype=np.int8),
-            ]
-        )
-
     def station_powers(self, config: NetworkConfig) -> np.ndarray:
         return np.concatenate(
             [
@@ -390,33 +378,6 @@ def sample_deployment(config: NetworkConfig, trial_index: int) -> Deployment:
     )
 
 
-def received_power(
-    station_power: float,
-    distance: float,
-    fading_gain: float,
-    config: NetworkConfig,
-) -> float:
-    """Power-law received power with a 1 m distance floor.
-
-    Returns station_power * reference_loss * fading_gain * d**(-alpha)
-    with d = max(distance, 1 m). Accepts scalars or numpy arrays.
-    """
-    if np.any(np.asarray(station_power) < 0):
-        raise ValueError("station_power must be >= 0")
-    if np.any(np.asarray(distance) < 0):
-        raise ValueError("distance must be >= 0")
-    if np.any(np.asarray(fading_gain) < 0):
-        raise ValueError("fading_gain must be >= 0")
-    d = np.maximum(distance, MIN_PATH_DISTANCE_M)
-    value = (
-        station_power
-        * config.reference_loss
-        * fading_gain
-        * d ** (-config.path_loss_exponent)
-    )
-    return value if isinstance(value, np.ndarray) else float(value)
-
-
 def link_distances(deployment: Deployment) -> np.ndarray:
     """(n_users, n_stations) matrix of user-to-station distances in meters."""
     stations = deployment.station_positions()
@@ -425,36 +386,12 @@ def link_distances(deployment: Deployment) -> np.ndarray:
 
 
 def mean_power_matrix(deployment: Deployment, config: NetworkConfig) -> np.ndarray:
-    """Fading-averaged received power of every (user, station) link."""
-    powers = deployment.station_powers(config)
-    return received_power(powers[None, :], link_distances(deployment), 1.0, config)
+    """Fading-averaged received power of every (user, station) link.
 
-
-def sinr(
-    user_index: int,
-    serving_station: int,
-    deployment: Deployment,
-    config: NetworkConfig,
-    bandwidth: float | None = None,
-) -> float:
-    """Instantaneous SINR of one user against all co-channel interferers.
-
-    Interference sums the received power of every station other than the
-    serving one, both tiers (full-buffer assumption). Noise is
-    noise_power * bandwidth (config.bandwidth when not overridden).
+    station_power * reference_loss * d**(-alpha), with d floored at
+    MIN_PATH_DISTANCE_M.
     """
-    if not 0 <= user_index < deployment.n_users:
-        raise IndexError(f"unknown user index {user_index}")
-    if not 0 <= serving_station < deployment.n_stations:
-        raise IndexError(f"unknown station id {serving_station}")
-    width = config.bandwidth if bandwidth is None else bandwidth
-    distances = link_distances(deployment)[user_index]
-    inst = received_power(
-        deployment.station_powers(config),
-        distances,
-        deployment.fading[user_index],
-        config,
-    )
-    signal = inst[serving_station]
-    interference = inst.sum() - signal
-    return float(signal / (interference + config.noise_power * width))
+    powers = deployment.station_powers(config)
+    distances = np.maximum(link_distances(deployment), MIN_PATH_DISTANCE_M)
+    path_loss = distances ** (-config.path_loss_exponent)
+    return powers[None, :] * config.reference_loss * path_loss

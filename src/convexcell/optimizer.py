@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 import warnings
 from dataclasses import dataclass, replace
 from functools import partial
@@ -103,12 +104,13 @@ class DemandScenario:
     user_convexity: float
 
     def __post_init__(self) -> None:
-        if self.total_volume < 0.0:
-            raise ValueError("total_volume must be >= 0")
-        if not 0.0 <= self.stationary_share <= 1.0:  # also refuses NaN
+        # each check is written so that NaN fails it too
+        if not 0.0 <= self.total_volume < math.inf:
+            raise ValueError("total_volume must be finite and >= 0")
+        if not 0.0 <= self.stationary_share <= 1.0:
             raise ValueError("stationary_share must be in [0, 1]")
-        if self.user_convexity <= 0.0:
-            raise ValueError("user_convexity must be > 0")
+        if not 0.0 < self.user_convexity < math.inf:
+            raise ValueError("user_convexity must be finite and > 0")
 
     @classmethod
     def measured_2015(cls) -> "DemandScenario":
@@ -125,9 +127,6 @@ class DemandScenario:
 
     def with_convexity(self, user_convexity: float) -> "DemandScenario":
         return replace(self, user_convexity=user_convexity)
-
-    def with_total(self, total_volume: float) -> "DemandScenario":
-        return replace(self, total_volume=total_volume)
 
     def apply(self, config: NetworkConfig) -> NetworkConfig:
         """Config with per-class traffic volumes set from this scenario."""
@@ -328,12 +327,11 @@ def convexity_sweep(
     geometry is built and every point binds its demand to it, so rows see
     identical deployments and fading and are exactly comparable.
     """
-    if any(value <= 0.0 for value in convexity_values):
-        raise ValueError("convexity values must be > 0")
+    # scenarios first: a bad convexity fails before the geometry is built
+    scenarios = [base.with_convexity(value) for value in convexity_values]
     geometry = TrialGeometry(config)
     rows: list[SweepPoint] = []
-    for convexity in convexity_values:
-        scenario = base.with_convexity(convexity)
+    for convexity, scenario in zip(convexity_values, scenarios):
         point_config = scenario.apply(config)
         estimator = CoverageEstimator(point_config, geometry)
         for scheme in schemes:

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .coverage import SECONDS_PER_DAY
 from .model import UserClass
@@ -33,18 +33,6 @@ class TraceFormatError(ValueError):
 
 class InsufficientDataError(ValueError):
     """Not enough samples to aggregate."""
-
-
-class ConvexityUndefinedError(ValueError):
-    """Walking volume is zero, so the convexity ratio does not exist.
-
-    The partially filled report (volumes, total, user count) is attached
-    as ``report`` with ``user_convexity`` set to None.
-    """
-
-    def __init__(self, message: str, report: "ConvexityReport"):
-        super().__init__(message)
-        self.report = report
 
 
 @dataclass(frozen=True)
@@ -198,8 +186,8 @@ def aggregate_population(
 ) -> ConvexityReport:
     """Average per-state volumes over users and derive user convexity.
 
-    Raises ConvexityUndefinedError (carrying the volume-only report) when
-    the mean walking volume is zero.
+    user_convexity is None when the mean walking volume is zero, since the
+    ratio does not exist; the volumes are reported either way.
     """
     if not user_volumes:
         raise InsufficientDataError("no per-user volumes to aggregate")
@@ -207,18 +195,8 @@ def aggregate_population(
     mean = tuple(sum(v[s] for v in user_volumes) / n for s in range(3))
     total = sum(mean)
     shares = tuple(v / total for v in mean) if total > 0.0 else (0.0, 0.0, 0.0)
-    if mean[UserClass.WALKING] == 0.0:
-        report = ConvexityReport(
-            per_state_volume=mean,
-            per_state_share=shares,
-            user_convexity=None,
-            total_volume=total,
-            user_count=n,
-        )
-        raise ConvexityUndefinedError(
-            "walking volume is zero; user convexity is undefined", report
-        )
-    convexity = mean[UserClass.VEHICULAR] / mean[UserClass.WALKING]
+    walking = mean[UserClass.WALKING]
+    convexity = None if walking == 0.0 else mean[UserClass.VEHICULAR] / walking
     return ConvexityReport(
         per_state_volume=mean,
         per_state_share=shares,
@@ -343,8 +321,4 @@ def analyze_trace(
         triples.append(aggregate_user(user_segments))
     if not triples:
         raise InsufficientDataError("no user has two or more samples")
-    try:
-        report = aggregate_population(triples)
-    except ConvexityUndefinedError as exc:
-        report = exc.report
-    return report, segments
+    return aggregate_population(triples), segments

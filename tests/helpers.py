@@ -1,22 +1,27 @@
 """Hand-built deployments and slow reference implementations.
 
-The reference functions here recompute coverage and optimizer selections
-with plain loops over the public per-user primitives, independently of the
-vectorized CoverageEstimator fast path, so tests can cross-check the two.
+The loop oracle here (``associate``, ``sinr``, ``user_rate`` and
+``reference_rate_coverage``) recomputes association, loads, SINR and rate
+per user over full link rows, independently of the per-user best-of-tier
+reductions of TrialGeometry and the CoverageEstimator fast path. The
+``reference_*`` optimizer functions rerun the selection rules with plain
+loops, so tests can cross-check the package against both.
 """
 
 import itertools
+import math
 
 import numpy as np
 
 from convexcell import (
+    MIN_PATH_DISTANCE_M,
     BiasVector,
     Deployment,
     UserClass,
-    associate,
-    cell_loads,
+    handover_efficiency,
+    link_distances,
+    mean_power_matrix,
     rate_requirement,
-    user_rate,
 )
 
 
@@ -29,6 +34,45 @@ def make_deployment(macro_xy, small_xy, user_xy, classes, fading):
         user_classes=np.asarray(classes, dtype=np.int8),
         fading=np.asarray(fading, dtype=float),
     )
+
+
+def associate(deployment, bias, config):
+    """Serving station id per user: argmax of the class-biased mean power.
+
+    Small-cell columns are scaled by the bias of the user's class. argmax
+    keeps the first maximum, so ties go to the lowest id, a macro.
+    """
+    biases = np.array([bias.stationary_bias, bias.walking_bias, bias.vehicular_bias])
+    effective = mean_power_matrix(deployment, config)
+    effective[:, deployment.n_macro:] *= biases[deployment.user_classes][:, None]
+    return np.argmax(effective, axis=1)
+
+
+def sinr(user, station, deployment, config, bandwidth=None):
+    """Instantaneous SINR of one user against every other station's power."""
+    width = config.bandwidth if bandwidth is None else bandwidth
+    distance = np.maximum(link_distances(deployment)[user], MIN_PATH_DISTANCE_M)
+    inst = (
+        deployment.station_powers(config)
+        * config.reference_loss
+        * deployment.fading[user]
+        * distance ** (-config.path_loss_exponent)
+    )
+    signal = inst[station]
+    interference = inst.sum() - signal
+    return float(signal / (interference + config.noise_power * width))
+
+
+def user_rate(user, serving, loads, deployment, config, bandwidth=None):
+    """Handover efficiency times an equal share of the serving station's width."""
+    width = config.bandwidth if bandwidth is None else bandwidth
+    station = int(serving[user])
+    on_small = station >= deployment.n_macro
+    density = config.small_density if on_small else config.macro_density
+    velocity = config.profiles[deployment.user_classes[user]].velocity
+    efficiency = handover_efficiency(velocity, density, config)
+    snr = sinr(user, station, deployment, config, bandwidth=width)
+    return efficiency * (width / loads[station]) * math.log2(1.0 + snr)
 
 
 def reference_rate_coverage(config, deployments, bias):
@@ -44,11 +88,11 @@ def reference_rate_coverage(config, deployments, bias):
     passed = [0, 0, 0]
     totals = [0, 0, 0]
     for deployment in deployments:
-        assoc = associate(deployment, bias, config)
-        loads = cell_loads(assoc, deployment)
+        serving = associate(deployment, bias, config)
+        loads = np.bincount(serving, minlength=deployment.n_stations)
         for u in range(deployment.n_users):
             cls = int(deployment.user_classes[u])
-            rate = user_rate(u, assoc, deployment, config, loads=loads)
+            rate = user_rate(u, serving, loads, deployment, config)
             totals[cls] += 1
             if rate >= requirements[cls]:
                 passed[cls] += 1

@@ -27,8 +27,6 @@ from convexcell import (
     TrialGeometry,
     UserClass,
     analyze_trace,
-    associate,
-    cell_loads,
     cli,
     convexity_sweep,
     cre_optimize,
@@ -40,6 +38,7 @@ from convexcell import (
     three_stage_optimize,
 )
 from helpers import (
+    associate,
     make_deployment,
     reference_cre,
     reference_full_search,
@@ -87,7 +86,7 @@ def bandwidth_table(headline):
     geometry = TrialGeometry(config)
     table = {}
     for total in (145.05, 290.1):
-        point_config = scenario.with_total(total).apply(config)
+        point_config = replace(scenario, total_volume=total).apply(config)
         estimator = CoverageEstimator(point_config, geometry)
         for scheme in (Scheme.THREE_STAGE, Scheme.CRE):
             table[(total, scheme)] = required_bandwidth(
@@ -291,8 +290,8 @@ def test_criterion_6_invariants(headline, tmp_path):
     checks.append((
         "association scale invariance",
         np.array_equal(
-            associate(deployment, bias, config).serving,
-            associate(deployment, bias, scaled).serving,
+            associate(deployment, bias, config),
+            associate(deployment, bias, scaled),
         ),
     ))
 
@@ -308,13 +307,13 @@ def test_criterion_6_invariants(headline, tmp_path):
     checks.append((
         "uniform bias ignores classes",
         np.array_equal(
-            associate(deployment, uniform, config).serving,
-            associate(declassed, uniform, config).serving,
+            associate(deployment, uniform, config),
+            associate(declassed, uniform, config),
         ),
     ))
 
-    assoc = associate(deployment, bias, config)
-    loads = cell_loads(assoc, deployment)
+    serving = associate(deployment, bias, config)
+    loads = np.bincount(serving, minlength=deployment.n_stations)
     checks.append(("load conservation", int(loads.sum()) == deployment.n_users))
 
     fractions = headline["config"].density_fractions()

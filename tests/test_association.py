@@ -1,4 +1,4 @@
-"""Biased association maps and per-station loads."""
+"""Bias vectors, dB conversions, and the loop oracle's association and loads."""
 
 import dataclasses
 
@@ -8,19 +8,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from convexcell import (
-    AssociationMap,
     BiasVector,
     NetworkConfig,
-    Tier,
     UserClass,
-    associate,
-    cell_loads,
     db_from_linear,
     linear_from_db,
     mean_power_matrix,
     sample_deployment,
 )
-from helpers import make_deployment
+from helpers import associate, make_deployment
 
 
 @given(st.floats(0.0, 40.0))
@@ -57,27 +53,26 @@ class TestBiasVector:
         assert from_db.vehicular_bias == pytest.approx(100.0)
 
     def test_class_lookup(self):
+        # positional order is UserClass order, which the estimator relies on
         bias = BiasVector(1.0, 2.0, 3.0)
-        assert bias.for_class(UserClass.STATIONARY) == 1.0
-        assert bias.for_class(UserClass.WALKING) == 2.0
-        assert bias.for_class(UserClass.VEHICULAR) == 3.0
-        assert list(bias.as_array()) == [1.0, 2.0, 3.0]
+        by_class = [getattr(bias, f"{cls.label}_bias") for cls in UserClass]
+        assert by_class == [1.0, 2.0, 3.0]
 
 
 class TestAssociate:
     def test_unit_bias_is_plain_argmax(self, tiny_config):
         deployment = sample_deployment(tiny_config, 0)
-        assoc = associate(deployment, BiasVector.uniform(1.0), tiny_config)
+        serving = associate(deployment, BiasVector.uniform(1.0), tiny_config)
         expected = np.argmax(mean_power_matrix(deployment, tiny_config), axis=1)
-        assert np.array_equal(assoc.serving, expected)
+        assert np.array_equal(serving, expected)
 
     def test_no_small_cells_means_strongest_macro(self):
         config = NetworkConfig(small_density=0.0, user_count=30)
         deployment = sample_deployment(config, 0)
-        assoc = associate(deployment, BiasVector(8.0, 8.0, 8.0), config)
-        assert (assoc.tier == Tier.MACRO).all()
+        serving = associate(deployment, BiasVector(8.0, 8.0, 8.0), config)
+        assert (serving < deployment.n_macro).all()
         mean_power = mean_power_matrix(deployment, config)
-        assert np.array_equal(assoc.serving, np.argmax(mean_power, axis=1))
+        assert np.array_equal(serving, np.argmax(mean_power, axis=1))
 
     def test_per_class_bias_moves_only_that_class(self):
         # macro mean power 4, small mean power 1 at both users (1 m links);
@@ -90,9 +85,8 @@ class TestAssociate:
             [UserClass.STATIONARY, UserClass.WALKING],
             np.ones((2, 2)),
         )
-        assoc = associate(deployment, BiasVector(1.0, 5.0, 1.0), config)
-        assert list(assoc.serving) == [0, 1]
-        assert list(assoc.tier) == [Tier.MACRO, Tier.SMALL]
+        serving = associate(deployment, BiasVector(1.0, 5.0, 1.0), config)
+        assert list(serving) == [0, 1]  # station 0 is the macro, 1 the small
 
     def test_tie_breaks_to_lowest_station_id(self):
         config = NetworkConfig(user_count=1)
@@ -103,15 +97,8 @@ class TestAssociate:
             [0],
             np.ones((1, 2)),
         )
-        assoc = associate(deployment, BiasVector.uniform(1.0), config)
-        assert assoc.serving[0] == 0
-
-    def test_requires_a_macro_station(self):
-        deployment = make_deployment(
-            np.empty((0, 2)), [[1.0, 1.0]], [[0.0, 0.0]], [0], np.ones((1, 1))
-        )
-        with pytest.raises(ValueError, match="macro"):
-            associate(deployment, BiasVector.uniform(1.0), NetworkConfig())
+        serving = associate(deployment, BiasVector.uniform(1.0), config)
+        assert serving[0] == 0
 
     @given(st.floats(1e-3, 1e3), st.integers(0, 4))
     def test_argmax_scale_invariance(self, scale, trial):
@@ -125,8 +112,8 @@ class TestAssociate:
         deployment = sample_deployment(base, trial)
         bias = BiasVector(1.0, 3.0, 6.0)
         assert np.array_equal(
-            associate(deployment, bias, base).serving,
-            associate(deployment, bias, scaled).serving,
+            associate(deployment, bias, base),
+            associate(deployment, bias, scaled),
         )
 
     @given(st.sampled_from([1.0, 2.0, 4.0, 10.0, 100.0]), st.integers(0, 3))
@@ -137,10 +124,10 @@ class TestAssociate:
             user_count=40, trials=1,
         )
         deployment = sample_deployment(config, trial)
-        assoc = associate(deployment, BiasVector.uniform(common_bias), config)
+        serving = associate(deployment, BiasVector.uniform(common_bias), config)
         effective = mean_power_matrix(deployment, config)
         effective[:, deployment.n_macro :] *= common_bias
-        assert np.array_equal(assoc.serving, np.argmax(effective, axis=1))
+        assert np.array_equal(serving, np.argmax(effective, axis=1))
 
     @given(
         st.sampled_from(list(UserClass)),
@@ -160,15 +147,15 @@ class TestAssociate:
         biases[cls] = high
         after = associate(deployment, BiasVector(*biases), config)
         of_class = deployment.user_classes == cls
-        was_small = (before.tier == Tier.SMALL) & of_class
-        assert (after.tier[was_small] == Tier.SMALL).all()
+        was_small = (before >= deployment.n_macro) & of_class
+        assert (after[was_small] >= deployment.n_macro).all()
 
 
 class TestCellLoads:
     def test_conservation(self, tiny_config):
         deployment = sample_deployment(tiny_config, 0)
-        assoc = associate(deployment, BiasVector(2.0, 1.0, 4.0), tiny_config)
-        loads = cell_loads(assoc, deployment)
+        serving = associate(deployment, BiasVector(2.0, 1.0, 4.0), tiny_config)
+        loads = np.bincount(serving, minlength=deployment.n_stations)
         assert loads.sum() == deployment.n_users
         assert loads.shape == (deployment.n_stations,)
 
@@ -183,8 +170,8 @@ class TestCellLoads:
                 deployment.user_classes,
                 deployment.fading[:, :1],
             )
-        assoc = associate(deployment, BiasVector.uniform(1.0), config)
-        loads = cell_loads(assoc, deployment)
+        serving = associate(deployment, BiasVector.uniform(1.0), config)
+        loads = np.bincount(serving, minlength=deployment.n_stations)
         assert loads[0] == 25
         assert loads.sum() == 25
 
@@ -198,24 +185,7 @@ class TestCellLoads:
             [0, 0, 0],
             np.ones((3, 2)),
         )
-        assoc = associate(deployment, BiasVector.uniform(1.0), config)
+        serving = associate(deployment, BiasVector.uniform(1.0), config)
         # third user: macro 4*10^-a vs small 1*10^-a -> macro
-        assert list(assoc.serving) == [0, 1, 0]
-        assert list(cell_loads(assoc, deployment)) == [2, 1]
-
-    def test_mismatched_map_rejected(self, tiny_config):
-        deployment = sample_deployment(tiny_config, 0)
-        short = AssociationMap(
-            serving=np.zeros(3, dtype=int), tier=np.zeros(3, dtype=np.int8)
-        )
-        with pytest.raises(ValueError, match="user count"):
-            cell_loads(short, deployment)
-
-    def test_unknown_station_ids_rejected(self, tiny_config):
-        deployment = sample_deployment(tiny_config, 0)
-        bogus = AssociationMap(
-            serving=np.full(deployment.n_users, deployment.n_stations),
-            tier=np.zeros(deployment.n_users, dtype=np.int8),
-        )
-        with pytest.raises(ValueError, match="unknown station"):
-            cell_loads(bogus, deployment)
+        assert list(serving) == [0, 1, 0]
+        assert list(np.bincount(serving, minlength=2)) == [2, 1]

@@ -186,7 +186,7 @@ class TestBandwidthCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert "tolerance" in err
-        assert not (out / "bandwidth.csv").exists()
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["sweep", "bandwidth"])
@@ -199,6 +199,37 @@ def test_overflowing_grid_db_rejected(tmp_path, config_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert "4000" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--total-volume", "nan"],
+        ["sweep", "--convexity", "1", "-2"],
+        ["bandwidth", "--stationary-share", "2"],
+        ["analyze", "--trace", "DIR"],
+        ["evaluate", "--bias", "0", "0", "0", "--config", "DIR"],
+        ["evaluate", "--bias", "0", "0", "0", "--out", "FILE"],
+    ],
+    ids=[
+        "sweep-nan-volume", "sweep-negative-convexity", "bandwidth-share-above-1",
+        "trace-is-a-dir", "config-is-a-dir", "out-is-a-file",
+    ],
+)
+def test_failed_command_is_one_line_and_writes_nothing(
+    tmp_path, config_path, capsys, argv
+):
+    out = tmp_path / "out"
+    existing = tmp_path / "existing.txt"
+    existing.write_text("")
+    places = {"DIR": tmp_path, "FILE": existing}
+    command, *options = [str(places.get(a, a)) for a in argv]
+    # a later --config or --out replaces the defaults given first
+    code = run([command, "--config", config_path, "--out", str(out), *options])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def lat_step(meters):
@@ -295,12 +326,13 @@ class TestAnalyzeCommand:
         assert report["per_state_volume_mb_per_day"]["stationary"] == pytest.approx(1.0)
 
     def test_missing_trace_file(self, tmp_path, capsys):
-        code = run(
-            ["analyze", "--trace", str(tmp_path / "nope.csv"),
-             "--out", str(tmp_path / "out")]
-        )
+        out = tmp_path / "out"
+        missing = str(tmp_path / "nope.csv")
+        code = run(["analyze", "--trace", missing, "--out", str(out)])
         assert code == 1
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestEvaluateCommand:

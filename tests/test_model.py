@@ -1,4 +1,4 @@
-"""Network model: config validation, sampling, propagation, SINR."""
+"""Network model: config validation, sampling, propagation; the oracle's SINR."""
 
 import dataclasses
 import math
@@ -12,17 +12,14 @@ from convexcell import (
     ClassProfile,
     ConfigError,
     NetworkConfig,
-    Tier,
     UserClass,
     default_profiles,
     largest_remainder_counts,
     link_distances,
     mean_power_matrix,
-    received_power,
     sample_deployment,
-    sinr,
 )
-from helpers import make_deployment
+from helpers import make_deployment, sinr
 
 # Config fuzz: each field is omitted, set near its default (the value
 # itself, as int or float, or scaled), or set to a JSON-style value of
@@ -82,9 +79,8 @@ class TestConfig:
     def test_defaults_are_valid(self):
         config = NetworkConfig()
         assert config.area_km2 == pytest.approx(4.0)
-        assert config.tier_density(Tier.MACRO) == 2.0
-        assert config.tier_density(Tier.SMALL) == 40.0
-        assert config.tier_power(Tier.MACRO) == 40.0
+        assert (config.macro_density, config.small_density) == (2.0, 40.0)
+        assert config.macro_power == 40.0
         assert config.bandwidth == 10e6
         assert list(config.class_counts()) == [449, 23, 28]
 
@@ -292,43 +288,36 @@ class TestSampleDeployment:
             sample_deployment(NetworkConfig(), -1)
 
 
+def received_power(power, distance, config):
+    """Mean power of a single link: one macro of the given power, one user."""
+    config = dataclasses.replace(config, macro_power=power, small_power=power / 2.0)
+    deployment = make_deployment(
+        [[0.0, 0.0]], np.empty((0, 2)), [[distance, 0.0]], [0], [[1.0]]
+    )
+    return float(mean_power_matrix(deployment, config)[0, 0])
+
+
 class TestReceivedPower:
     def test_unit_distance(self):
         config = NetworkConfig()
-        assert received_power(40.0, 1.0, 1.0, config) == pytest.approx(40.0)
+        assert received_power(40.0, 1.0, config) == pytest.approx(40.0)
 
     def test_power_law_decade(self):
         config = NetworkConfig(path_loss_exponent=4.0)
-        assert received_power(5.0, 10.0, 1.0, config) == pytest.approx(5.0e-4)
+        assert received_power(5.0, 10.0, config) == pytest.approx(5.0e-4)
 
     def test_distance_floor(self):
         config = NetworkConfig()
-        at_floor = received_power(7.0, 1.0, 1.0, config)
-        assert received_power(7.0, 0.5, 1.0, config) == at_floor
-        assert received_power(7.0, 0.0, 1.0, config) == at_floor
+        at_floor = received_power(7.0, 1.0, config)
+        assert received_power(7.0, 0.5, config) == at_floor
+        assert received_power(7.0, 0.0, config) == at_floor
 
-    def test_negative_inputs_rejected(self):
+    @given(st.floats(1e-3, 1e3), st.floats(1.0, 1e4))
+    def test_linear_in_transmit_power(self, power, distance):
         config = NetworkConfig()
-        with pytest.raises(ValueError):
-            received_power(-1.0, 1.0, 1.0, config)
-        with pytest.raises(ValueError):
-            received_power(1.0, -1.0, 1.0, config)
-        with pytest.raises(ValueError):
-            received_power(1.0, 1.0, -1.0, config)
-
-    @given(st.floats(1e-3, 1e3), st.floats(1.0, 1e4), st.floats(1e-3, 1e2))
-    def test_linear_in_transmit_power(self, power, distance, gain):
-        config = NetworkConfig()
-        one = received_power(power, distance, gain, config)
-        two = received_power(2.0 * power, distance, gain, config)
+        one = received_power(power, distance, config)
+        two = received_power(2.0 * power, distance, config)
         assert two == pytest.approx(2.0 * one, rel=1e-12)
-
-    def test_vectorized_matches_scalar(self):
-        config = NetworkConfig()
-        distances = np.array([1.0, 5.0, 50.0])
-        out = received_power(3.0, distances, 1.0, config)
-        expected = [received_power(3.0, float(d), 1.0, config) for d in distances]
-        assert np.allclose(out, expected)
 
 
 class TestSinr:
@@ -393,15 +382,10 @@ class TestGeometryHelpers:
         mean_power = mean_power_matrix(deployment, tiny_config)
         distances = link_distances(deployment)
         powers = deployment.station_powers(tiny_config)
-        expected = received_power(powers[None, :], distances, 1.0, tiny_config)
+        path_loss = np.maximum(distances, 1.0) ** (-tiny_config.path_loss_exponent)
+        expected = powers[None, :] * tiny_config.reference_loss * path_loss
         assert np.allclose(mean_power, expected)
         assert mean_power.shape == (deployment.n_users, deployment.n_stations)
-
-    def test_station_tier_layout(self, tiny_config):
-        deployment = sample_deployment(tiny_config, 0)
-        tiers = deployment.station_tiers()
-        assert (tiers[: deployment.n_macro] == Tier.MACRO).all()
-        assert (tiers[deployment.n_macro :] == Tier.SMALL).all()
 
     def test_deployment_shape_validation(self):
         with pytest.raises(ValueError, match="fading"):

@@ -88,13 +88,15 @@ class TestDemandScenario:
         assert sum(scenario.class_volumes()) == pytest.approx(total, rel=1e-9)
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="total_volume"):
-            DemandScenario(-1.0, 0.6, 1.0)
+        for total in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="total_volume"):
+                DemandScenario(total, 0.6, 1.0)
         for share in (-0.1, 1.5, math.nan):
             with pytest.raises(ValueError, match="stationary_share"):
                 DemandScenario(1.0, share, 1.0)
-        with pytest.raises(ValueError, match="user_convexity"):
-            DemandScenario(1.0, 0.6, 0.0)
+        for convexity in (0.0, -2.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="user_convexity"):
+                DemandScenario(1.0, 0.6, convexity)
 
     def test_apply_writes_profile_volumes(self, tiny_config):
         scenario = DemandScenario(100.0, 0.5, 4.0)
@@ -372,11 +374,15 @@ class TestConvexitySweep:
         )
         assert len(calls) == tiny_config.trials
 
-    def test_rejects_non_positive_convexity(self, tiny_config):
-        with pytest.raises(ValueError, match="convexity"):
-            convexity_sweep(
-                DemandScenario.measured_2015(), (1.0, 0.0), tiny_config, SMALL_GRID
-            )
+    def test_rejects_non_positive_convexity(self, tiny_config, monkeypatch):
+        calls = []
+        monkeypatch.setattr(coverage, "sample_deployment", lambda *a: calls.append(a))
+        for bad in (0.0, -2.0, math.nan):
+            with pytest.raises(ValueError, match="convexity"):
+                convexity_sweep(
+                    DemandScenario.measured_2015(), (1.0, bad), tiny_config, SMALL_GRID
+                )
+        assert calls == []  # refused before the geometry is built
 
     def test_default_sweep_values(self):
         assert DEFAULT_CONVEXITY_VALUES == (1.0, 2.0, 3.04, 4.0, 5.0, 6.0, 7.0, 8.0)

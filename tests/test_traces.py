@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from convexcell import (
     EARTH_RADIUS_M,
-    ConvexityUndefinedError,
     InsufficientDataError,
     TraceFormatError,
     TraceSample,
@@ -262,10 +261,8 @@ class TestAggregatePopulation:
         assert double.user_convexity == single.user_convexity
         assert double.user_count == 2
 
-    def test_zero_walking_raises_with_report(self):
-        with pytest.raises(ConvexityUndefinedError) as excinfo:
-            aggregate_population([(10.0, 0.0, 5.0)])
-        report = excinfo.value.report
+    def test_zero_walking_reports_no_convexity(self):
+        report = aggregate_population([(10.0, 0.0, 5.0)])
         assert report.user_convexity is None
         assert report.per_state_volume == (10.0, 0.0, 5.0)
         assert report.total_volume == 15.0
