@@ -14,8 +14,9 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass
+from itertools import repeat
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .association import BiasVector
 from .coverage import (
@@ -37,7 +38,9 @@ from .optimizer import (
 )
 from .traces import (
     DEFAULT_STATIONARY_CUTOFF_KMH,
+    UserTrace,
     analyze_trace,
+    check_stationary_cutoff,
     read_trace_csv,
 )
 
@@ -47,6 +50,7 @@ SWEEP_COLUMNS = (
 )
 BANDWIDTH_COLUMNS = ("total_volume", "scheme", "required_bandwidth_hz")
 SEGMENT_COLUMNS = ("user_id", "start", "end", "state", "velocity_kmh", "rx_bytes")
+STATE_LABELS = tuple(cls.label for cls in UserClass)
 
 UNSATISFIABLE = "unsatisfiable"
 
@@ -86,8 +90,15 @@ def _load_config(manifest: RunManifest) -> NetworkConfig:
 
 
 def _prepare_outputs(manifest: RunManifest, names: Sequence[str]) -> dict[str, Path]:
-    """Output paths, refusing existing files; the writers create the directory."""
+    """Output paths, refusing existing files; the writers create the directory.
+
+    Runs before any work, so an --out that cannot become a directory fails
+    at once instead of after the whole computation.
+    """
     out_dir = Path(manifest.output_dir)
+    nearest = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not nearest.is_dir():
+        raise CliError(f"--out {out_dir}: {nearest} is not a directory")
     paths = {name: out_dir / name for name in names}
     if not manifest.overwrite:
         existing = [str(p) for p in paths.values() if p.exists()]
@@ -104,7 +115,7 @@ def _create(path: Path, **kwargs):
     return open(path, "w", encoding="utf-8", **kwargs)
 
 
-def _write_csv(path: Path, columns: Sequence[str], rows: Sequence[Sequence]) -> None:
+def _write_csv(path: Path, columns: Sequence[str], rows: Iterable[Sequence]) -> None:
     with _create(path, newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(columns)
@@ -226,31 +237,47 @@ def run_bandwidth(manifest: RunManifest, args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
+def segment_rows(
+    traces: Mapping[str, UserTrace],
+    segments: Mapping[str, tuple[list[float], list[UserClass]]],
+) -> Iterable[tuple]:
+    """segments.csv rows, user by user, from the trace and segment columns.
+
+    Each distinct time is formatted once: it ends one segment and starts
+    the next, and fixed-interval traces repeat it across users. Equal
+    instants in one time zone format alike, hence the memo key.
+    """
+    formatted: dict[tuple, str] = {}
+    for user_id, (velocities, states) in segments.items():
+        trace = traces[user_id]
+        stamps = []
+        for stamp in trace.timestamps:
+            key = (stamp, stamp.tzinfo)
+            text = formatted.get(key)
+            if text is None:
+                text = formatted[key] = stamp.isoformat()
+            stamps.append(text)
+        labels = [STATE_LABELS[state] for state in states]
+        yield from zip(
+            repeat(user_id), stamps, stamps[1:], labels, velocities, trace.rx_bytes[1:]
+        )
+
+
 def run_analyze(manifest: RunManifest, args: argparse.Namespace) -> int:
+    check_stationary_cutoff(args.stationary_cutoff)
     paths = _prepare_outputs(
         manifest, ("convexity_report.json", "segments.csv", "analyze_meta.json")
     )
-    samples, skipped = read_trace_csv(args.trace, strict=manifest.strict)
+    traces, skipped = read_trace_csv(args.trace, strict=manifest.strict)
     report, segments = analyze_trace(
-        samples, stationary_cutoff=args.stationary_cutoff, strict=manifest.strict
+        traces, stationary_cutoff=args.stationary_cutoff, strict=manifest.strict
     )
 
     _write_json(
         paths["convexity_report.json"],
         {**report.to_dict(), "skipped_rows": len(skipped)},
     )
-    segment_rows = [
-        (
-            s.user_id,
-            s.start.isoformat(),
-            s.end.isoformat(),
-            s.state.label,
-            s.velocity,
-            s.rx_bytes,
-        )
-        for s in segments
-    ]
-    _write_csv(paths["segments.csv"], SEGMENT_COLUMNS, segment_rows)
+    _write_csv(paths["segments.csv"], SEGMENT_COLUMNS, segment_rows(traces, segments))
     _write_json(
         paths["analyze_meta.json"],
         _meta(

@@ -1,17 +1,24 @@
 """Mobility-trace analytics: velocity, mobility states, user convexity.
 
 Processes (timestamp, location, downlink bytes) samples recorded at fixed
-intervals. Consecutive samples form segments classified by speed; each
-segment's bytes are attributed to its mobility state, per-user volumes are
-normalized to MB/day and averaged over users. User convexity is the ratio
-of the vehicular to the walking per-state volume.
+intervals. The reader keeps each user's samples as columns of a
+:class:`UserTrace`. Consecutive samples form segments; a segment adds only
+its velocity and mobility state, since its start, end and bytes are the
+trace's own columns. Each segment's bytes are attributed to its state,
+per-user volumes are normalized to MB/day and averaged over users. User
+convexity is the ratio of the vehicular to the walking per-state volume.
+
+Because loggers sample every user on the same fixed clock, one timestamp
+text recurs across users (a 200-user, 1000-sample trace carries 1000
+distinct stamps in 200,000 rows), so the reader parses each distinct text
+once.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -35,37 +42,21 @@ class InsufficientDataError(ValueError):
     """Not enough samples to aggregate."""
 
 
-@dataclass(frozen=True)
-class TraceSample:
-    """One measurement: position and bytes downloaded since the previous one."""
+@dataclass
+class UserTrace:
+    """One user's samples in time order, one list per column.
 
-    user_id: str
-    timestamp: datetime
-    latitude: float
-    longitude: float
-    rx_bytes: float
+    ``rx_bytes[i]`` is what was downloaded between samples ``i - 1`` and
+    ``i``; ``len()`` is the sample count.
+    """
 
-    def __post_init__(self) -> None:
-        if not -90.0 <= self.latitude <= 90.0:
-            raise ValueError("latitude must be in [-90, 90]")
-        if not -180.0 <= self.longitude <= 180.0:
-            raise ValueError("longitude must be in [-180, 180]")
-        if self.rx_bytes < 0.0:
-            raise ValueError("rx_bytes must be >= 0")
-        if not math.isfinite(self.rx_bytes):
-            raise ValueError("rx_bytes is not a number")
+    timestamps: list[datetime] = field(default_factory=list)
+    latitudes: list[float] = field(default_factory=list)
+    longitudes: list[float] = field(default_factory=list)
+    rx_bytes: list[float] = field(default_factory=list)
 
-
-@dataclass(frozen=True)
-class MobilitySegment:
-    """Interval between two consecutive samples of one user."""
-
-    user_id: str
-    start: datetime
-    end: datetime
-    state: UserClass
-    velocity: float  # km/h
-    rx_bytes: float
+    def __len__(self) -> int:
+        return len(self.timestamps)
 
 
 @dataclass(frozen=True)
@@ -102,22 +93,10 @@ def haversine_m(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
     return 2.0 * EARTH_RADIUS_M * math.asin(math.sqrt(a))
 
 
-def compute_velocity(previous: TraceSample, current: TraceSample) -> float:
-    """Average speed between two consecutive samples of one user, in km/h.
-
-    Assumes linear movement between the two recorded locations.
-    """
-    if previous.user_id != current.user_id:
-        raise ValueError("samples belong to different users")
-    elapsed_s = (current.timestamp - previous.timestamp).total_seconds()
-    if elapsed_s <= 0.0:
-        raise ValueError(
-            f"timestamps must be strictly increasing for user {current.user_id}"
-        )
-    meters = haversine_m(
-        previous.latitude, previous.longitude, current.latitude, current.longitude
-    )
-    return (meters / 1000.0) / (elapsed_s / 3600.0)
+def check_stationary_cutoff(stationary_cutoff: float) -> None:
+    """Raise ValueError unless the cutoff lies in [0, 10) km/h (NaN does not)."""
+    if not 0.0 <= stationary_cutoff < VEHICULAR_CUTOFF_KMH:
+        raise ValueError("stationary_cutoff must be in [0, 10) km/h")
 
 
 def classify_mobility(
@@ -131,8 +110,7 @@ def classify_mobility(
     """
     if velocity_kmh < 0.0:
         raise ValueError("velocity must be >= 0")
-    if not 0.0 <= stationary_cutoff < VEHICULAR_CUTOFF_KMH:
-        raise ValueError("stationary_cutoff must be in [0, 10) km/h")
+    check_stationary_cutoff(stationary_cutoff)
     if velocity_kmh > VEHICULAR_CUTOFF_KMH:
         return UserClass.VEHICULAR
     if velocity_kmh <= stationary_cutoff:
@@ -141,42 +119,49 @@ def classify_mobility(
 
 
 def build_segments(
-    samples: Sequence[TraceSample],
+    trace: UserTrace,
     stationary_cutoff: float = DEFAULT_STATIONARY_CUTOFF_KMH,
-) -> list[MobilitySegment]:
-    """Segments from consecutive sample pairs of one user, in time order."""
-    segments = []
-    for previous, current in zip(samples, samples[1:]):
-        velocity = compute_velocity(previous, current)
-        segments.append(
-            MobilitySegment(
-                user_id=current.user_id,
-                start=previous.timestamp,
-                end=current.timestamp,
-                state=classify_mobility(velocity, stationary_cutoff),
-                velocity=velocity,
-                rx_bytes=current.rx_bytes,
-            )
-        )
-    return segments
+) -> tuple[list[float], list[UserClass]]:
+    """Velocity (km/h) and state of each consecutive sample pair of one user.
+
+    Segment ``i`` runs from sample ``i`` to sample ``i + 1`` and carries
+    ``trace.rx_bytes[i + 1]``. The speed assumes linear movement between
+    the two recorded locations.
+    """
+    velocities = []
+    states = []
+    stamps, lats, lons = trace.timestamps, trace.latitudes, trace.longitudes
+    for t0, t1, lat0, lat1, lon0, lon1 in zip(
+        stamps, stamps[1:], lats, lats[1:], lons, lons[1:]
+    ):
+        elapsed_s = (t1 - t0).total_seconds()
+        if elapsed_s <= 0.0:
+            raise ValueError("timestamps must be strictly increasing")
+        meters = haversine_m(lat0, lon0, lat1, lon1)
+        velocity = (meters / 1000.0) / (elapsed_s / 3600.0)
+        velocities.append(velocity)
+        states.append(classify_mobility(velocity, stationary_cutoff))
+    return velocities, states
 
 
-def aggregate_user(segments: Sequence[MobilitySegment]) -> tuple[float, float, float]:
+def aggregate_user(
+    trace: UserTrace, states: Sequence[UserClass]
+) -> tuple[float, float, float]:
     """Per-state traffic volumes of one user in MB/day.
 
-    Takes the user's segments from :func:`build_segments`. Attributes each
-    segment's bytes wholly to its classified state and normalizes by the
-    user's observed span, so concatenating identical days leaves the
-    result unchanged.
+    Takes the user's segment states from :func:`build_segments`. Attributes
+    each segment's bytes wholly to its state and normalizes by the user's
+    observed span, so concatenating identical days leaves the result
+    unchanged.
     """
-    if not segments:
+    if not states:
         raise InsufficientDataError(
             "at least two samples are required to aggregate a user"
         )
     state_bytes = [0.0, 0.0, 0.0]
-    for segment in segments:
-        state_bytes[segment.state] += segment.rx_bytes
-    span_days = (segments[-1].end - segments[0].start).total_seconds()
+    for state, rx in zip(states, trace.rx_bytes[1:]):
+        state_bytes[state] += rx
+    span_days = (trace.timestamps[-1] - trace.timestamps[0]).total_seconds()
     span_days /= SECONDS_PER_DAY
     return tuple(b / BYTES_PER_MB / span_days for b in state_bytes)
 
@@ -223,8 +208,8 @@ def _parse_timestamp(text: str) -> datetime:
 def read_trace_csv(
     path: str | Path,
     strict: bool = True,
-) -> tuple[dict[str, list[TraceSample]], list[tuple[int, str]]]:
-    """Load a trace CSV into per-user sample lists.
+) -> tuple[dict[str, UserTrace], list[tuple[int, str]]]:
+    """Load a trace CSV into one column-wise :class:`UserTrace` per user.
 
     Expects the header ``user_id,timestamp,lat,lon,rx_bytes`` with
     ISO-8601 UTC timestamps. Rows that fail to parse, fall outside valid
@@ -235,8 +220,9 @@ def read_trace_csv(
     (such as an oversized field) or whose user id is not UTF-8 are
     malformed rows too.
     """
-    samples: dict[str, list[TraceSample]] = {}
+    traces: dict[str, UserTrace] = {}
     bad: list[tuple[int, str]] = []
+    parsed: dict[str, datetime] = {}  # stamp text -> UTC time
     # undecodable bytes become lone surrogates, so they fail their row only
     with open(path, newline="", encoding="utf-8", errors="surrogateescape") as handle:
         reader = csv.reader(handle)
@@ -262,29 +248,37 @@ def read_trace_csv(
             try:
                 if len(row) != 5:
                     raise ValueError(f"expected 5 fields, got {len(row)}")
-                sample = TraceSample(
-                    user_id=row[0].strip(),
-                    timestamp=_parse_timestamp(row[1]),
-                    latitude=float(row[2]),
-                    longitude=float(row[3]),
-                    rx_bytes=float(row[4]),
-                )
-                previous = samples.get(sample.user_id)
-                if previous is None:  # only ids that passed this check are keys
+                user_id = row[0].strip()
+                stamp = parsed.get(row[1])
+                if stamp is None:
+                    stamp = parsed[row[1]] = _parse_timestamp(row[1])
+                lat, lon, rx = float(row[2]), float(row[3]), float(row[4])
+                if not -90.0 <= lat <= 90.0:
+                    raise ValueError("latitude must be in [-90, 90]")
+                if not -180.0 <= lon <= 180.0:
+                    raise ValueError("longitude must be in [-180, 180]")
+                if rx < 0.0:
+                    raise ValueError("rx_bytes must be >= 0")
+                if not math.isfinite(rx):
+                    raise ValueError("rx_bytes is not a number")
+                trace = traces.get(user_id)
+                if trace is None:  # only ids that passed this check are keys
                     try:
-                        sample.user_id.encode("utf-8")
+                        user_id.encode("utf-8")
                     except UnicodeEncodeError:
                         raise ValueError(
-                            f"user_id {sample.user_id!r} is not valid UTF-8"
+                            f"user_id {user_id!r} is not valid UTF-8"
                         ) from None
-                elif sample.timestamp <= previous[-1].timestamp:
-                    raise ValueError(
-                        f"timestamp not increasing for user {sample.user_id}"
-                    )
+                    trace = traces[user_id] = UserTrace()
+                elif stamp <= trace.timestamps[-1]:
+                    raise ValueError(f"timestamp not increasing for user {user_id}")
             except ValueError as exc:
                 bad.append((line_no, str(exc)))
                 continue
-            samples.setdefault(sample.user_id, []).append(sample)
+            trace.timestamps.append(stamp)
+            trace.latitudes.append(lat)
+            trace.longitudes.append(lon)
+            trace.rx_bytes.append(rx)
     if bad and strict:
         lines = ", ".join(str(line) for line, _ in bad)
         first = bad[0]
@@ -292,33 +286,36 @@ def read_trace_csv(
             f"{len(bad)} malformed row(s) at line(s) {lines}; "
             f"first: line {first[0]}: {first[1]}"
         )
-    return samples, bad
+    return traces, bad
 
 
 def analyze_trace(
-    samples_by_user: Mapping[str, Sequence[TraceSample]],
+    traces: Mapping[str, UserTrace],
     stationary_cutoff: float = DEFAULT_STATIONARY_CUTOFF_KMH,
     strict: bool = True,
-) -> tuple[ConvexityReport, list[MobilitySegment]]:
+) -> tuple[ConvexityReport, dict[str, tuple[list[float], list[UserClass]]]]:
     """Full pipeline: segments, per-user volumes, population report.
 
-    Users with fewer than two samples raise in strict mode and are skipped
-    otherwise. A zero walking volume yields a report with user_convexity
-    None rather than an exception, so volumes remain inspectable.
+    Returns the report and, per user id in sorted order, the
+    :func:`build_segments` velocities and states of every user that was
+    aggregated. Users with fewer than two samples raise in strict mode and
+    are skipped otherwise. A zero walking volume yields a report with
+    user_convexity None rather than an exception, so volumes remain
+    inspectable.
     """
+    check_stationary_cutoff(stationary_cutoff)
     triples = []
-    segments: list[MobilitySegment] = []
-    for user_id in sorted(samples_by_user):
-        user_samples = samples_by_user[user_id]
-        if len(user_samples) < 2:
+    segments = {}
+    for user_id in sorted(traces):
+        trace = traces[user_id]
+        if len(trace) < 2:
             if strict:
                 raise InsufficientDataError(
                     f"user {user_id} has fewer than two samples"
                 )
             continue
-        user_segments = build_segments(user_samples, stationary_cutoff)
-        segments.extend(user_segments)
-        triples.append(aggregate_user(user_segments))
+        segments[user_id] = build_segments(trace, stationary_cutoff)
+        triples.append(aggregate_user(trace, segments[user_id][1]))
     if not triples:
         raise InsufficientDataError("no user has two or more samples")
     return aggregate_population(triples), segments

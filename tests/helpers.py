@@ -6,23 +6,40 @@ per user over full link rows, independently of the per-user best-of-tier
 reductions of TrialGeometry and the CoverageEstimator fast path. The
 ``reference_*`` optimizer functions rerun the selection rules with plain
 loops, so tests can cross-check the package against both.
+
+The trace oracle (``TraceSample``, ``MobilitySegment``, ``compute_velocity``
+and the ``reference_*`` trace functions) is the per-sample object pipeline
+the package's column-wise ``UserTrace`` path replaced: one validated record
+per row, one record per segment and per-segment aggregation, with the same
+arithmetic.
 """
 
+import csv
 import itertools
 import math
+from dataclasses import dataclass
+from datetime import datetime
 
 import numpy as np
 
 from convexcell import (
     MIN_PATH_DISTANCE_M,
+    SECONDS_PER_DAY,
+    TRACE_CSV_HEADER,
     BiasVector,
     Deployment,
+    InsufficientDataError,
+    TraceFormatError,
     UserClass,
+    aggregate_population,
+    classify_mobility,
     handover_efficiency,
+    haversine_m,
     link_distances,
     mean_power_matrix,
     rate_requirement,
 )
+from convexcell.traces import BYTES_PER_MB, _parse_timestamp
 
 
 def make_deployment(macro_xy, small_xy, user_xy, classes, fading):
@@ -174,3 +191,179 @@ def reference_stage2(estimator, grid, b_s):
         if fallback is None or cov > fallback[3]:
             fallback = (b_w, b_v, report, cov)
     return fallback[0], fallback[1], fallback[2]
+
+
+@dataclass(frozen=True)
+class TraceSample:
+    """One measurement: position and bytes downloaded since the previous one."""
+
+    user_id: str
+    timestamp: datetime
+    latitude: float
+    longitude: float
+    rx_bytes: float
+
+    def __post_init__(self) -> None:
+        if not -90.0 <= self.latitude <= 90.0:
+            raise ValueError("latitude must be in [-90, 90]")
+        if not -180.0 <= self.longitude <= 180.0:
+            raise ValueError("longitude must be in [-180, 180]")
+        if self.rx_bytes < 0.0:
+            raise ValueError("rx_bytes must be >= 0")
+        if not math.isfinite(self.rx_bytes):
+            raise ValueError("rx_bytes is not a number")
+
+
+@dataclass(frozen=True)
+class MobilitySegment:
+    """Interval between two consecutive samples of one user."""
+
+    user_id: str
+    start: datetime
+    end: datetime
+    state: UserClass
+    velocity: float  # km/h
+    rx_bytes: float
+
+
+def compute_velocity(previous, current):
+    """Average speed between two consecutive samples of one user, in km/h."""
+    if previous.user_id != current.user_id:
+        raise ValueError("samples belong to different users")
+    elapsed_s = (current.timestamp - previous.timestamp).total_seconds()
+    if elapsed_s <= 0.0:
+        raise ValueError(
+            f"timestamps must be strictly increasing for user {current.user_id}"
+        )
+    meters = haversine_m(
+        previous.latitude, previous.longitude, current.latitude, current.longitude
+    )
+    return (meters / 1000.0) / (elapsed_s / 3600.0)
+
+
+def reference_build_segments(samples, stationary_cutoff):
+    """One MobilitySegment per consecutive sample pair, in time order."""
+    segments = []
+    for previous, current in zip(samples, samples[1:]):
+        velocity = compute_velocity(previous, current)
+        segments.append(
+            MobilitySegment(
+                user_id=current.user_id,
+                start=previous.timestamp,
+                end=current.timestamp,
+                state=classify_mobility(velocity, stationary_cutoff),
+                velocity=velocity,
+                rx_bytes=current.rx_bytes,
+            )
+        )
+    return segments
+
+
+def reference_aggregate_user(segments):
+    """Per-state MB/day of one user, summed segment by segment."""
+    if not segments:
+        raise InsufficientDataError(
+            "at least two samples are required to aggregate a user"
+        )
+    state_bytes = [0.0, 0.0, 0.0]
+    for segment in segments:
+        state_bytes[segment.state] += segment.rx_bytes
+    span_days = (segments[-1].end - segments[0].start).total_seconds()
+    span_days /= SECONDS_PER_DAY
+    return tuple(b / BYTES_PER_MB / span_days for b in state_bytes)
+
+
+def reference_read_trace_csv(path, strict=True):
+    """Per-user TraceSample lists and (line, reason) pairs of skipped rows."""
+    samples = {}
+    bad = []
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader, None)
+        except csv.Error as exc:
+            raise TraceFormatError(f"unreadable header: {exc}") from None
+        if header is None or tuple(h.strip() for h in header) != TRACE_CSV_HEADER:
+            raise TraceFormatError(
+                f"expected header {','.join(TRACE_CSV_HEADER)!r}, got {header!r}"
+            )
+        while True:
+            line_no = reader.line_num + 1
+            try:
+                row = next(reader)
+            except StopIteration:
+                break
+            except csv.Error as exc:
+                bad.append((line_no, str(exc)))
+                continue
+            if not row:
+                continue
+            try:
+                if len(row) != 5:
+                    raise ValueError(f"expected 5 fields, got {len(row)}")
+                sample = TraceSample(
+                    user_id=row[0].strip(),
+                    timestamp=_parse_timestamp(row[1]),
+                    latitude=float(row[2]),
+                    longitude=float(row[3]),
+                    rx_bytes=float(row[4]),
+                )
+                previous = samples.get(sample.user_id)
+                if previous is None:
+                    try:
+                        sample.user_id.encode("utf-8")
+                    except UnicodeEncodeError:
+                        raise ValueError(
+                            f"user_id {sample.user_id!r} is not valid UTF-8"
+                        ) from None
+                elif sample.timestamp <= previous[-1].timestamp:
+                    raise ValueError(
+                        f"timestamp not increasing for user {sample.user_id}"
+                    )
+            except ValueError as exc:
+                bad.append((line_no, str(exc)))
+                continue
+            samples.setdefault(sample.user_id, []).append(sample)
+    if bad and strict:
+        lines = ", ".join(str(line) for line, _ in bad)
+        first = bad[0]
+        raise TraceFormatError(
+            f"{len(bad)} malformed row(s) at line(s) {lines}; "
+            f"first: line {first[0]}: {first[1]}"
+        )
+    return samples, bad
+
+
+def reference_analyze_trace(samples_by_user, stationary_cutoff, strict=True):
+    """Report and the flat MobilitySegment list, users in sorted order."""
+    triples = []
+    segments = []
+    for user_id in sorted(samples_by_user):
+        user_samples = samples_by_user[user_id]
+        if len(user_samples) < 2:
+            if strict:
+                raise InsufficientDataError(
+                    f"user {user_id} has fewer than two samples"
+                )
+            continue
+        user_segments = reference_build_segments(user_samples, stationary_cutoff)
+        segments.extend(user_segments)
+        triples.append(reference_aggregate_user(user_segments))
+    if not triples:
+        raise InsufficientDataError("no user has two or more samples")
+    return aggregate_population(triples), segments
+
+
+def reference_segment_rows(segments):
+    """segments.csv rows as the per-segment writer built them."""
+    return [
+        (
+            s.user_id,
+            s.start.isoformat(),
+            s.end.isoformat(),
+            s.state.label,
+            s.velocity,
+            s.rx_bytes,
+        )
+        for s in segments
+    ]

@@ -210,26 +210,53 @@ def test_overflowing_grid_db_rejected(tmp_path, config_path, capsys, command):
         ["analyze", "--trace", "DIR"],
         ["evaluate", "--bias", "0", "0", "0", "--config", "DIR"],
         ["evaluate", "--bias", "0", "0", "0", "--out", "FILE"],
+        ["sweep", "--out", "FILE"],
+        ["bandwidth", "--out", "FILE"],
+        ["analyze", "--trace", "TRACE", "--out", "FILE"],
+        ["analyze", "--trace", "TRACE", "--out", "UNDER_FILE"],
+        ["analyze", "--trace", "TRACE", "--stationary-cutoff", "nan"],
+        ["analyze", "--trace", "TRACE", "--stationary-cutoff", "50"],
     ],
     ids=[
         "sweep-nan-volume", "sweep-negative-convexity", "bandwidth-share-above-1",
-        "trace-is-a-dir", "config-is-a-dir", "out-is-a-file",
+        "trace-is-a-dir", "config-is-a-dir", "out-is-a-file", "sweep-out-is-a-file",
+        "bandwidth-out-is-a-file", "analyze-out-is-a-file", "out-is-under-a-file",
+        "nan-cutoff", "cutoff-above-walking",
     ],
 )
 def test_failed_command_is_one_line_and_writes_nothing(
-    tmp_path, config_path, capsys, argv
+    tmp_path, config_path, capsys, monkeypatch, argv
 ):
     out = tmp_path / "out"
     existing = tmp_path / "existing.txt"
     existing.write_text("")
-    places = {"DIR": tmp_path, "FILE": existing}
+    trace = tmp_path / "trace.csv"
+    write_day_trace(trace, (88.58, 14.00, 42.48))
+    places = {
+        "DIR": tmp_path, "FILE": existing, "UNDER_FILE": existing / "sub", "TRACE": trace
+    }
     command, *options = [str(places.get(a, a)) for a in argv]
+    finished = []  # bad input must be refused before any sampling or reading
+
+    def record(owner, name):
+        original = getattr(owner, name)
+
+        def recorded(*args, **kwargs):
+            result = original(*args, **kwargs)
+            finished.append(name)
+            return result
+
+        monkeypatch.setattr(owner, name, recorded)
+
+    record(coverage, "sample_deployment")
+    record(cli, "read_trace_csv")
     # a later --config or --out replaces the defaults given first
     code = run([command, "--config", config_path, "--out", str(out), *options])
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert not out.exists()
+    assert finished == []
 
 
 def lat_step(meters):

@@ -5,6 +5,13 @@ import math
 from datetime import datetime, timedelta, timezone
 
 import pytest
+from helpers import (
+    TraceSample,
+    compute_velocity,
+    reference_analyze_trace,
+    reference_read_trace_csv,
+    reference_segment_rows,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,17 +19,17 @@ from convexcell import (
     EARTH_RADIUS_M,
     InsufficientDataError,
     TraceFormatError,
-    TraceSample,
     UserClass,
+    UserTrace,
     aggregate_population,
     aggregate_user,
     analyze_trace,
     build_segments,
     classify_mobility,
-    compute_velocity,
     haversine_m,
     read_trace_csv,
 )
+from convexcell.cli import segment_rows
 
 T0 = datetime(2015, 6, 1, 0, 0, tzinfo=timezone.utc)
 FIVE_MIN = timedelta(minutes=5)
@@ -33,16 +40,33 @@ def lat_step(meters):
     return meters / EARTH_RADIUS_M * 180.0 / math.pi
 
 
-def walk_user(user_id, legs, start=T0):
-    """Samples from (minutes_from_start, meters_moved_north, rx_bytes) legs."""
-    samples = [TraceSample(user_id, start, 0.0, 0.0, 0.0)]
+def walk_user(legs, start=T0):
+    """Trace from (minutes_from_start, meters_moved_north, rx_bytes) legs."""
+    trace = UserTrace([start], [0.0], [0.0], [0.0])
     lat = 0.0
     for minutes, meters, rx in legs:
         lat += lat_step(meters)
-        samples.append(
-            TraceSample(user_id, start + timedelta(minutes=minutes), lat, 0.0, rx)
-        )
-    return samples
+        trace.timestamps.append(start + timedelta(minutes=minutes))
+        trace.latitudes.append(lat)
+        trace.longitudes.append(0.0)
+        trace.rx_bytes.append(rx)
+    return trace
+
+
+def pair_velocity(lat1, lon1, lat2, lon2, elapsed=timedelta(minutes=5)):
+    """build_segments velocity of one two-sample trace."""
+    trace = UserTrace([T0, T0 + elapsed], [lat1, lat2], [lon1, lon2], [0.0, 1.0])
+    [velocity], _ = build_segments(trace)
+    return velocity
+
+
+def user_volumes(trace):
+    """aggregate_user over the trace's own build_segments states."""
+    return aggregate_user(trace, build_segments(trace)[1])
+
+
+def single_sample():
+    return UserTrace([T0], [0.0], [0.0], [0.0])
 
 
 # one observed day: 40.63 MB stationary, 2.09 walking, 4.93 vehicular
@@ -76,33 +100,30 @@ class TestHaversine:
 
 
 class TestComputeVelocity:
+    """Segment velocities of build_segments; the user check is the oracle's."""
+
     def test_colocated_samples(self):
-        a = TraceSample("u", T0, 37.0, 127.0, 0.0)
-        b = TraceSample("u", T0 + FIVE_MIN, 37.0, 127.0, 1.0)
-        assert compute_velocity(a, b) == 0.0
+        assert pair_velocity(37.0, 127.0, 37.0, 127.0) == 0.0
 
     def test_vehicular_average_speed(self):
         # 2658.333 m in 5 minutes is the 31.9 km/h mean vehicular speed
-        a = TraceSample("u", T0, 0.0, 0.0, 0.0)
-        b = TraceSample("u", T0 + FIVE_MIN, lat_step(2658.3333333), 0.0, 0.0)
-        assert compute_velocity(a, b) == pytest.approx(31.9, rel=1e-6)
+        velocity = pair_velocity(0.0, 0.0, lat_step(2658.3333333), 0.0)
+        assert velocity == pytest.approx(31.9, rel=1e-6)
 
     def test_walking_average_speed(self):
-        a = TraceSample("u", T0, 0.0, 0.0, 0.0)
-        b = TraceSample("u", T0 + FIVE_MIN, lat_step(215.0), 0.0, 0.0)
-        assert compute_velocity(a, b) == pytest.approx(2.58, rel=1e-6)
+        velocity = pair_velocity(0.0, 0.0, lat_step(215.0), 0.0)
+        assert velocity == pytest.approx(2.58, rel=1e-6)
 
     def test_user_mismatch_rejected(self):
+        # a UserTrace holds one user, so only the per-sample oracle can mix them
         a = TraceSample("u", T0, 0.0, 0.0, 0.0)
         b = TraceSample("v", T0 + FIVE_MIN, 0.0, 0.0, 0.0)
         with pytest.raises(ValueError, match="different users"):
             compute_velocity(a, b)
 
     def test_non_increasing_time_rejected(self):
-        a = TraceSample("u", T0, 0.0, 0.0, 0.0)
-        b = TraceSample("u", T0, 1.0, 0.0, 0.0)
         with pytest.raises(ValueError, match="increasing"):
-            compute_velocity(a, b)
+            pair_velocity(0.0, 0.0, 1.0, 0.0, elapsed=timedelta(0))
 
 
 class TestClassifyMobility:
@@ -132,13 +153,25 @@ class TestClassifyMobility:
 
 
 class TestSampleValidation:
-    def test_coordinate_ranges(self):
-        with pytest.raises(ValueError, match="latitude"):
-            TraceSample("u", T0, 91.0, 0.0, 0.0)
-        with pytest.raises(ValueError, match="longitude"):
-            TraceSample("u", T0, 0.0, 190.0, 0.0)
-        with pytest.raises(ValueError, match="rx_bytes"):
-            TraceSample("u", T0, 0.0, 0.0, -1.0)
+    """Row checks of read_trace_csv: each bad value skips its row with a reason."""
+
+    def test_coordinate_ranges(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        write_trace(
+            path,
+            [
+                "u,2015-06-01T00:00:00Z,91.0,0.0,0\n",
+                "u,2015-06-01T00:00:00Z,0.0,190.0,0\n",
+                "u,2015-06-01T00:00:00Z,0.0,0.0,-1.0\n",
+            ],
+        )
+        traces, bad = read_trace_csv(path, strict=False)
+        assert traces == {}
+        assert bad == [
+            (2, "latitude must be in [-90, 90]"),
+            (3, "longitude must be in [-180, 180]"),
+            (4, "rx_bytes must be >= 0"),
+        ]
 
     @pytest.mark.parametrize(
         "rx_bytes, reason",
@@ -149,45 +182,41 @@ class TestSampleValidation:
             (-5.0, "rx_bytes must be >= 0"),
         ],
     )
-    def test_rx_bytes_must_be_finite(self, rx_bytes, reason):
-        with pytest.raises(ValueError) as excinfo:
-            TraceSample("u", T0, 0.0, 0.0, rx_bytes)
-        assert str(excinfo.value) == reason
+    def test_rx_bytes_must_be_finite(self, tmp_path, rx_bytes, reason):
+        path = tmp_path / "trace.csv"
+        write_trace(path, [f"u,2015-06-01T00:00:00Z,0.0,0.0,{rx_bytes!r}\n"])
+        assert read_trace_csv(path, strict=False) == ({}, [(2, reason)])
 
 
 class TestBuildSegments:
     def test_segment_fields(self):
-        samples = walk_user("u", DAY_2012)
-        segments = build_segments(samples)
-        assert len(segments) == len(samples) - 1
-        states = [s.state for s in segments]
+        trace = walk_user(DAY_2012)
+        velocities, states = build_segments(trace)
+        assert len(velocities) == len(states) == len(trace) - 1
         assert states == [
             UserClass.STATIONARY,
             UserClass.WALKING,
             UserClass.VEHICULAR,
             UserClass.STATIONARY,
         ]
-        for segment, (prev, cur) in zip(segments, zip(samples, samples[1:])):
-            assert segment.start == prev.timestamp
-            assert segment.end == cur.timestamp
-            assert segment.rx_bytes == cur.rx_bytes
-            assert segment.state is classify_mobility(segment.velocity)
+        for velocity, state in zip(velocities, states):
+            assert state is classify_mobility(velocity)
 
     @given(st.lists(st.floats(0.0, 3000.0), min_size=2, max_size=8))
     def test_states_consistent_with_velocity(self, hops):
         legs = [
             ((i + 1) * 5, meters, 1000.0) for i, meters in enumerate(hops)
         ]
-        segments = build_segments(walk_user("u", legs))
-        for segment in segments:
-            assert segment.velocity >= 0.0
-            assert segment.state is classify_mobility(segment.velocity)
+        velocities, states = build_segments(walk_user(legs))
+        for velocity, state in zip(velocities, states):
+            assert velocity >= 0.0
+            assert state is classify_mobility(velocity)
 
 
 class TestAggregateUser:
     def test_all_stationary(self):
         legs = [(5, 0.0, 10e6), (10, 0.0, 20e6), (24 * 60, 0.0, 0.0)]
-        volumes = aggregate_user(build_segments(walk_user("u", legs)))
+        volumes = user_volumes(walk_user(legs))
         assert volumes == pytest.approx((30.0, 0.0, 0.0))
 
     def test_hand_built_mixed_day(self):
@@ -197,7 +226,7 @@ class TestAggregateUser:
             (15, 2658.3333333, 20e6),
             (24 * 60, 0.0, 0.0),
         ]
-        volumes = aggregate_user(build_segments(walk_user("u", legs)))
+        volumes = user_volumes(walk_user(legs))
         assert volumes == pytest.approx((50.0, 5.0, 20.0), rel=1e-9)
 
     def test_two_identical_days_average_out(self):
@@ -216,23 +245,23 @@ class TestAggregateUser:
                 (24 * 60, 0.0, 0.0),
             ]
         ]
-        single = aggregate_user(build_segments(walk_user("u", one_day)))
-        double = aggregate_user(build_segments(walk_user("u", one_day + second_day)))
+        single = user_volumes(walk_user(one_day))
+        double = user_volumes(walk_user(one_day + second_day))
         assert double == pytest.approx(single, rel=1e-9)
 
     def test_bytes_conserved(self):
-        samples = walk_user("u", DAY_2012)
-        volumes = aggregate_user(build_segments(samples))
+        trace = walk_user(DAY_2012)
+        volumes = user_volumes(trace)
         span_days = (
-            samples[-1].timestamp - samples[0].timestamp
+            trace.timestamps[-1] - trace.timestamps[0]
         ).total_seconds() / 86400.0
         attributed = sum(volumes) * span_days * 1e6
-        fed_in = sum(s.rx_bytes for s in samples[1:])
+        fed_in = sum(trace.rx_bytes[1:])
         assert attributed == pytest.approx(fed_in, rel=1e-12)
 
     def test_requires_two_samples(self):
         with pytest.raises(InsufficientDataError):
-            aggregate_user(build_segments([TraceSample("u", T0, 0.0, 0.0, 0.0)]))
+            user_volumes(single_sample())
 
 
 class TestAggregatePopulation:
@@ -290,14 +319,13 @@ class TestAggregatePopulation:
 
     @given(st.floats(1e-3, 1e3))
     def test_convexity_scale_invariance(self, k):
-        base = walk_user("u", DAY_2012)
-        scaled = [
-            TraceSample(s.user_id, s.timestamp, s.latitude, s.longitude,
-                        s.rx_bytes * k)
-            for s in base
-        ]
-        report_a = aggregate_population([aggregate_user(build_segments(base))])
-        report_b = aggregate_population([aggregate_user(build_segments(scaled))])
+        base = walk_user(DAY_2012)
+        scaled = UserTrace(
+            base.timestamps, base.latitudes, base.longitudes,
+            [rx * k for rx in base.rx_bytes],
+        )
+        report_a = aggregate_population([user_volumes(base)])
+        report_b = aggregate_population([user_volumes(scaled)])
         assert report_b.user_convexity == pytest.approx(
             report_a.user_convexity, rel=1e-9
         )
@@ -349,12 +377,14 @@ class TestReadTraceCsv:
                 "u2,2015-06-01T00:00:00,0.0,0.0,500\n",
             ],
         )
-        samples, bad = read_trace_csv(path)
+        traces, bad = read_trace_csv(path)
         assert not bad
-        assert set(samples) == {"u1", "u2"}
-        assert len(samples["u1"]) == 2
-        assert samples["u1"][0].timestamp == T0  # Z and naive both read as UTC
-        assert samples["u2"][0].rx_bytes == 500.0
+        assert set(traces) == {"u1", "u2"}
+        assert traces["u1"] == UserTrace(
+            [T0, T0 + FIVE_MIN], [0.0, 0.001], [0.0, 0.0], [0.0, 1000.0]
+        )
+        assert traces["u2"].timestamps == [T0]  # Z and naive both read as UTC
+        assert traces["u2"].rx_bytes == [500.0]
 
     def test_header_required(self, tmp_path):
         path = tmp_path / "trace.csv"
@@ -390,9 +420,9 @@ class TestReadTraceCsv:
                 "u1,2015-06-01T00:05:00Z,0.0,0.0,10\n",
             ],
         )
-        samples, bad = read_trace_csv(path, strict=False)
+        traces, bad = read_trace_csv(path, strict=False)
         assert [line for line, _ in bad] == [3]
-        assert len(samples["u1"]) == 2
+        assert len(traces["u1"]) == 2
 
     def test_lenient_mode_skips_infinite_bytes(self, tmp_path):
         path = tmp_path / "trace.csv"
@@ -404,9 +434,9 @@ class TestReadTraceCsv:
                 "u1,2015-06-01T00:10:00Z,0.0,0.0,10\n",
             ],
         )
-        samples, bad = read_trace_csv(path, strict=False)
+        traces, bad = read_trace_csv(path, strict=False)
         assert bad == [(3, "rx_bytes is not a number")]
-        assert [s.rx_bytes for s in samples["u1"]] == [0.0, 10.0]
+        assert traces["u1"].rx_bytes == [0.0, 10.0]
 
     @pytest.mark.parametrize(
         "stamp", ["0001-01-01T00:00:00+01:00", "9999-12-31T23:30:00-01:00"]
@@ -414,8 +444,8 @@ class TestReadTraceCsv:
     def test_timestamp_beyond_utc_range_is_a_bad_row(self, tmp_path, stamp):
         path = tmp_path / "trace.csv"
         write_trace(path, [f"u1,{stamp},0.0,0.0,0\n"])
-        samples, bad = read_trace_csv(path, strict=False)
-        assert samples == {}
+        traces, bad = read_trace_csv(path, strict=False)
+        assert traces == {}
         assert [line for line, _ in bad] == [2]
         assert "out of range" in bad[0][1]
 
@@ -427,17 +457,20 @@ class TestReadTraceCsv:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(TRACE_HEADER.strip().split(","))
             writer.writerow(data_row)
-        samples, bad = read_trace_csv(path, strict=False)
+        traces, bad = read_trace_csv(path, strict=False)
         if bad:
-            assert samples == {}
+            assert traces == {}
             [(line, reason)] = bad
             assert line == 2 and reason
             return
-        [[sample]] = samples.values()
-        assert math.isfinite(sample.rx_bytes) and sample.rx_bytes >= 0.0
-        assert -90.0 <= sample.latitude <= 90.0
-        assert -180.0 <= sample.longitude <= 180.0
-        assert sample.timestamp.utcoffset() == timedelta(0)
+        [trace] = traces.values()
+        [stamp], [lat], [lon], [rx] = (
+            trace.timestamps, trace.latitudes, trace.longitudes, trace.rx_bytes
+        )
+        assert math.isfinite(rx) and rx >= 0.0
+        assert -90.0 <= lat <= 90.0
+        assert -180.0 <= lon <= 180.0
+        assert stamp.utcoffset() == timedelta(0)
 
     def test_oversized_field_is_a_bad_row(self, tmp_path):
         path = tmp_path / "trace.csv"
@@ -451,10 +484,10 @@ class TestReadTraceCsv:
                 "u1,2015-06-01T00:10:00Z,0.0,0.0,20\n",
             ],
         )
-        samples, bad = read_trace_csv(path, strict=False)
+        traces, bad = read_trace_csv(path, strict=False)
         assert [line for line, _ in bad] == [3, 5]
         assert "field larger than field limit" in bad[0][1]
-        assert [s.rx_bytes for s in samples["u1"]] == [0.0, 10.0, 20.0]
+        assert traces["u1"].rx_bytes == [0.0, 10.0, 20.0]
         with pytest.raises(TraceFormatError, match="line.s. 3, 5;"):
             read_trace_csv(path, strict=True)
 
@@ -466,11 +499,11 @@ class TestReadTraceCsv:
             + b"u\xff1,2015-06-01T00:05:00Z,0.0,0.0,10\n"
             + b"u1,2015-06-01T00:10:00Z,0.0,0.0,20\n"
         )
-        samples, bad = read_trace_csv(path, strict=False)
+        traces, bad = read_trace_csv(path, strict=False)
         assert [line for line, _ in bad] == [3]
         assert "not valid UTF-8" in bad[0][1]
-        assert list(samples) == ["u1"]
-        assert [s.rx_bytes for s in samples["u1"]] == [0.0, 20.0]
+        assert list(traces) == ["u1"]
+        assert traces["u1"].rx_bytes == [0.0, 20.0]
         with pytest.raises(TraceFormatError, match="line 3: user_id .* UTF-8"):
             read_trace_csv(path, strict=True)
 
@@ -483,9 +516,9 @@ class TestReadTraceCsv:
                 "u1,not-a-time,0.0,0.0,10\n",
             ],
         )
-        samples, bad = read_trace_csv(path, strict=False)
+        traces, bad = read_trace_csv(path, strict=False)
         assert [line for line, _ in bad] == [4]
-        assert list(samples) == ["u\n2"]
+        assert list(traces) == ["u\n2"]
 
     def test_blank_lines_ignored(self, tmp_path):
         path = tmp_path / "trace.csv"
@@ -497,31 +530,32 @@ class TestReadTraceCsv:
                 "u1,2015-06-01T00:05:00Z,0.0,0.0,10\n",
             ],
         )
-        samples, bad = read_trace_csv(path)
+        traces, bad = read_trace_csv(path)
         assert not bad
-        assert len(samples["u1"]) == 2
+        assert len(traces["u1"]) == 2
 
     def test_offset_timestamps_normalize_to_utc(self, tmp_path):
         path = tmp_path / "trace.csv"
         write_trace(path, ["u1,2015-06-01T09:00:00+09:00,0.0,0.0,0\n"])
-        samples, _ = read_trace_csv(path)
-        assert samples["u1"][0].timestamp == T0
+        traces, _ = read_trace_csv(path)
+        assert traces["u1"].timestamps == [T0]
 
 
 class TestAnalyzeTrace:
     def test_single_user_pipeline(self):
-        report, segments = analyze_trace({"u1": walk_user("u1", DAY_2012)})
+        report, segments = analyze_trace({"u1": walk_user(DAY_2012)})
         assert report.user_count == 1
         assert report.per_state_volume == pytest.approx(
             (40.63, 2.09, 4.93), rel=1e-9
         )
         assert report.user_convexity == pytest.approx(2.3588516746, abs=1e-6)
-        assert len(segments) == 4
+        velocities, states = segments["u1"]
+        assert len(velocities) == len(states) == 4
 
     def test_strict_rejects_single_sample_users(self):
         data = {
-            "u1": walk_user("u1", DAY_2012),
-            "u2": [TraceSample("u2", T0, 0.0, 0.0, 0.0)],
+            "u1": walk_user(DAY_2012),
+            "u2": single_sample(),
         }
         with pytest.raises(InsufficientDataError, match="u2"):
             analyze_trace(data, strict=True)
@@ -530,24 +564,128 @@ class TestAnalyzeTrace:
 
     def test_no_usable_users(self):
         with pytest.raises(InsufficientDataError):
-            analyze_trace({"u1": [TraceSample("u1", T0, 0.0, 0.0, 0.0)]},
-                          strict=False)
+            analyze_trace({"u1": single_sample()}, strict=False)
+
+    @pytest.mark.parametrize("cutoff", [50.0, math.nan])
+    def test_cutoff_checked_before_users(self, cutoff):
+        # named even when no user has the two samples a segment needs
+        with pytest.raises(ValueError, match="stationary_cutoff"):
+            analyze_trace(
+                {"u1": single_sample()}, stationary_cutoff=cutoff, strict=False
+            )
 
     def test_all_stationary_yields_undefined_convexity(self):
         legs = [(5, 0.0, 10e6), (24 * 60, 0.0, 0.0)]
-        report, _ = analyze_trace({"u1": walk_user("u1", legs)})
+        report, _ = analyze_trace({"u1": walk_user(legs)})
         assert report.user_convexity is None
         assert report.per_state_volume[UserClass.STATIONARY] == pytest.approx(10.0)
 
     def test_deterministic(self):
-        data = {"u1": walk_user("u1", DAY_2012)}
+        data = {"u1": walk_user(DAY_2012)}
         assert analyze_trace(data)[0] == analyze_trace(data)[0]
 
     def test_report_serialization(self):
-        report, _ = analyze_trace({"u1": walk_user("u1", DAY_2012)})
+        report, _ = analyze_trace({"u1": walk_user(DAY_2012)})
         payload = report.to_dict()
         assert payload["user_count"] == 1
         assert payload["per_state_volume_mb_per_day"]["vehicular"] == pytest.approx(
             4.93, rel=1e-9
         )
         assert payload["user_convexity"] == report.user_convexity
+
+
+# Generated traces for the oracle cross-check: interleaved users on one
+# clock (so stamps repeat across users), sub-second steps, the same instant
+# written as Z, +00:00, naive and +09:00, users seen once, and each of the
+# seven malformed-row kinds of perfbench/tracegen.py.
+ORACLE_USERS = ("u0", "u1", "u 2", "u,3")
+STAMP_STYLES = ("Z", "+00:00", "naive", "+09:00")
+MALFORMED_KINDS = 7
+ORACLE_EVENTS = st.lists(
+    st.tuples(
+        st.integers(0, len(ORACLE_USERS) - 1),
+        st.sampled_from([0.0, 0.25, 1.5, 60.0, 300.0, 3600.0]),  # seconds
+        st.sampled_from([0.0, 1e-5, 2e-4, 3e-3]),  # degrees north
+        st.integers(0, 10**6),  # rx bytes
+        st.sampled_from(STAMP_STYLES),
+        st.one_of(st.none(), st.none(), st.integers(0, MALFORMED_KINDS - 1)),
+    ),
+    max_size=30,
+)
+
+
+def styled_stamp(instant, style):
+    """ISO text of a naive UTC instant in one of STAMP_STYLES."""
+    if style == "+09:00":
+        return (instant + timedelta(hours=9)).isoformat() + "+09:00"
+    return instant.isoformat() + {"Z": "Z", "+00:00": "+00:00", "naive": ""}[style]
+
+
+def malformed(row, kind):
+    """The rows written for one sample: valid, or broken one of seven ways."""
+    user_id, stamp, lat, lon, rx = row
+    return [
+        [user_id, stamp, lat, lon],
+        [user_id, "2015-13-45T99:00:00Z", lat, lon, rx],
+        [user_id, stamp, "91.5", lon, rx],
+        [user_id, stamp, lat, "east", rx],
+        [user_id, stamp, lat, lon, "-5"],
+        [user_id, stamp, lat, lon, "nan"],
+        row,  # written twice: the repeat is not increasing for this user
+    ][kind]
+
+
+def write_events(path, events):
+    clocks = [datetime(2015, 6, 1)] * len(ORACLE_USERS)
+    lats = [37.5] * len(ORACLE_USERS)
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(TRACE_HEADER.strip().split(","))
+        for user, step_s, north, rx, style, kind in events:
+            clocks[user] += timedelta(seconds=step_s)
+            lats[user] += north
+            row = [
+                ORACLE_USERS[user], styled_stamp(clocks[user], style),
+                repr(lats[user]), "127.0", str(rx),
+            ]
+            if kind == MALFORMED_KINDS - 1:
+                writer.writerow(row)
+            writer.writerow(row if kind is None else malformed(row, kind))
+
+
+def pipeline_outcome(read, analyze, rows, path, cutoff, strict):
+    """Skipped rows, report and segment rows, or the error that stopped them."""
+    try:
+        traces, skipped = read(path, strict=strict)
+    except TraceFormatError as exc:
+        return str(exc)
+    try:
+        report, segments = analyze(traces, cutoff, strict=strict)
+    except InsufficientDataError as exc:
+        return skipped, str(exc)
+    return skipped, report, rows(traces, segments)
+
+
+class TestColumnarMatchesOracle:
+    @settings(max_examples=150)
+    @given(
+        events=ORACLE_EVENTS,
+        cutoff=st.sampled_from([0.0, 0.5, 5.0]),
+        strict=st.booleans(),
+    )
+    def test_same_rows_report_and_skips(self, tmp_path_factory, events, cutoff, strict):
+        path = tmp_path_factory.getbasetemp() / "oracle_trace.csv"
+        write_events(path, events)
+        columnar = pipeline_outcome(
+            read_trace_csv,
+            analyze_trace,
+            lambda traces, segments: list(segment_rows(traces, segments)),
+            path, cutoff, strict,
+        )
+        oracle = pipeline_outcome(
+            reference_read_trace_csv,
+            reference_analyze_trace,
+            lambda _, segments: reference_segment_rows(segments),
+            path, cutoff, strict,
+        )
+        assert columnar == oracle
