@@ -100,6 +100,10 @@ def _prepare_outputs(manifest: RunManifest, names: Sequence[str]) -> dict[str, P
     if not nearest.is_dir():
         raise CliError(f"--out {out_dir}: {nearest} is not a directory")
     paths = {name: out_dir / name for name in names}
+    # --overwrite replaces files only; a directory would fail mid-write
+    directories = [str(p) for p in paths.values() if p.is_dir()]
+    if directories:
+        raise CliError(f"output {', '.join(directories)} is a directory")
     if not manifest.overwrite:
         existing = [str(p) for p in paths.values() if p.exists()]
         if existing:

@@ -9,6 +9,7 @@ vectors evaluated against one config see identical deployments and fading
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
 from typing import Iterable
 
@@ -78,6 +79,10 @@ def handover_efficiency(
     return max(0.0, 1.0 - rate * config.handover_delay)
 
 
+# links per user block of a trial's reduction: a block's distance, power and
+# instantaneous-power matrices (8 bytes per link each) then fit in L2
+BLOCK_LINKS = 1 << 16
+
 # NetworkConfig fields a trial's deployment and mean powers depend on; the
 # profiles' density_fraction values are part of the key as well
 GEOMETRY_FIELDS = (
@@ -102,6 +107,15 @@ def _geometry_key(config: NetworkConfig) -> tuple:
     )
 
 
+def _worker_count(trials: int) -> int:
+    """Usable CPUs, at most one per trial."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has CPU affinity
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, trials))
+
+
 class TrialGeometry:
     """Per-(user, trial) link quantities of every trial, built once.
 
@@ -118,6 +132,12 @@ class TrialGeometry:
     per user-trial, about 5 MB at the defaults (500 users, 200 trials), and
     are read-only. ``deployments`` replaces the sampled trials, for example
     with hand-built ones; the key is still taken from ``config``.
+
+    Trials are sampled and reduced on one thread per usable CPU, each trial
+    in blocks of about ``BLOCK_LINKS`` links, so the build holds about
+    workers x (one fading matrix + one block) of link data at a time. Each
+    trial is a pure function of ``(seed, trial)`` and is collected in trial
+    order, so the arrays do not depend on the number of threads.
     """
 
     def __init__(
@@ -126,11 +146,6 @@ class TrialGeometry:
         deployments: Iterable[Deployment] | None = None,
     ) -> None:
         self.key = _geometry_key(config)
-        if deployments is None:
-            deployments = (
-                sample_deployment(config, t) for t in range(config.trials)
-            )
-
         counts = config.class_counts()
         for cls, count in zip(UserClass, counts):
             if count == 0:
@@ -139,21 +154,36 @@ class TrialGeometry:
                     "increase user_count or its density_fraction"
                 )
 
-        parts: dict[str, list[np.ndarray]] = {}
-        station_offset = 0
-        for deployment in deployments:
-            for name, array in self._reduce(config, deployment, station_offset).items():
-                parts.setdefault(name, []).append(array)
-            station_offset += deployment.n_stations
-        if not parts:
+        jobs = range(config.trials) if deployments is None else list(deployments)
+        if not jobs:
             raise EstimationError("at least one trial is required")
 
-        self.trials = len(parts["cls"])
+        def reduce_trial(job: int | Deployment) -> tuple[dict[str, np.ndarray], int]:
+            deployment = sample_deployment(config, job) if deployments is None else job
+            return self._reduce(config, deployment)
+
+        # imported here, not at module level: the import takes about 8 ms,
+        # which commands that build no geometry (analyze) need not pay
+        from concurrent.futures import ThreadPoolExecutor
+
+        # numpy's ufuncs and fading draws release the GIL; map yields in
+        # trial order and cancels the trials not yet started if one raises
+        with ThreadPoolExecutor(_worker_count(len(jobs))) as pool:
+            reduced = list(pool.map(reduce_trial, jobs))
+
+        parts = []
+        station_offset = 0
+        for arrays, n_stations in reduced:
+            arrays["gid_macro"] += station_offset
+            station_offset += n_stations
+            parts.append(arrays)
+        self.trials = len(parts)
         self.n_station_ids = station_offset
         # users grouped by class, so each class is one contiguous slice
-        order = np.argsort(np.concatenate(parts["cls"]), kind="stable")
-        for name in list(parts):  # pop frees each name's per-trial arrays early
-            array = np.concatenate(parts.pop(name))[order]
+        order = np.argsort(np.concatenate([p["cls"] for p in parts]), kind="stable")
+        for name in list(parts[0]):
+            # pop frees each name's per-trial arrays early
+            array = np.concatenate([p.pop(name) for p in parts])[order]
             array.flags.writeable = False
             setattr(self, name, array)
         ends = np.cumsum(np.bincount(self.cls, minlength=3))
@@ -163,41 +193,77 @@ class TrialGeometry:
 
     @staticmethod
     def _reduce(
-        config: NetworkConfig, deployment: Deployment, station_offset: int
-    ) -> dict[str, np.ndarray]:
+        config: NetworkConfig, deployment: Deployment
+    ) -> tuple[dict[str, np.ndarray], int]:
         """Collapse one trial to per-user best-of-tier link quantities.
 
-        Each key names the geometry attribute its array is concatenated into.
+        Returns the arrays, each keyed by the geometry attribute it is
+        concatenated into, with trial-local station ids in ``gid_macro``,
+        and the trial's station count. Users are reduced in row blocks of
+        about ``BLOCK_LINKS`` links.
         """
-        mean_power = mean_power_matrix(deployment, config)
-        inst_power = mean_power * deployment.fading
         n_users = deployment.n_users
         n_macro = deployment.n_macro
-        rows = np.arange(n_users)
-
-        best_macro = np.argmax(mean_power[:, :n_macro], axis=1)
-        if deployment.n_small > 0:
-            best_small = np.argmax(mean_power[:, n_macro:], axis=1) + n_macro
-            pw_small = mean_power[rows, best_small]
-            sig_small = inst_power[rows, best_small]
-        else:
-            # no small tier: zero power is never selected by the bias compare
-            best_small = best_macro
-            pw_small = np.zeros(n_users)
-            sig_small = np.zeros(n_users)
-
-        return {
+        has_small = deployment.n_small > 0
+        out = {
             "cls": deployment.user_classes.astype(np.int8),
-            "pw_macro": mean_power[rows, best_macro],
-            "pw_small": pw_small,
-            # int32 ids halve the part memo; the step turns the per-user choice
-            # of serving id into arithmetic instead of a much slower np.where
-            "gid_macro": (best_macro + station_offset).astype(np.int32),
-            "gid_step": (best_small - best_macro).astype(np.int32),
-            "sig_macro": inst_power[rows, best_macro],
-            "sig_small": sig_small,
-            "total_inst": inst_power.sum(axis=1),
+            "pw_macro": np.empty(n_users),
+            # no small tier: zero power is never selected by the bias compare
+            "pw_small": np.zeros(n_users),
+            # int32 ids halve the part memo; the step turns the per-user
+            # choice of serving id into arithmetic instead of a much slower
+            # np.where
+            "gid_macro": np.empty(n_users, dtype=np.int32),
+            "gid_step": np.zeros(n_users, dtype=np.int32),
+            "sig_macro": np.empty(n_users),
+            "sig_small": np.zeros(n_users),
+            "total_inst": np.empty(n_users),
         }
+        step = max(1, BLOCK_LINKS // deployment.n_stations)
+        for start in range(0, n_users, step):
+            users = slice(start, start + step)
+            block = replace(
+                deployment,
+                user_positions=deployment.user_positions[users],
+                user_classes=deployment.user_classes[users],
+                fading=deployment.fading[users],
+            )
+            mean_power = mean_power_matrix(block, config)
+            inst_power = mean_power * block.fading
+            rows = np.arange(block.n_users)
+            best_macro = np.argmax(mean_power[:, :n_macro], axis=1)
+            out["pw_macro"][users] = mean_power[rows, best_macro]
+            out["sig_macro"][users] = inst_power[rows, best_macro]
+            out["gid_macro"][users] = best_macro
+            if has_small:
+                best_small = np.argmax(mean_power[:, n_macro:], axis=1) + n_macro
+                out["pw_small"][users] = mean_power[rows, best_small]
+                out["sig_small"][users] = inst_power[rows, best_small]
+                out["gid_step"][users] = best_small - best_macro
+            inst_power.sum(axis=1, out=out["total_inst"][users])
+        return out, deployment.n_stations
+
+
+def _rate_factors(
+    geo: TrialGeometry, signal: np.ndarray, eff: np.ndarray, config: NetworkConfig
+) -> np.ndarray:
+    """efficiency * log2(1 + SINR) * W per user for one tier's signal.
+
+    SINR is signal / (total - signal + noise * W). Computed in place in one
+    new array, in the operation order of the formula; the division by the
+    load is applied per candidate.
+    """
+    bandwidth = config.bandwidth
+    factor = np.subtract(geo.total_inst, signal)
+    factor += config.noise_power * bandwidth
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(signal, factor, out=factor)
+    np.log1p(factor, out=factor)
+    for cls, users in enumerate(geo.class_slices):
+        factor[users] *= eff[cls]
+    factor /= math.log(2.0)
+    factor *= bandwidth
+    return factor
 
 
 class CoverageEstimator:
@@ -259,22 +325,23 @@ class CoverageEstimator:
             )
 
         # bandwidth-dependent per-user rate factors
-        bandwidth = config.bandwidth
-        noise = config.noise_power * bandwidth
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sinr_macro = geo.sig_macro / (geo.total_inst - geo.sig_macro + noise)
-            sinr_small = np.where(
-                geo.pw_small > 0.0,
-                geo.sig_small / (geo.total_inst - geo.sig_small + noise),
-                0.0,
-            )
-        # efficiency * log2(1 + SINR) * W; division by the load applied later
-        eff_macro = eff[geo.cls, Tier.MACRO]
-        eff_small = eff[geo.cls, Tier.SMALL]
-        self._scaled_macro = eff_macro * np.log1p(sinr_macro) / math.log(2.0) * bandwidth
-        self._scaled_small = eff_small * np.log1p(sinr_small) / math.log(2.0) * bandwidth
+        self._scaled_macro = _rate_factors(
+            geo, geo.sig_macro, eff[:, Tier.MACRO], config
+        )
+        self._scaled_small = _rate_factors(
+            geo, geo.sig_small, eff[:, Tier.SMALL], config
+        )
+        # no small tier in the trial: zero SINR, as its power is zero
+        np.copyto(self._scaled_small, 0.0, where=geo.pw_small <= 0.0)
         self._cache: dict[tuple[float, float, float], CoverageReport] = {}
         self._parts: dict[tuple[int, float], tuple[np.ndarray, ...]] = {}
+        # evaluate's working arrays: float station loads (exact counts, so
+        # the divide needs no conversion), and per-user rates and outcomes
+        # sized for the largest class
+        largest = max(users.stop - users.start for users in geo.class_slices)
+        self._loads = np.empty(geo.n_station_ids)
+        self._rates = np.empty(largest)
+        self._covered = np.empty(largest, dtype=bool)
 
     def with_bandwidth(self, bandwidth: float) -> "CoverageEstimator":
         """Estimator bound to the same geometry and demand at another bandwidth."""
@@ -292,13 +359,19 @@ class CoverageEstimator:
             return cached
 
         parts = [self._part(cls, value) for cls, value in enumerate(key)]
-        # float loads hold exact counts and spare the divide a conversion
-        loads = (parts[0][2] + parts[1][2] + parts[2][2]).astype(np.float64)
-        per_class = [
-            # take gathers with int32 ids without first copying them to intp
-            np.count_nonzero(scaled / loads.take(gid) >= requirement) / gid.size
-            for (gid, scaled, _), requirement in zip(parts, self._requirements)
-        ]
+        loads = self._loads
+        np.add(parts[0][2], parts[1][2], out=loads)
+        np.add(loads, parts[2][2], out=loads)
+        per_class = []
+        for (gid, scaled, _), requirement in zip(parts, self._requirements):
+            rates = self._rates[: gid.size]
+            covered = self._covered[: gid.size]
+            # take gathers with int32 ids without first copying them to intp;
+            # ids are always in range, and mode="raise" would buffer out
+            loads.take(gid, out=rates, mode="clip")
+            np.divide(scaled, rates, out=rates)
+            np.greater_equal(rates, requirement, out=covered)
+            per_class.append(np.count_nonzero(covered) / gid.size)
         average = float(np.dot(self._fractions, per_class))
         feasible = bool(np.all(np.asarray(per_class) >= self._min_coverage))
         report = CoverageReport(

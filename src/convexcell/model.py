@@ -379,19 +379,27 @@ def sample_deployment(config: NetworkConfig, trial_index: int) -> Deployment:
 
 
 def link_distances(deployment: Deployment) -> np.ndarray:
-    """(n_users, n_stations) matrix of user-to-station distances in meters."""
+    """(n_users, n_stations) matrix of user-to-station distances in meters.
+
+    The x and y offsets are built as contiguous matrices, so hypot streams
+    through memory instead of striding over interleaved pairs.
+    """
+    users = deployment.user_positions
     stations = deployment.station_positions()
-    delta = deployment.user_positions[:, None, :] - stations[None, :, :]
-    return np.hypot(delta[..., 0], delta[..., 1])
+    dx = np.subtract.outer(users[:, 0], stations[:, 0])
+    dy = np.subtract.outer(users[:, 1], stations[:, 1])
+    return np.hypot(dx, dy, out=dx)
 
 
 def mean_power_matrix(deployment: Deployment, config: NetworkConfig) -> np.ndarray:
     """Fading-averaged received power of every (user, station) link.
 
     station_power * reference_loss * d**(-alpha), with d floored at
-    MIN_PATH_DISTANCE_M.
+    MIN_PATH_DISTANCE_M. Computed in place in the distance matrix.
     """
-    powers = deployment.station_powers(config)
-    distances = np.maximum(link_distances(deployment), MIN_PATH_DISTANCE_M)
-    path_loss = distances ** (-config.path_loss_exponent)
-    return powers[None, :] * config.reference_loss * path_loss
+    scale = deployment.station_powers(config)[None, :] * config.reference_loss
+    power = link_distances(deployment)
+    np.maximum(power, MIN_PATH_DISTANCE_M, out=power)
+    power **= -config.path_loss_exponent
+    power *= scale
+    return power

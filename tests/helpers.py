@@ -7,6 +7,11 @@ reductions of TrialGeometry and the CoverageEstimator fast path. The
 ``reference_*`` optimizer functions rerun the selection rules with plain
 loops, so tests can cross-check the package against both.
 
+``reference_trial_geometry`` is the serial whole-trial assembly that
+TrialGeometry's threaded, user-blocked build replaced, with the broadcast
+distance and mean-power arithmetic it used; the geometry must match it
+bit for bit.
+
 The trace oracle (``TraceSample``, ``MobilitySegment``, ``compute_velocity``
 and the ``reference_*`` trace functions) is the per-sample object pipeline
 the package's column-wise ``UserTrace`` path replaced: one validated record
@@ -120,6 +125,56 @@ def reference_rate_coverage(config, deployments, bias):
         c >= p.min_coverage for c, p in zip(per_class, config.profiles)
     )
     return per_class, average, feasible
+
+
+def reference_link_distances(deployment):
+    """User-to-station distances by hypot over a broadcast (U, S, 2) delta."""
+    stations = deployment.station_positions()
+    delta = deployment.user_positions[:, None, :] - stations[None, :, :]
+    return np.hypot(delta[..., 0], delta[..., 1])
+
+
+def reference_trial_geometry(config, deployments):
+    """TrialGeometry's arrays, one whole trial at a time on one thread.
+
+    Returns a name -> array mapping with the geometry's attribute names,
+    plus ``n_station_ids``.
+    """
+    parts = {}
+    station_offset = 0
+    for deployment in deployments:
+        powers = deployment.station_powers(config)
+        distances = np.maximum(reference_link_distances(deployment), MIN_PATH_DISTANCE_M)
+        path_loss = distances ** (-config.path_loss_exponent)
+        mean_power = powers[None, :] * config.reference_loss * path_loss
+        inst_power = mean_power * deployment.fading
+        rows = np.arange(deployment.n_users)
+        n_macro = deployment.n_macro
+        best_macro = np.argmax(mean_power[:, :n_macro], axis=1)
+        if deployment.n_small > 0:
+            best_small = np.argmax(mean_power[:, n_macro:], axis=1) + n_macro
+            pw_small = mean_power[rows, best_small]
+            sig_small = inst_power[rows, best_small]
+        else:
+            best_small = best_macro
+            pw_small = np.zeros(deployment.n_users)
+            sig_small = np.zeros(deployment.n_users)
+        trial = {
+            "cls": deployment.user_classes.astype(np.int8),
+            "pw_macro": mean_power[rows, best_macro],
+            "pw_small": pw_small,
+            "gid_macro": (best_macro + station_offset).astype(np.int32),
+            "gid_step": (best_small - best_macro).astype(np.int32),
+            "sig_macro": inst_power[rows, best_macro],
+            "sig_small": sig_small,
+            "total_inst": inst_power.sum(axis=1),
+        }
+        for name, array in trial.items():
+            parts.setdefault(name, []).append(array)
+        station_offset += deployment.n_stations
+    order = np.argsort(np.concatenate(parts["cls"]), kind="stable")
+    arrays = {name: np.concatenate(chunks)[order] for name, chunks in parts.items()}
+    return {**arrays, "n_station_ids": station_offset}
 
 
 def select_best(entries, feasible_first=True):

@@ -30,6 +30,26 @@ def config_path(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def finished(monkeypatch):
+    """Names of the sampling and reading calls that finished during a test."""
+    calls = []
+
+    def record(owner, name):
+        original = getattr(owner, name)
+
+        def recorded(*args, **kwargs):
+            result = original(*args, **kwargs)
+            calls.append(name)
+            return result
+
+        monkeypatch.setattr(owner, name, recorded)
+
+    record(coverage, "sample_deployment")
+    record(cli, "read_trace_csv")
+    return calls
+
+
 def read_rows(path):
     with open(path, newline="") as handle:
         return list(csv.reader(handle))
@@ -225,7 +245,7 @@ def test_overflowing_grid_db_rejected(tmp_path, config_path, capsys, command):
     ],
 )
 def test_failed_command_is_one_line_and_writes_nothing(
-    tmp_path, config_path, capsys, monkeypatch, argv
+    tmp_path, config_path, capsys, finished, argv
 ):
     out = tmp_path / "out"
     existing = tmp_path / "existing.txt"
@@ -236,26 +256,40 @@ def test_failed_command_is_one_line_and_writes_nothing(
         "DIR": tmp_path, "FILE": existing, "UNDER_FILE": existing / "sub", "TRACE": trace
     }
     command, *options = [str(places.get(a, a)) for a in argv]
-    finished = []  # bad input must be refused before any sampling or reading
-
-    def record(owner, name):
-        original = getattr(owner, name)
-
-        def recorded(*args, **kwargs):
-            result = original(*args, **kwargs)
-            finished.append(name)
-            return result
-
-        monkeypatch.setattr(owner, name, recorded)
-
-    record(coverage, "sample_deployment")
-    record(cli, "read_trace_csv")
     # a later --config or --out replaces the defaults given first
     code = run([command, "--config", config_path, "--out", str(out), *options])
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert not out.exists()
+    assert finished == []
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["analyze", "--trace", "TRACE"], "segments.csv"),
+        (["evaluate", "--bias", "0", "0", "0"], "evaluate_report.json"),
+    ],
+    ids=["analyze", "evaluate"],
+)
+def test_output_name_that_is_a_directory_is_refused(
+    tmp_path, config_path, capsys, finished, argv, name
+):
+    """--overwrite replaces files, but a directory is refused before any work."""
+    out = tmp_path / "o1"
+    (out / name).mkdir(parents=True)
+    trace = tmp_path / "trace.csv"
+    write_day_trace(trace, (88.58, 14.00, 42.48))
+    command, *options = [str(trace) if a == "TRACE" else a for a in argv]
+    code = run(
+        [command, "--config", config_path, "--out", str(out), "--overwrite", *options]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "is a directory" in err
+    assert [p.name for p in out.iterdir()] == [name]
     assert finished == []
 
 

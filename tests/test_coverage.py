@@ -1,7 +1,9 @@
 """Rates, handover efficiency, and Monte-Carlo coverage estimation."""
 
 import dataclasses
+import itertools
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -22,7 +24,14 @@ from convexcell import (
     rate_requirement,
     sample_deployment,
 )
-from helpers import associate, make_deployment, reference_rate_coverage, user_rate
+from convexcell import coverage
+from helpers import (
+    associate,
+    make_deployment,
+    reference_rate_coverage,
+    reference_trial_geometry,
+    user_rate,
+)
 
 
 class TestRateRequirement:
@@ -380,6 +389,108 @@ class TestTrialGeometry:
         geometry = TrialGeometry(tiny_config)
         with pytest.raises(ValueError):
             geometry.pw_macro[0] = 0.0
+
+    # (config, links per block): blocks of 97 links hold 6 users of the tiny
+    # config's ~15 stations, blocks of 1 link hold one user, and 3000 users
+    # of the default window span several blocks at the module's size
+    BLOCKED = {
+        "97-link-blocks": (None, 97),
+        "one-user-blocks": (None, 1),
+        "default-blocks": (NetworkConfig(user_count=3000, trials=3, seed=5), None),
+    }
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("case", BLOCKED)
+    def test_matches_serial_whole_trial_oracle(
+        self, tiny_config, monkeypatch, case, workers
+    ):
+        config, block_links = self.BLOCKED[case]
+        config = config or dataclasses.replace(tiny_config, trials=5)
+        if block_links is not None:
+            monkeypatch.setattr(coverage, "BLOCK_LINKS", block_links)
+        monkeypatch.setattr(coverage, "_worker_count", lambda trials: workers)
+        blocks = []
+        monkeypatch.setattr(
+            coverage, "mean_power_matrix",
+            lambda *args: blocks.append(1) or mean_power_matrix(*args),
+        )
+        geometry = TrialGeometry(config)
+        assert len(blocks) >= 3 * config.trials  # every trial spans blocks
+        deployments = [sample_deployment(config, t) for t in range(config.trials)]
+        assert_geometry_equal(geometry, reference_trial_geometry(config, deployments))
+
+    def test_hand_built_trials_match_oracle(self, tiny_config, monkeypatch):
+        """Given deployments, one without a small tier, build like the oracle."""
+        monkeypatch.setattr(coverage, "BLOCK_LINKS", 97)
+        first, second = (sample_deployment(tiny_config, t) for t in range(2))
+        macros_only = dataclasses.replace(
+            second,
+            small_positions=np.empty((0, 2)),
+            fading=second.fading[:, : second.n_macro],
+        )
+        deployments = [first, macros_only, second]
+        geometry = TrialGeometry(tiny_config, iter(deployments))
+        expected = reference_trial_geometry(tiny_config, deployments)
+        assert_geometry_equal(geometry, expected)
+        assert geometry.trials == 3
+        users = tiny_config.user_count
+        # class order interleaves the trials, so find the middle trial's users
+        middle = geometry.gid_macro - first.n_stations < macros_only.n_stations
+        middle &= geometry.gid_macro >= first.n_stations
+        assert np.count_nonzero(middle) == users
+        assert not geometry.pw_small[middle].any()
+        assert not geometry.gid_step[middle].any()
+
+    def test_failed_trial_surfaces_and_threads_end(self, tiny_config, monkeypatch):
+        config = dataclasses.replace(tiny_config, trials=6)
+        sample = coverage.sample_deployment
+
+        def fail_on_trial_3(config, trial):
+            if trial == 3:
+                raise RuntimeError("trial 3 failed")
+            return sample(config, trial)
+
+        monkeypatch.setattr(coverage, "sample_deployment", fail_on_trial_3)
+        monkeypatch.setattr(coverage, "_worker_count", lambda trials: 3)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="trial 3 failed"):
+            TrialGeometry(config)
+        assert threading.active_count() == before
+
+    def test_interleaved_estimators_match_fresh(self, tiny_config):
+        """Estimators sharing a geometry keep their own working arrays."""
+        geometry = TrialGeometry(tiny_config)
+        heavy = tiny_config.with_volumes([120.0, 30.0, 200.0])
+        shared = [
+            CoverageEstimator(tiny_config, geometry),
+            CoverageEstimator(heavy, geometry),
+        ]
+        shared += [estimator.with_bandwidth(4e7) for estimator in shared]
+        biases = [
+            BiasVector(*values)
+            for values in itertools.product((1.0, 3.0), (1.0, 17.3), (1.0, 9.9))
+        ]
+        interleaved = [[] for _ in shared]
+        for bias in biases:
+            for estimator, reports in zip(shared, interleaved):
+                reports.append(estimator.evaluate(bias))
+        for estimator, reports in zip(shared, interleaved):
+            fresh = CoverageEstimator(estimator.config)
+            assert reports == [fresh.evaluate(bias) for bias in biases]
+        # demand and bandwidth both move these reports, so a mixed-up
+        # working array would show
+        assert interleaved[0] != interleaved[1] != interleaved[3]
+
+
+def assert_geometry_equal(geometry, expected):
+    """Every array of the geometry is bitwise the expected one."""
+    expected = dict(expected)
+    assert geometry.n_station_ids == expected.pop("n_station_ids")
+    for name, array in expected.items():
+        actual = getattr(geometry, name)
+        assert actual.dtype == array.dtype, name
+        assert actual.shape == array.shape, name
+        assert actual.tobytes() == array.tobytes(), name
 
 
 # MB/day whose rate requirement at peak factor 1 is half the 10 MHz width

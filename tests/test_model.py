@@ -19,7 +19,7 @@ from convexcell import (
     mean_power_matrix,
     sample_deployment,
 )
-from helpers import make_deployment, sinr
+from helpers import make_deployment, reference_link_distances, sinr
 
 # Config fuzz: each field is omitted, set near its default (the value
 # itself, as int or float, or scaled), or set to a JSON-style value of
@@ -377,6 +377,15 @@ class TestGeometryHelpers:
         assert distances[0] == pytest.approx([0.0, 5.0])
         assert distances[1] == pytest.approx([3.0, 4.0])
 
+    @pytest.mark.parametrize("trial", [0, 1, 2])
+    def test_link_distances_match_broadcast_hypot(self, tiny_config, trial):
+        deployment = sample_deployment(tiny_config, trial)
+        distances = link_distances(deployment)
+        expected = reference_link_distances(deployment)
+        assert distances.flags.c_contiguous
+        assert distances.shape == expected.shape
+        assert distances.tobytes() == expected.tobytes()
+
     def test_mean_power_uses_unit_fading(self, tiny_config):
         deployment = sample_deployment(tiny_config, 1)
         mean_power = mean_power_matrix(deployment, tiny_config)
@@ -384,7 +393,7 @@ class TestGeometryHelpers:
         powers = deployment.station_powers(tiny_config)
         path_loss = np.maximum(distances, 1.0) ** (-tiny_config.path_loss_exponent)
         expected = powers[None, :] * tiny_config.reference_loss * path_loss
-        assert np.allclose(mean_power, expected)
+        assert mean_power.tobytes() == expected.tobytes()
         assert mean_power.shape == (deployment.n_users, deployment.n_stations)
 
     def test_deployment_shape_validation(self):
