@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, replace
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -116,6 +116,14 @@ def _worker_count(trials: int) -> int:
     return max(1, min(cpus, trials))
 
 
+class Association(NamedTuple):
+    """Serving stations of one class under one bias value (read-only arrays)."""
+
+    gid: np.ndarray  # int32 serving station id per user of the class
+    on_small: np.ndarray  # bool, True where that station is a small cell
+    loads: np.ndarray  # int32 users of the class per station id
+
+
 class TrialGeometry:
     """Per-(user, trial) link quantities of every trial, built once.
 
@@ -132,6 +140,14 @@ class TrialGeometry:
     per user-trial, about 5 MB at the defaults (500 users, 200 trials), and
     are read-only. ``deployments`` replaces the sampled trials, for example
     with hand-built ones; the key is still taken from ``config``.
+
+    ``other_candidates[cls]`` counts, per station id, the users of the
+    other two classes that have the station as their best macro or best
+    small station: whatever their biases, at most that many of them are
+    served there. ``association(cls, bias)`` keeps each class's serving
+    stations per bias value for the life of the geometry, 5 bytes per
+    user of the class plus 4 per station-trial; a grid value used by all
+    three classes costs about 0.9 MB at the defaults.
 
     Trials are sampled and reduced on one thread per usable CPU, each trial
     in blocks of about ``BLOCK_LINKS`` links, so the build holds about
@@ -190,6 +206,42 @@ class TrialGeometry:
         self.class_slices = [
             slice(int(start), int(end)) for start, end in zip((0, *ends), ends)
         ]
+        # a user is served by its best macro or its best small station
+        # whatever its bias, so the users of the other classes that have a
+        # station among those two bound the load they can put on it
+        candidates = np.empty((3, self.n_station_ids), dtype=np.int32)
+        has_small = self.gid_step != 0
+        for cls, users in enumerate(self.class_slices):
+            macro = self.gid_macro[users]
+            small = (macro + self.gid_step[users])[has_small[users]]
+            candidates[cls] = np.bincount(macro, minlength=self.n_station_ids)
+            candidates[cls] += np.bincount(small, minlength=self.n_station_ids)
+        self.other_candidates = candidates.sum(axis=0, dtype=np.int32) - candidates
+        self.other_candidates.flags.writeable = False
+        self._associations: dict[tuple[int, float], Association] = {}
+
+    def association(self, cls: int, bias: float) -> Association:
+        """Serving stations of one class's users under one bias value.
+
+        A user is served by its best small station when the bias times its
+        power beats the best macro's, ties going to the macro. The result
+        depends on neither demand nor bandwidth, so it is computed once and
+        kept, read-only, for the life of the geometry: every estimator,
+        scheme and bandwidth bound to this geometry shares it.
+        """
+        key = (cls, bias)
+        found = self._associations.get(key)
+        if found is None:
+            users = self.class_slices[cls]
+            on_small = bias * self.pw_small[users] > self.pw_macro[users]
+            # the int32 step keeps the ids int32 and avoids a slower np.where
+            gid = self.gid_macro[users] + on_small * self.gid_step[users]
+            loads = np.bincount(gid, minlength=self.n_station_ids).astype(np.int32)
+            found = Association(gid, on_small, loads)
+            for array in found:
+                array.flags.writeable = False
+            self._associations[key] = found
+        return found
 
     @staticmethod
     def _reduce(
@@ -266,6 +318,48 @@ def _rate_factors(
     return factor
 
 
+def _rate_caps(
+    scaled: np.ndarray, requirement: float, max_load: int
+) -> np.ndarray:
+    """Largest station load at which each user still meets the requirement.
+
+    Returns int32 caps in 0..max_load such that, for every integer L in
+    1..max_load, ``L <= cap`` exactly when ``scaled / L >= requirement``
+    holds in float arithmetic. IEEE division is monotone in the divisor, so
+    for a non-negative or NaN ``scaled`` and ``requirement >= 0`` the loads
+    that pass are a prefix of 1..max_load. The floor of
+    ``scaled / requirement`` lands within a step or two of its end; each
+    cap then steps to it with that same float test. (A negative subnormal
+    ``scaled`` with a zero requirement passes once ``scaled / L`` rounds to
+    -0.0, which no cap can express; rate factors are never negative.)
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        cap = np.divide(scaled, requirement)
+        np.floor(cap, out=cap)
+        undefined = np.isnan(cap)
+        if undefined.any():  # 0/0 or inf/inf: every load passes or none
+            passes_all = scaled[undefined] / max_load >= requirement
+            cap[undefined] = np.where(passes_all, max_load, 0)
+        np.clip(cap, 0, max_load, out=cap)
+        # lower the caps whose load misses, then raise those whose next
+        # load still passes; few users take either step
+        users = np.flatnonzero(~(scaled / cap >= requirement))
+        users = users[cap[users] >= 1]
+        while users.size:
+            cap[users] -= 1
+            below = ~(scaled[users] / cap[users] >= requirement)
+            users = users[(cap[users] >= 1) & below]
+        following = cap + 1
+        np.divide(scaled, following, out=following)
+        users = np.flatnonzero(following >= requirement)
+        users = users[cap[users] < max_load]
+        while users.size:
+            cap[users] += 1
+            above = scaled[users] / (cap[users] + 1) >= requirement
+            users = users[(cap[users] < max_load) & above]
+    return cap.astype(np.int32)
+
+
 class CoverageEstimator:
     """Shared-realization evaluator of rate coverage for many bias vectors.
 
@@ -278,13 +372,20 @@ class CoverageEstimator:
     builds one geometry and binds each demand mix to it.
 
     A user's serving station depends only on its own class's bias, and
-    station loads add up across classes, so each (class, bias value) pair
-    is reduced once per bandwidth to a part: the class's serving ids, its
-    rate factors times the bandwidth, and its per-station loads. A bias
-    triple then costs the sum of three load vectors and one rate comparison
-    per user, and grid searches over n values per class build 3n parts
-    instead of n^3 associations. Reports are cached by bias triple;
-    identical inputs give identical reports regardless of evaluation order.
+    station loads add up across classes. The geometry keeps each (class,
+    bias value) association; the estimator reduces it, once per binding,
+    to a part. Each user's rate factor and requirement give an exact
+    integer cap, the largest load of its station at which it is still
+    covered. Users whose own class alone already loads the station past
+    the cap are never covered; users whose cap also holds when every
+    other-class user that could be served there is (``other_candidates``)
+    are always covered. A part keeps the count of the latter and the
+    station ids and caps of the rest, the undecided users, so a bias
+    triple costs the sum of three load vectors and one gather and integer
+    compare per undecided user. Grid searches over n values per class
+    build 3n parts instead of n^3 associations. Reports are cached by bias
+    triple; identical inputs give identical reports regardless of
+    evaluation order.
     """
 
     def __init__(
@@ -334,13 +435,14 @@ class CoverageEstimator:
         # no small tier in the trial: zero SINR, as its power is zero
         np.copyto(self._scaled_small, 0.0, where=geo.pw_small <= 0.0)
         self._cache: dict[tuple[float, float, float], CoverageReport] = {}
-        self._parts: dict[tuple[int, float], tuple[np.ndarray, ...]] = {}
-        # evaluate's working arrays: float station loads (exact counts, so
-        # the divide needs no conversion), and per-user rates and outcomes
-        # sized for the largest class
+        self._parts: dict[tuple[int, float], tuple] = {}
+        self._class_caps: list[tuple[np.ndarray, np.ndarray] | None] = [None] * 3
+        # evaluate's working arrays: station loads, and the loads found at
+        # the undecided users' stations and their outcomes, sized for the
+        # largest class
         largest = max(users.stop - users.start for users in geo.class_slices)
-        self._loads = np.empty(geo.n_station_ids)
-        self._rates = np.empty(largest)
+        self._loads = np.empty(geo.n_station_ids, dtype=np.int32)
+        self._found = np.empty(largest, dtype=np.int32)
         self._covered = np.empty(largest, dtype=bool)
 
     def with_bandwidth(self, bandwidth: float) -> "CoverageEstimator":
@@ -360,18 +462,18 @@ class CoverageEstimator:
 
         parts = [self._part(cls, value) for cls, value in enumerate(key)]
         loads = self._loads
-        np.add(parts[0][2], parts[1][2], out=loads)
-        np.add(loads, parts[2][2], out=loads)
+        np.add(parts[0][0], parts[1][0], out=loads)
+        np.add(loads, parts[2][0], out=loads)
         per_class = []
-        for (gid, scaled, _), requirement in zip(parts, self._requirements):
-            rates = self._rates[: gid.size]
+        for (_, always, gid, cap), users in zip(parts, self.geometry.class_slices):
+            found = self._found[: gid.size]
             covered = self._covered[: gid.size]
             # take gathers with int32 ids without first copying them to intp;
             # ids are always in range, and mode="raise" would buffer out
-            loads.take(gid, out=rates, mode="clip")
-            np.divide(scaled, rates, out=rates)
-            np.greater_equal(rates, requirement, out=covered)
-            per_class.append(np.count_nonzero(covered) / gid.size)
+            loads.take(gid, out=found, mode="clip")
+            np.less_equal(found, cap, out=covered)
+            count = always + np.count_nonzero(covered)
+            per_class.append(count / (users.stop - users.start))
         average = float(np.dot(self._fractions, per_class))
         feasible = bool(np.all(np.asarray(per_class) >= self._min_coverage))
         report = CoverageReport(
@@ -383,23 +485,49 @@ class CoverageEstimator:
         self._cache[key] = report
         return report
 
-    def _part(self, cls: int, bias: float) -> tuple[np.ndarray, ...]:
-        """Serving ids, bandwidth-scaled rate factors and loads of one class."""
+    def _part(self, cls: int, bias: float) -> tuple:
+        """Station loads, always-covered count and undecided users of a class.
+
+        Returns ``(loads, always, gid, cap)``: the class's per-station loads,
+        the number of its users covered whatever the other classes' biases,
+        and the serving ids and caps of the users that depend on them.
+        """
         key = (cls, bias)
         part = self._parts.get(key)
         if part is None:
             geo = self.geometry
-            users = geo.class_slices[cls]
-            on_small = bias * geo.pw_small[users] > geo.pw_macro[users]
-            gid = geo.gid_macro[users] + on_small * geo.gid_step[users]
-            scaled = np.where(
-                on_small, self._scaled_small[users], self._scaled_macro[users]
-            )
-            # int32 loads halve the memo's per-station cost
-            loads = np.bincount(gid, minlength=geo.n_station_ids).astype(np.int32)
-            part = (gid, scaled, loads)
+            gid, on_small, loads = geo.association(cls, bias)
+            cap_macro, cap_step = self._caps(cls)
+            cap = cap_macro + on_small * cap_step
+            # how many other-class users the station can take on top of the
+            # class's own before the user's rate falls short: below 0 the
+            # user is never covered, at or above the bound always
+            slack = cap - loads.take(gid)
+            bound = geo.other_candidates[cls].take(gid)
+            always = np.count_nonzero(slack >= bound)
+            undecided = np.flatnonzero((slack >= 0) & (slack < bound))
+            part = (loads, always, gid[undecided], cap[undecided])
             self._parts[key] = part
         return part
+
+    def _caps(self, cls: int) -> tuple[np.ndarray, np.ndarray]:
+        """Rate caps of a class's users at their best macro station, and the
+        step to their caps at their best small station.
+
+        Computed on the class's first part, not at binding, so a rebind
+        computes no caps and each class's caps serve all its bias values.
+        """
+        caps = self._class_caps[cls]
+        if caps is None:
+            users = self.geometry.class_slices[cls]
+            requirement = self._requirements[cls]
+            # no station serves more users than the geometry holds
+            max_load = self.geometry.cls.size
+            macro = _rate_caps(self._scaled_macro[users], requirement, max_load)
+            step = _rate_caps(self._scaled_small[users], requirement, max_load)
+            step -= macro
+            caps = self._class_caps[cls] = (macro, step)
+        return caps
 
 
 def estimate_rate_coverage(config: NetworkConfig, bias: BiasVector) -> CoverageReport:

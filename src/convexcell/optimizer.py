@@ -47,8 +47,8 @@ class Scheme(enum.Enum):
 class BiasGrid:
     """Ordered candidate biases shared by every optimizer, linear factors.
 
-    Must be strictly increasing and start at exactly 1 (0 dB) so the
-    unbiased association is always a candidate.
+    Must be finite, strictly increasing and start at exactly 1 (0 dB) so
+    the unbiased association is always a candidate.
     """
 
     values: tuple[float, ...]
@@ -56,6 +56,9 @@ class BiasGrid:
     def __post_init__(self) -> None:
         if not self.values:
             raise ValueError("bias grid must be nonempty")
+        # NaN would pass the order checks below, as every NaN comparison fails
+        if not all(math.isfinite(value) for value in self.values):
+            raise ValueError(f"bias grid values must be finite, got {self.values}")
         if self.values[0] != 1.0:
             raise ValueError("bias grid must start at 1 (0 dB)")
         for lo, hi in zip(self.values, self.values[1:]):
@@ -337,5 +340,7 @@ def convexity_sweep(
         for scheme in schemes:
             result = run_scheme(scheme, estimator, grid)
             rows.append(SweepPoint(convexity=convexity, scheme=scheme, result=result))
-        del estimator  # release this point's part memo before binding the next
+        # release this point's parts (caps and undecided users) before
+        # binding the next; the associations stay on the geometry for it
+        del estimator
     return rows

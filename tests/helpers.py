@@ -7,6 +7,12 @@ reductions of TrialGeometry and the CoverageEstimator fast path. The
 ``reference_*`` optimizer functions rerun the selection rules with plain
 loops, so tests can cross-check the package against both.
 
+``reference_float_coverage`` is the estimator's earlier kernel: it
+associates every class from the geometry's best-of-tier arrays, sums the
+station loads and compares each user's rate, its rate factor divided by
+the float load, with the requirement. The estimator's integer caps and
+decided users must give the same reports.
+
 ``reference_trial_geometry`` is the serial whole-trial assembly that
 TrialGeometry's threaded, user-blocked build replaced, with the broadcast
 distance and mean-power arithmetic it used; the geometry must match it
@@ -32,6 +38,7 @@ from convexcell import (
     SECONDS_PER_DAY,
     TRACE_CSV_HEADER,
     BiasVector,
+    CoverageReport,
     Deployment,
     InsufficientDataError,
     TraceFormatError,
@@ -125,6 +132,52 @@ def reference_rate_coverage(config, deployments, bias):
         c >= p.min_coverage for c, p in zip(per_class, config.profiles)
     )
     return per_class, average, feasible
+
+
+def reference_float_coverage(estimator, biases):
+    """Reports of the gather, divide and compare kernel, one per bias vector.
+
+    Uses the estimator's geometry, rate factors and requirements, and keeps
+    each (class, bias value) association for the call.
+    """
+    geo = estimator.geometry
+    config = estimator.config
+    served = {}
+
+    def serve(cls, value):
+        if (cls, value) not in served:
+            users = geo.class_slices[cls]
+            on_small = value * geo.pw_small[users] > geo.pw_macro[users]
+            gid = geo.gid_macro[users] + on_small * geo.gid_step[users]
+            scaled = np.where(
+                on_small,
+                estimator._scaled_small[users],
+                estimator._scaled_macro[users],
+            )
+            loads = np.bincount(gid, minlength=geo.n_station_ids)
+            served[cls, value] = (gid, scaled, loads)
+        return served[cls, value]
+
+    min_coverage = np.array([p.min_coverage for p in config.profiles])
+    reports = []
+    for bias in biases:
+        values = (bias.stationary_bias, bias.walking_bias, bias.vehicular_bias)
+        parts = [serve(cls, value) for cls, value in enumerate(values)]
+        loads = sum(part[2] for part in parts).astype(float)
+        per_class = []
+        for (gid, scaled, _), requirement in zip(parts, estimator._requirements):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                covered = scaled / loads[gid] >= requirement
+            per_class.append(np.count_nonzero(covered) / gid.size)
+        reports.append(
+            CoverageReport(
+                per_class_coverage=tuple(per_class),
+                average_coverage=float(np.dot(config.density_fractions(), per_class)),
+                feasible=bool(np.all(np.asarray(per_class) >= min_coverage)),
+                trials_used=geo.trials,
+            )
+        )
+    return reports
 
 
 def reference_link_distances(deployment):

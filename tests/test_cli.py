@@ -221,6 +221,24 @@ def test_overflowing_grid_db_rejected(tmp_path, config_path, capsys, command):
     assert "4000" in err
 
 
+@pytest.mark.parametrize("command", ["sweep", "bandwidth"])
+def test_non_finite_grid_db_rejected_before_sampling(
+    tmp_path, config_path, capsys, finished, command
+):
+    """NaN passes every order check, so finiteness is checked on its own."""
+    out = tmp_path / "out"
+    code = run(
+        [command, "--config", config_path, "--out", str(out),
+         "--grid-db", "0", "2", "nan", "4"]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "bias grid" in err and "finite" in err
+    assert not out.exists()
+    assert finished == []
+
+
 @pytest.mark.parametrize(
     "argv",
     [

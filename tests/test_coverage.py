@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from convexcell import (
+    BiasGrid,
     BiasVector,
     ClassProfile,
     CoverageEstimator,
@@ -25,9 +26,11 @@ from convexcell import (
     sample_deployment,
 )
 from convexcell import coverage
+from convexcell.optimizer import Scheme, required_bandwidth
 from helpers import (
     associate,
     make_deployment,
+    reference_float_coverage,
     reference_rate_coverage,
     reference_trial_geometry,
     user_rate,
@@ -567,3 +570,160 @@ def test_coverage_monotone_in_bandwidth_per_candidate(bias, width, ratio):
     wide = estimator.with_bandwidth(width * ratio).evaluate(candidate)
     for low, high in zip(narrow.per_class_coverage, wide.per_class_coverage):
         assert high >= low
+
+
+# every triple of the default 11-value grid
+DEFAULT_TRIPLES = [
+    BiasVector(*triple) for triple in itertools.product(BiasGrid.default(), repeat=3)
+]
+
+
+@pytest.fixture(scope="module")
+def default_geometry():
+    """The default config's geometry at seed 42."""
+    return TrialGeometry(NetworkConfig())
+
+
+@pytest.mark.parametrize("bandwidth", [1e6, 1e7, 1e8])
+def test_default_grid_matches_float_kernel(default_geometry, bandwidth):
+    """Caps and decided users give the float kernel's reports, bit for bit."""
+    config = dataclasses.replace(NetworkConfig(), bandwidth=bandwidth)
+    estimator = CoverageEstimator(config, default_geometry)
+    reports = [estimator.evaluate(bias) for bias in DEFAULT_TRIPLES]
+    assert reports == reference_float_coverage(estimator, DEFAULT_TRIPLES)
+    assert len({report.per_class_coverage for report in reports}) > 100
+
+
+# tiny configs whose rate factors or requirements sit on the edges of the
+# cap arithmetic: no noise, a zero requirement, and zero handover efficiency
+# (the moving classes lose every second to handover), alone and together
+EDGE_CONFIGS = {
+    "noise-free": {"noise_power": 0.0},
+    "zero-walking-volume": {"volumes": [20.0, 0.0, 10.0]},
+    "zero-efficiency": {"handover_delay": 1e3},
+    "all-three": {"noise_power": 0.0, "handover_delay": 1e3, "volumes": [20.0, 5.0, 0.0]},
+}
+
+
+@pytest.mark.parametrize("bandwidth", [1e6, 1e7, 1e8])
+@pytest.mark.parametrize("case", EDGE_CONFIGS)
+def test_edge_configs_match_float_kernel(tiny_config, case, bandwidth):
+    fields = dict(EDGE_CONFIGS[case])
+    config = tiny_config.with_volumes(fields.pop("volumes", [20.0, 5.0, 10.0]))
+    config = dataclasses.replace(config, bandwidth=bandwidth, **fields)
+    estimator = CoverageEstimator(config)
+    reports = [estimator.evaluate(bias) for bias in DEFAULT_TRIPLES]
+    assert reports == reference_float_coverage(estimator, DEFAULT_TRIPLES)
+
+
+SUBNORMALS = st.floats(min_value=5e-324, max_value=2.2250738585072009e-308)
+CAP_SCALED = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, math.nan]),
+    SUBNORMALS,
+    # negative normals only: a negative subnormal over a zero requirement
+    # rounds to -0.0 at some loads and not others, which no cap expresses;
+    # rate factors are never negative
+    st.floats(max_value=-2.2250738585072014e-308),
+    st.floats(min_value=0.0, allow_nan=False),
+)
+
+
+@given(
+    st.lists(CAP_SCALED, min_size=1, max_size=8),
+    st.one_of(st.just(0.0), SUBNORMALS, st.floats(min_value=0.0)),
+    st.one_of(st.integers(1, 300), st.just(100_000)),
+)
+def test_rate_caps_match_float_test(scaled, requirement, max_load):
+    """For every load L in 1..max_load: L <= cap iff scaled / L >= req."""
+    scaled = np.array(scaled)
+    caps = coverage._rate_caps(scaled, requirement, max_load)
+    assert caps.dtype == np.int32
+    loads = np.arange(1, max_load + 1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for value, cap in zip(scaled, caps):
+            assert np.array_equal(loads <= cap, value / loads >= requirement)
+
+
+@pytest.mark.parametrize("requirement", [3.0, 0.1, 1e-300, 7e5, 1e300])
+def test_rate_caps_at_the_boundaries(requirement):
+    """Rate factors one ulp either side of requirement * L, where the floor
+    of their ratio may land on either side of the cap."""
+    exact = requirement * np.arange(1.0, 400.0)
+    scaled = np.concatenate(
+        [exact, np.nextafter(exact, 0.0), np.nextafter(exact, math.inf)]
+    )
+    caps = coverage._rate_caps(scaled, requirement, 500)
+    loads = np.arange(1, 501)
+    expected = scaled[:, None] / loads[None, :] >= requirement
+    assert np.array_equal(loads[None, :] <= caps[:, None], expected)
+
+
+def test_tight_bound_matches_oracles():
+    """Other-class load equal to the bound, and slacks at and below it.
+
+    One macro (station 0) and one small cell. Stationary users a and b
+    and one walking and one vehicular user all have station 0 as their
+    best macro and station 1 as their best small. The requirement puts
+    a's cap at 4 loads and b's at 3, so with the two stationary users on
+    station 0 their slacks are 2 and 1 against a bound of 2, and unbiased,
+    the moving users load station 0 with exactly that bound.
+    """
+    deployment = make_deployment(
+        [[100.0, 100.0]],
+        [[100.0, 140.0]],
+        [[100.0, 104.0], [100.0, 106.0], [100.0, 110.0], [100.0, 112.0]],
+        [0, 0, 1, 2],
+        np.ones((4, 2)),
+    )
+    # 27e6 bit/s at peak factor 1 lies between a's rate at 5 and 4 loads and
+    # between b's at 4 and 3
+    config = NetworkConfig(
+        macro_power=4.0, small_power=1.0, handover_delay=0.0,
+        demand_peak_factor=1.0, user_count=4, trials=1,
+        profiles=_uniform_profiles([27e6 * 86400.0 / 8e6, 100.0, 0.0]),
+    )
+    geometry = TrialGeometry(config, [deployment])
+    estimator = CoverageEstimator(config, geometry)
+
+    stationary = geometry.association(UserClass.STATIONARY, 1.0)
+    assert geometry.other_candidates[UserClass.STATIONARY][0] == 2
+    for cls in (UserClass.WALKING, UserClass.VEHICULAR):
+        assert geometry.association(cls, 1.0).loads[0] == 1  # the bound is met
+    caps = coverage._rate_caps(
+        estimator._scaled_macro[:2], estimator._requirements[0], geometry.cls.size
+    )
+    slack = caps - stationary.loads[0]
+    assert slack.tolist() == [2, 1]
+
+    biases = [
+        BiasVector.uniform(1.0),
+        BiasVector(1.0, 1e3, 1e3),  # the moving users move to the small cell
+        BiasVector(1.0, 1e3, 1.0),
+        BiasVector(1e3, 1.0, 1.0),
+    ]
+    reports = [estimator.evaluate(bias) for bias in biases]
+    assert reports[0].per_class_coverage[UserClass.STATIONARY] == 0.5
+    assert reports[1].per_class_coverage[UserClass.STATIONARY] == 1.0
+    assert reports == reference_float_coverage(estimator, biases)
+    for bias, report in zip(biases, reports):
+        per_class, average, feasible = reference_rate_coverage(
+            config, [deployment], bias
+        )
+        assert report.per_class_coverage == per_class
+        assert report.average_coverage == pytest.approx(average, abs=1e-12)
+        assert report.feasible == feasible
+
+
+def test_bisection_keeps_one_read_only_association_per_grid_value(tiny_config):
+    """Every probe and scheme shares the geometry's associations."""
+    grid = BiasGrid.from_db([0.0, 4.0, 8.0, 12.0])
+    estimator = CoverageEstimator(tiny_config.with_volumes([120.0, 30.0, 80.0]))
+    for scheme in (Scheme.THREE_STAGE, Scheme.CRE):
+        required_bandwidth(estimator, grid, scheme, 1e5, 1e9, 1e5)
+    associations = estimator.geometry._associations
+    assert 0 < len(associations) <= 3 * len(grid)
+    for association in associations.values():
+        for array in association:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0

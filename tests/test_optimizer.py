@@ -60,6 +60,13 @@ class TestBiasGrid:
         with pytest.raises(ValueError, match="increasing"):
             BiasGrid((1.0, 3.0, 3.0))
 
+    @pytest.mark.parametrize(
+        "values", [(1.0, math.nan), (1.0, 2.0, math.inf), (math.nan, 1.0)]
+    )
+    def test_non_finite_values_rejected(self, values):
+        with pytest.raises(ValueError, match="bias grid values must be finite"):
+            BiasGrid(values)
+
     def test_iteration_order(self):
         assert list(SMALL_GRID)[0] == 1.0
         assert list(SMALL_GRID) == sorted(SMALL_GRID.values)
