@@ -13,7 +13,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -78,15 +78,12 @@ def _load_config(manifest: RunManifest) -> NetworkConfig:
     if manifest.config_path is not None:
         with open(manifest.config_path, encoding="utf-8") as handle:
             data = json.load(handle)
-    config = NetworkConfig.from_dict(data)
     overrides = {}
     if manifest.seed is not None:
         overrides["seed"] = manifest.seed
     if manifest.trials is not None:
         overrides["trials"] = manifest.trials
-    if overrides:
-        config = NetworkConfig.from_dict({**config.to_dict(), **overrides})
-    return config
+    return replace(NetworkConfig.from_dict(data), **overrides)
 
 
 def _prepare_outputs(manifest: RunManifest, names: Sequence[str]) -> dict[str, Path]:
@@ -349,34 +346,38 @@ def build_parser() -> argparse.ArgumentParser:
         "--overwrite", action="store_true", help="allow replacing existing outputs"
     )
 
+    # the flags of the commands that run the optimizers
+    optimizer = argparse.ArgumentParser(add_help=False)
+    optimizer.add_argument("--stationary-share", type=float, default=0.6107)
+    optimizer.add_argument(
+        "--grid-db", type=float, nargs="+", default=list(DEFAULT_GRID_DB)
+    )
+    optimizer.add_argument("--scheme", choices=[s.value for s in Scheme])
+
     sub = parser.add_subparsers(dest="command", required=True)
 
     sweep = sub.add_parser(
-        "sweep", parents=[common], help="coverage of every scheme vs user convexity"
+        "sweep",
+        parents=[common, optimizer],
+        help="coverage of every scheme vs user convexity",
     )
     sweep.add_argument(
         "--convexity", type=float, nargs="+", default=list(DEFAULT_CONVEXITY_VALUES)
     )
     sweep.add_argument("--total-volume", type=float, default=145.05, help="MB/day")
-    sweep.add_argument("--stationary-share", type=float, default=0.6107)
-    sweep.add_argument("--grid-db", type=float, nargs="+", default=list(DEFAULT_GRID_DB))
-    sweep.add_argument("--scheme", choices=[s.value for s in Scheme])
 
     bandwidth = sub.add_parser(
-        "bandwidth", parents=[common], help="required bandwidth per scheme and volume"
+        "bandwidth",
+        parents=[common, optimizer],
+        help="required bandwidth per scheme and volume",
     )
     bandwidth.add_argument(
         "--volumes", type=float, nargs="+", default=[145.05, 290.1], help="MB/day"
     )
-    bandwidth.add_argument("--stationary-share", type=float, default=0.6107)
     bandwidth.add_argument("--convexity", type=float, default=3.04)
     bandwidth.add_argument("--wmin", type=float, default=1e6, help="Hz")
     bandwidth.add_argument("--wmax", type=float, default=1e8, help="Hz")
     bandwidth.add_argument("--tolerance", type=float, default=1e5, help="Hz")
-    bandwidth.add_argument(
-        "--grid-db", type=float, nargs="+", default=list(DEFAULT_GRID_DB)
-    )
-    bandwidth.add_argument("--scheme", choices=[s.value for s in Scheme])
 
     analyze = sub.add_parser(
         "analyze", parents=[common], help="user convexity from a mobility trace CSV"

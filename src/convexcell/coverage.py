@@ -19,7 +19,6 @@ from .association import BiasVector
 from .model import (
     Deployment,
     NetworkConfig,
-    Tier,
     UserClass,
     mean_power_matrix,
     sample_deployment,
@@ -297,22 +296,25 @@ class TrialGeometry:
 
 
 def _rate_factors(
-    geo: TrialGeometry, signal: np.ndarray, eff: np.ndarray, config: NetworkConfig
+    geo: TrialGeometry,
+    users: slice,
+    signal: np.ndarray,
+    eff: float,
+    config: NetworkConfig,
 ) -> np.ndarray:
-    """efficiency * log2(1 + SINR) * W per user for one tier's signal.
+    """efficiency * log2(1 + SINR) * W per user of a class for one tier's signal.
 
     SINR is signal / (total - signal + noise * W). Computed in place in one
     new array, in the operation order of the formula; the division by the
-    load is applied per candidate.
+    load is left to the rate caps.
     """
     bandwidth = config.bandwidth
-    factor = np.subtract(geo.total_inst, signal)
+    factor = np.subtract(geo.total_inst[users], signal[users])
     factor += config.noise_power * bandwidth
     with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(signal, factor, out=factor)
+        np.divide(signal[users], factor, out=factor)
     np.log1p(factor, out=factor)
-    for cls, users in enumerate(geo.class_slices):
-        factor[users] *= eff[cls]
+    factor *= eff
     factor /= math.log(2.0)
     factor *= bandwidth
     return factor
@@ -374,9 +376,10 @@ class CoverageEstimator:
     A user's serving station depends only on its own class's bias, and
     station loads add up across classes. The geometry keeps each (class,
     bias value) association; the estimator reduces it, once per binding,
-    to a part. Each user's rate factor and requirement give an exact
-    integer cap, the largest load of its station at which it is still
-    covered. Users whose own class alone already loads the station past
+    to a part. At binding, each user's rate factor and requirement give
+    an exact integer cap, the largest load of its station at which it is
+    still covered; the estimator keeps only these caps, 8 bytes per
+    user-trial. Users whose own class alone already loads the station past
     the cap are never covered; users whose cap also holds when every
     other-class user that could be served there is (``other_candidates``)
     are always covered. A part keeps the count of the latter and the
@@ -406,44 +409,33 @@ class CoverageEstimator:
         """Attach the demand and bandwidth of config to the geometry."""
         self.config = config
         self.geometry = geo = geometry
-        self._requirements = np.array(
-            [
-                rate_requirement(p.traffic_volume, config.demand_peak_factor)
-                for p in config.profiles
-            ]
-        )
         self._min_coverage = np.array([p.min_coverage for p in config.profiles])
         self._fractions = config.density_fractions()
-
-        eff = np.empty((3, 2))
-        for cls in UserClass:
-            velocity = config.profiles[cls].velocity
-            eff[cls, Tier.MACRO] = handover_efficiency(
-                velocity, config.macro_density, config
+        # each class's rate caps at its users' best macro station, and the
+        # step to their caps at their best small station; a user without a
+        # small station never takes the step, as its small power is zero
+        max_load = geo.cls.size  # no station serves more users than that
+        self._user_caps = []
+        for cls, users in zip(UserClass, geo.class_slices):
+            profile = config.profiles[cls]
+            requirement = rate_requirement(
+                profile.traffic_volume, config.demand_peak_factor
             )
-            eff[cls, Tier.SMALL] = handover_efficiency(
-                velocity, config.small_density, config
-            )
-
-        # bandwidth-dependent per-user rate factors
-        self._scaled_macro = _rate_factors(
-            geo, geo.sig_macro, eff[:, Tier.MACRO], config
-        )
-        self._scaled_small = _rate_factors(
-            geo, geo.sig_small, eff[:, Tier.SMALL], config
-        )
-        # no small tier in the trial: zero SINR, as its power is zero
-        np.copyto(self._scaled_small, 0.0, where=geo.pw_small <= 0.0)
+            caps = []
+            for signal, density in (
+                (geo.sig_macro, config.macro_density),
+                (geo.sig_small, config.small_density),
+            ):
+                eff = handover_efficiency(profile.velocity, density, config)
+                scaled = _rate_factors(geo, users, signal, eff, config)
+                caps.append(_rate_caps(scaled, requirement, max_load))
+            macro, step = caps
+            step -= macro
+            self._user_caps.append((macro, step))
         self._cache: dict[tuple[float, float, float], CoverageReport] = {}
         self._parts: dict[tuple[int, float], tuple] = {}
-        self._class_caps: list[tuple[np.ndarray, np.ndarray] | None] = [None] * 3
-        # evaluate's working arrays: station loads, and the loads found at
-        # the undecided users' stations and their outcomes, sized for the
-        # largest class
-        largest = max(users.stop - users.start for users in geo.class_slices)
+        # evaluate's station loads
         self._loads = np.empty(geo.n_station_ids, dtype=np.int32)
-        self._found = np.empty(largest, dtype=np.int32)
-        self._covered = np.empty(largest, dtype=bool)
 
     def with_bandwidth(self, bandwidth: float) -> "CoverageEstimator":
         """Estimator bound to the same geometry and demand at another bandwidth."""
@@ -466,13 +458,9 @@ class CoverageEstimator:
         np.add(loads, parts[2][0], out=loads)
         per_class = []
         for (_, always, gid, cap), users in zip(parts, self.geometry.class_slices):
-            found = self._found[: gid.size]
-            covered = self._covered[: gid.size]
             # take gathers with int32 ids without first copying them to intp;
-            # ids are always in range, and mode="raise" would buffer out
-            loads.take(gid, out=found, mode="clip")
-            np.less_equal(found, cap, out=covered)
-            count = always + np.count_nonzero(covered)
+            # ids are always in range, so mode="clip" changes none of them
+            count = always + np.count_nonzero(loads.take(gid, mode="clip") <= cap)
             per_class.append(count / (users.stop - users.start))
         average = float(np.dot(self._fractions, per_class))
         feasible = bool(np.all(np.asarray(per_class) >= self._min_coverage))
@@ -497,7 +485,7 @@ class CoverageEstimator:
         if part is None:
             geo = self.geometry
             gid, on_small, loads = geo.association(cls, bias)
-            cap_macro, cap_step = self._caps(cls)
+            cap_macro, cap_step = self._user_caps[cls]
             cap = cap_macro + on_small * cap_step
             # how many other-class users the station can take on top of the
             # class's own before the user's rate falls short: below 0 the
@@ -509,25 +497,6 @@ class CoverageEstimator:
             part = (loads, always, gid[undecided], cap[undecided])
             self._parts[key] = part
         return part
-
-    def _caps(self, cls: int) -> tuple[np.ndarray, np.ndarray]:
-        """Rate caps of a class's users at their best macro station, and the
-        step to their caps at their best small station.
-
-        Computed on the class's first part, not at binding, so a rebind
-        computes no caps and each class's caps serve all its bias values.
-        """
-        caps = self._class_caps[cls]
-        if caps is None:
-            users = self.geometry.class_slices[cls]
-            requirement = self._requirements[cls]
-            # no station serves more users than the geometry holds
-            max_load = self.geometry.cls.size
-            macro = _rate_caps(self._scaled_macro[users], requirement, max_load)
-            step = _rate_caps(self._scaled_small[users], requirement, max_load)
-            step -= macro
-            caps = self._class_caps[cls] = (macro, step)
-        return caps
 
 
 def estimate_rate_coverage(config: NetworkConfig, bias: BiasVector) -> CoverageReport:

@@ -270,7 +270,8 @@ def required_bandwidth(
     full search are feasible iff some candidate of a fixed set is, so
     their feasibility is monotone too. Three-stage chooses its biases from
     coverages that move with W, so for it monotonicity is only observed,
-    not proven.
+    not proven. Bisection stops once the bracket is at most ``tolerance``
+    wide or its ends are adjacent floats, whichever comes first.
     Raises UnsatisfiableRequirementError when even w_max is infeasible.
     """
     if not 0.0 < w_min <= w_max:
@@ -300,6 +301,8 @@ def required_bandwidth(
     low, high = w_min, w_max  # invariant: low infeasible, high feasible
     while high - low > tolerance:
         mid = 0.5 * (low + high)
+        if not low < mid < high:  # adjacent floats: no width lies between
+            break
         if result_at(mid).feasible:
             high = mid
         else:

@@ -10,8 +10,9 @@ loops, so tests can cross-check the package against both.
 ``reference_float_coverage`` is the estimator's earlier kernel: it
 associates every class from the geometry's best-of-tier arrays, sums the
 station loads and compares each user's rate, its rate factor divided by
-the float load, with the requirement. The estimator's integer caps and
-decided users must give the same reports.
+the float load, with the requirement. ``reference_rate_factors`` computes
+those rate factors and requirements from the geometry and the config. The
+estimator's integer caps and decided users must give the same reports.
 
 ``reference_trial_geometry`` is the serial whole-trial assembly that
 TrialGeometry's threaded, user-blocked build replaced, with the broadcast
@@ -134,14 +135,42 @@ def reference_rate_coverage(config, deployments, bias):
     return per_class, average, feasible
 
 
+def reference_rate_factors(geo, config):
+    """Per-user rate factors at the best macro and best small station, and
+    the per-class rate requirements.
+
+    A rate factor is efficiency * log2(1 + SINR) * W, the user's rate at a
+    load of one, in the estimator's operation order; the efficiency is that
+    of the user's class at the tier's density.
+    """
+    requirements = [
+        rate_requirement(p.traffic_volume, config.demand_peak_factor)
+        for p in config.profiles
+    ]
+    width = config.bandwidth
+    factors = []
+    for signal, density in (
+        (geo.sig_macro, config.macro_density),
+        (geo.sig_small, config.small_density),
+    ):
+        eff = np.array(
+            [handover_efficiency(p.velocity, density, config) for p in config.profiles]
+        )
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sinr = signal / (geo.total_inst - signal + config.noise_power * width)
+        factors.append(np.log1p(sinr) * eff[geo.cls] / math.log(2.0) * width)
+    return factors[0], factors[1], requirements
+
+
 def reference_float_coverage(estimator, biases):
     """Reports of the gather, divide and compare kernel, one per bias vector.
 
-    Uses the estimator's geometry, rate factors and requirements, and keeps
-    each (class, bias value) association for the call.
+    Uses the estimator's geometry and config, and keeps each (class, bias
+    value) association for the call.
     """
     geo = estimator.geometry
     config = estimator.config
+    scaled_macro, scaled_small, requirements = reference_rate_factors(geo, config)
     served = {}
 
     def serve(cls, value):
@@ -149,11 +178,7 @@ def reference_float_coverage(estimator, biases):
             users = geo.class_slices[cls]
             on_small = value * geo.pw_small[users] > geo.pw_macro[users]
             gid = geo.gid_macro[users] + on_small * geo.gid_step[users]
-            scaled = np.where(
-                on_small,
-                estimator._scaled_small[users],
-                estimator._scaled_macro[users],
-            )
+            scaled = np.where(on_small, scaled_small[users], scaled_macro[users])
             loads = np.bincount(gid, minlength=geo.n_station_ids)
             served[cls, value] = (gid, scaled, loads)
         return served[cls, value]
@@ -165,7 +190,7 @@ def reference_float_coverage(estimator, biases):
         parts = [serve(cls, value) for cls, value in enumerate(values)]
         loads = sum(part[2] for part in parts).astype(float)
         per_class = []
-        for (gid, scaled, _), requirement in zip(parts, estimator._requirements):
+        for (gid, scaled, _), requirement in zip(parts, requirements):
             with np.errstate(divide="ignore", invalid="ignore"):
                 covered = scaled / loads[gid] >= requirement
             per_class.append(np.count_nonzero(covered) / gid.size)

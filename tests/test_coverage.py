@@ -32,6 +32,7 @@ from helpers import (
     make_deployment,
     reference_float_coverage,
     reference_rate_coverage,
+    reference_rate_factors,
     reference_trial_geometry,
     user_rate,
 )
@@ -594,6 +595,26 @@ def test_default_grid_matches_float_kernel(default_geometry, bandwidth):
     assert len({report.per_class_coverage for report in reports}) > 100
 
 
+@pytest.mark.parametrize("bandwidth", [1e6, 1e7, 1e8])
+def test_rate_factors_match_reference(default_geometry, bandwidth):
+    """A class's rate factors, and so its caps, are the oracle's bit for bit.
+
+    The report comparisons rarely see a one-ulp change in a rate factor;
+    this pins the operation order directly.
+    """
+    geo = default_geometry
+    config = dataclasses.replace(NetworkConfig(), bandwidth=bandwidth)
+    macro, small, _ = reference_rate_factors(geo, config)
+    for users, profile in zip(geo.class_slices, config.profiles):
+        for signal, density, expected in (
+            (geo.sig_macro, config.macro_density, macro),
+            (geo.sig_small, config.small_density, small),
+        ):
+            eff = handover_efficiency(profile.velocity, density, config)
+            factors = coverage._rate_factors(geo, users, signal, eff, config)
+            assert np.array_equal(factors, expected[users])
+
+
 # tiny configs whose rate factors or requirements sit on the edges of the
 # cap arithmetic: no noise, a zero requirement, and zero handover efficiency
 # (the moving classes lose every second to handover), alone and together
@@ -602,6 +623,11 @@ EDGE_CONFIGS = {
     "zero-walking-volume": {"volumes": [20.0, 0.0, 10.0]},
     "zero-efficiency": {"handover_delay": 1e3},
     "all-three": {"noise_power": 0.0, "handover_delay": 1e3, "volumes": [20.0, 5.0, 0.0]},
+    # no small tier: every small station power and signal is zero
+    "no-small-tier": {"small_density": 0.0},
+    "no-small-tier-noise-free": {
+        "small_density": 0.0, "noise_power": 0.0, "volumes": [20.0, 0.0, 10.0]
+    },
 }
 
 
@@ -689,9 +715,8 @@ def test_tight_bound_matches_oracles():
     assert geometry.other_candidates[UserClass.STATIONARY][0] == 2
     for cls in (UserClass.WALKING, UserClass.VEHICULAR):
         assert geometry.association(cls, 1.0).loads[0] == 1  # the bound is met
-    caps = coverage._rate_caps(
-        estimator._scaled_macro[:2], estimator._requirements[0], geometry.cls.size
-    )
+    scaled_macro, _, requirements = reference_rate_factors(geometry, config)
+    caps = coverage._rate_caps(scaled_macro[:2], requirements[0], geometry.cls.size)
     slack = caps - stationary.loads[0]
     assert slack.tolist() == [2, 1]
 

@@ -335,6 +335,15 @@ class TestRequiredBandwidth:
         )
         assert at.feasible
         assert not below.feasible
+        # a tolerance below the float spacing near the threshold ends the
+        # bisection at two adjacent floats
+        width = required_bandwidth(base, SMALL_GRID, scheme, 1e6, 1e9, 1e-12)
+        at = run_scheme(scheme, base.with_bandwidth(width), SMALL_GRID)
+        below = run_scheme(
+            scheme, base.with_bandwidth(math.nextafter(width, 0.0)), SMALL_GRID
+        )
+        assert at.feasible
+        assert not below.feasible
 
     def test_monotone_in_total_volume(self, tiny_config):
         lighter = tiny_config.with_volumes([120.0, 30.0, 80.0])
