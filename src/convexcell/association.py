@@ -14,18 +14,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 
 def linear_from_db(db: float) -> float:
     try:
         return 10.0 ** (db / 10.0)
     except OverflowError:
         raise ValueError(f"{db!r} dB overflows as a linear factor") from None
-
-
-def db_from_linear(linear: float) -> float:
-    return 10.0 * np.log10(linear)
 
 
 @dataclass(frozen=True)

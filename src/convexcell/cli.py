@@ -33,6 +33,7 @@ from .optimizer import (
     DemandScenario,
     Scheme,
     UnsatisfiableRequirementError,
+    check_bracket,
     convexity_sweep,
     required_bandwidth,
 )
@@ -157,19 +158,19 @@ def run_sweep(manifest: RunManifest, args: argparse.Namespace) -> int:
 
     points = convexity_sweep(scenario, args.convexity, config, grid, schemes)
     rows = []
-    for point in points:
-        report = point.result.report
-        bias = point.result.bias
+    for convexity, result in points:
+        report = result.report
+        bias = result.bias
         rows.append(
             (
-                point.convexity,
-                point.scheme.value,
+                convexity,
+                result.scheme.value,
                 report.average_coverage,
                 *report.per_class_coverage,
                 bias.stationary_bias,
                 bias.walking_bias,
                 bias.vehicular_bias,
-                str(point.result.feasible).lower(),
+                str(result.feasible).lower(),
             )
         )
     _write_csv(paths["sweep.csv"], SWEEP_COLUMNS, rows)
@@ -193,12 +194,14 @@ def run_bandwidth(manifest: RunManifest, args: argparse.Namespace) -> int:
     config = _load_config(manifest)
     grid = BiasGrid.from_db(args.grid_db)
     schemes = _parse_schemes(manifest.scheme, (Scheme.THREE_STAGE, Scheme.CRE))
+    check_bracket(args.wmin, args.wmax, args.tolerance)
+    top = replace(config, bandwidth=args.wmax)  # each bisection starts there
     point_configs = [
         DemandScenario(
             total_volume=volume,
             stationary_share=args.stationary_share,
             user_convexity=args.convexity,
-        ).apply(config)
+        ).apply(top)
         for volume in args.volumes
     ]
     paths = _prepare_outputs(manifest, ("bandwidth.csv", "bandwidth_meta.json"))
@@ -211,7 +214,7 @@ def run_bandwidth(manifest: RunManifest, args: argparse.Namespace) -> int:
             estimator = CoverageEstimator(point_config, geometry)
             try:
                 width = required_bandwidth(
-                    estimator, grid, scheme, args.wmin, args.wmax, args.tolerance
+                    estimator, grid, scheme, args.wmin, args.tolerance
                 )
                 rows.append((volume, scheme.value, width))
             except UnsatisfiableRequirementError as exc:
@@ -346,9 +349,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--overwrite", action="store_true", help="allow replacing existing outputs"
     )
 
-    # the flags of the commands that run the optimizers
+    # the flags of the commands that run the optimizers; demand defaults to
+    # the measured mix
+    measured = DemandScenario.measured_2015()
     optimizer = argparse.ArgumentParser(add_help=False)
-    optimizer.add_argument("--stationary-share", type=float, default=0.6107)
+    optimizer.add_argument(
+        "--stationary-share", type=float, default=measured.stationary_share
+    )
     optimizer.add_argument(
         "--grid-db", type=float, nargs="+", default=list(DEFAULT_GRID_DB)
     )
@@ -364,17 +371,20 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--convexity", type=float, nargs="+", default=list(DEFAULT_CONVEXITY_VALUES)
     )
-    sweep.add_argument("--total-volume", type=float, default=145.05, help="MB/day")
+    sweep.add_argument(
+        "--total-volume", type=float, default=measured.total_volume, help="MB/day"
+    )
 
     bandwidth = sub.add_parser(
         "bandwidth",
         parents=[common, optimizer],
         help="required bandwidth per scheme and volume",
     )
+    total = measured.total_volume
     bandwidth.add_argument(
-        "--volumes", type=float, nargs="+", default=[145.05, 290.1], help="MB/day"
+        "--volumes", type=float, nargs="+", default=[total, 2 * total], help="MB/day"
     )
-    bandwidth.add_argument("--convexity", type=float, default=3.04)
+    bandwidth.add_argument("--convexity", type=float, default=measured.user_convexity)
     bandwidth.add_argument("--wmin", type=float, default=1e6, help="Hz")
     bandwidth.add_argument("--wmax", type=float, default=1e8, help="Hz")
     bandwidth.add_argument("--tolerance", type=float, default=1e5, help="Hz")

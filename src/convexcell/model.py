@@ -55,13 +55,6 @@ class UserClass(enum.IntEnum):
         return self.name.lower()
 
 
-class Tier(enum.IntEnum):
-    """Station tier. Macro stations always precede small ones in station ids."""
-
-    MACRO = 0
-    SMALL = 1
-
-
 @dataclass(frozen=True)
 class ClassProfile:
     """Demand and mobility parameters of one user class.

@@ -128,9 +128,6 @@ class DemandScenario:
         vehicular = self.user_convexity * walking
         return (stationary, walking, vehicular)
 
-    def with_convexity(self, user_convexity: float) -> "DemandScenario":
-        return replace(self, user_convexity=user_convexity)
-
     def apply(self, config: NetworkConfig) -> NetworkConfig:
         """Config with per-class traffic volumes set from this scenario."""
         return config.with_volumes(self.class_volumes())
@@ -252,37 +249,44 @@ def run_scheme(
     return _SCHEME_RUNNERS[scheme](estimator, grid)
 
 
+def check_bracket(w_min: float, w_max: float, tolerance: float) -> None:
+    """Raise ValueError unless 0 < w_min <= w_max and tolerance > 0 (NaN fails)."""
+    if not 0.0 < w_min <= w_max:
+        raise ValueError("need 0 < w_min <= w_max")
+    if not tolerance > 0.0:
+        raise ValueError("tolerance must be > 0")
+
+
 def required_bandwidth(
     estimator: CoverageEstimator,
     grid: BiasGrid,
     scheme: Scheme,
     w_min: float,
-    w_max: float,
     tolerance: float,
 ) -> float:
     """Smallest bandwidth at which the scheme's optimizer is feasible.
 
-    Bisects on bandwidth by rebinding ``estimator``, whose geometry and
-    demand stay fixed. This assumes feasibility is monotone in bandwidth.
-    For a fixed bias vector it is: association and loads do not depend on
-    the bandwidth, and each user's rate W/load * log2(1 + S/(I + N0*W))
-    increases with W, so every per-class coverage can only rise. CRE and
-    full search are feasible iff some candidate of a fixed set is, so
-    their feasibility is monotone too. Three-stage chooses its biases from
-    coverages that move with W, so for it monotonicity is only observed,
-    not proven. Bisection stops once the bracket is at most ``tolerance``
-    wide or its ends are adjacent floats, whichever comes first.
-    Raises UnsatisfiableRequirementError when even w_max is infeasible.
+    ``estimator``'s bandwidth is the top of the bracket and its first
+    probe; every lower probe rebinds it with ``with_bandwidth``, so the
+    geometry and demand stay fixed. This assumes feasibility is monotone
+    in bandwidth. For a fixed bias vector it is: association and loads do
+    not depend on the bandwidth, and each user's rate
+    W/load * log2(1 + S/(I + N0*W)) increases with W, so every per-class
+    coverage can only rise. CRE and full search are feasible iff some
+    candidate of a fixed set is, so their feasibility is monotone too.
+    Three-stage chooses its biases from coverages that move with W, so for
+    it monotonicity is only observed, not proven. Bisection stops once the
+    bracket is at most ``tolerance`` wide or its ends are adjacent floats,
+    whichever comes first. Raises UnsatisfiableRequirementError when even
+    the top is infeasible.
     """
-    if not 0.0 < w_min <= w_max:
-        raise ValueError("need 0 < w_min <= w_max")
-    if not tolerance > 0.0:  # also refuses NaN
-        raise ValueError("tolerance must be > 0")
+    w_max = estimator.config.bandwidth
+    check_bracket(w_min, w_max, tolerance)
 
     def result_at(width: float) -> OptimizerResult:
         return run_scheme(scheme, estimator.with_bandwidth(width), grid)
 
-    top = result_at(w_max)
+    top = run_scheme(scheme, estimator, grid)
     if not top.feasible:
         profiles = estimator.config.profiles
         failing = tuple(
@@ -310,39 +314,30 @@ def required_bandwidth(
     return high
 
 
-@dataclass(frozen=True)
-class SweepPoint:
-    """One (user convexity, scheme) cell of a sweep table."""
-
-    convexity: float
-    scheme: Scheme
-    result: OptimizerResult
-
-
 def convexity_sweep(
     base: DemandScenario,
     convexity_values: Sequence[float],
     config: NetworkConfig,
     grid: BiasGrid,
     schemes: Sequence[Scheme] = tuple(Scheme),
-) -> list[SweepPoint]:
+) -> list[tuple[float, OptimizerResult]]:
     """Evaluate every scheme across a range of user-convexity values.
 
-    Total volume and the stationary share stay fixed; only the split of
-    moving traffic between walking and vehicular users varies. One trial
-    geometry is built and every point binds its demand to it, so rows see
-    identical deployments and fading and are exactly comparable.
+    Returns one (convexity, result) pair per point and scheme, schemes in
+    the given order within each point. Total volume and the stationary
+    share stay fixed; only the split of moving traffic between walking and
+    vehicular users varies. One trial geometry is built and every point
+    binds its demand to it, so rows see identical deployments and fading
+    and are exactly comparable.
     """
     # scenarios first: a bad convexity fails before the geometry is built
-    scenarios = [base.with_convexity(value) for value in convexity_values]
+    scenarios = [replace(base, user_convexity=value) for value in convexity_values]
     geometry = TrialGeometry(config)
-    rows: list[SweepPoint] = []
+    rows = []
     for convexity, scenario in zip(convexity_values, scenarios):
-        point_config = scenario.apply(config)
-        estimator = CoverageEstimator(point_config, geometry)
+        estimator = CoverageEstimator(scenario.apply(config), geometry)
         for scheme in schemes:
-            result = run_scheme(scheme, estimator, grid)
-            rows.append(SweepPoint(convexity=convexity, scheme=scheme, result=result))
+            rows.append((convexity, run_scheme(scheme, estimator, grid)))
         # release this point's parts (caps and undecided users) before
         # binding the next; the associations stay on the geometry for it
         del estimator

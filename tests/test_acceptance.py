@@ -73,7 +73,7 @@ def headline():
     start = time.perf_counter()
     points = convexity_sweep(scenario, CONVEXITIES, config, grid)
     elapsed = time.perf_counter() - start
-    table = {(p.convexity, p.scheme): p.result for p in points}
+    table = {(c, result.scheme): result for c, result in points}
     return {"table": table, "elapsed": elapsed, "config": config, "grid": grid}
 
 
@@ -84,14 +84,14 @@ def bandwidth_table(headline):
     grid = headline["grid"]
     scenario = DemandScenario.measured_2015()
     geometry = TrialGeometry(config)
+    top = replace(config, bandwidth=1e8)  # each bisection starts at its top
     table = {}
     for total in (145.05, 290.1):
-        point_config = replace(scenario, total_volume=total).apply(config)
+        point_config = replace(scenario, total_volume=total).apply(top)
         estimator = CoverageEstimator(point_config, geometry)
         for scheme in (Scheme.THREE_STAGE, Scheme.CRE):
             table[(total, scheme)] = required_bandwidth(
-                estimator, grid, scheme, w_min=1e6, w_max=1e8,
-                tolerance=BANDWIDTH_TOL_HZ,
+                estimator, grid, scheme, w_min=1e6, tolerance=BANDWIDTH_TOL_HZ
             )
     return table
 

@@ -12,7 +12,7 @@ from convexcell import (
     NetworkConfig,
     estimate_rate_coverage,
 )
-from convexcell import cli, coverage
+from convexcell import cli, coverage, optimizer
 
 TINY_CONFIG = {
     "user_count": 40,
@@ -207,6 +207,58 @@ class TestBandwidthCommand:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "tolerance" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "option, message",
+        [
+            (["--tolerance", "0"], "tolerance must be > 0"),
+            (["--wmin", "2e8"], "need 0 < w_min <= w_max"),
+            (["--wmax", "nan"], "need 0 < w_min <= w_max"),
+            (["--wmax", "inf"], "bandwidth must be finite"),
+        ],
+        ids=["zero-tolerance", "wmin-above-wmax", "nan-wmax", "inf-wmax"],
+    )
+    def test_bad_bracket_rejected_before_the_geometry_build(
+        self, tmp_path, config_path, capsys, monkeypatch, option, message
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the geometry was built")
+
+        monkeypatch.setattr(cli, "TrialGeometry", refuse)
+        out = tmp_path / "out"
+        code = run(["bandwidth", "--config", config_path, "--out", str(out), *option])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert message in err
+        assert not out.exists()
+
+    def test_every_binding_is_evaluated(self, tmp_path, config_path, monkeypatch):
+        """Each bisection's first probe is the estimator run_bandwidth binds."""
+        counts = {"binds": 0, "probes": 0}
+        bind = coverage.CoverageEstimator._bind
+        probe = optimizer.run_scheme
+
+        def counted_bind(*args):
+            counts["binds"] += 1
+            return bind(*args)
+
+        def counted_probe(*args):
+            counts["probes"] += 1
+            return probe(*args)
+
+        monkeypatch.setattr(coverage.CoverageEstimator, "_bind", counted_bind)
+        monkeypatch.setattr(optimizer, "run_scheme", counted_probe)
+        code = run(
+            [
+                "bandwidth", "--config", config_path, "--out", str(tmp_path / "out"),
+                "--volumes", "60", "3000", "--grid-db", "0", "6",
+            ]
+        )
+        assert code == 0
+        # 60 MB/day is feasible at --wmin; 3000 MB/day bisects below the top
+        assert counts["probes"] > 2 * 2 * 2
+        assert counts["binds"] == counts["probes"]
 
 
 @pytest.mark.parametrize("command", ["sweep", "bandwidth"])

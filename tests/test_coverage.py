@@ -742,9 +742,10 @@ def test_tight_bound_matches_oracles():
 def test_bisection_keeps_one_read_only_association_per_grid_value(tiny_config):
     """Every probe and scheme shares the geometry's associations."""
     grid = BiasGrid.from_db([0.0, 4.0, 8.0, 12.0])
-    estimator = CoverageEstimator(tiny_config.with_volumes([120.0, 30.0, 80.0]))
+    config = tiny_config.with_volumes([120.0, 30.0, 80.0])
+    estimator = CoverageEstimator(dataclasses.replace(config, bandwidth=1e9))
     for scheme in (Scheme.THREE_STAGE, Scheme.CRE):
-        required_bandwidth(estimator, grid, scheme, 1e5, 1e9, 1e5)
+        required_bandwidth(estimator, grid, scheme, 1e5, 1e5)
     associations = estimator.geometry._associations
     assert 0 < len(associations) <= 3 * len(grid)
     for association in associations.values():

@@ -1,6 +1,7 @@
 """Bias selection schemes, bandwidth dimensioning, convexity sweep."""
 
 import math
+from dataclasses import replace
 from functools import partial
 
 import pytest
@@ -86,7 +87,7 @@ class TestDemandScenario:
         assert volumes[2] == pytest.approx(42.4907461, abs=1e-6)
 
     def test_unit_convexity_splits_moving_evenly(self):
-        volumes = DemandScenario.measured_2015().with_convexity(1.0).class_volumes()
+        volumes = replace(DemandScenario.measured_2015(), user_convexity=1.0).class_volumes()
         assert volumes[1] == volumes[2] == pytest.approx(28.2339825, abs=1e-9)
 
     @given(st.floats(0.1, 20.0), st.floats(1.0, 500.0))
@@ -293,30 +294,34 @@ def test_run_scheme_dispatch(estimator):
         assert result.scheme is scheme
 
 
+def bound_at(config, bandwidth):
+    """Estimator of config at bandwidth: the top of a bisection's bracket."""
+    return CoverageEstimator(replace(config, bandwidth=bandwidth))
+
+
 class TestRequiredBandwidth:
     def test_zero_demand_returns_w_min(self, tiny_config):
         config = tiny_config.with_volumes([0.0, 0.0, 0.0])
         width = required_bandwidth(
-            CoverageEstimator(config), SMALL_GRID, Scheme.CRE, 1e6, 1e8, 1e5
+            bound_at(config, 1e8), SMALL_GRID, Scheme.CRE, 1e6, 1e5
         )
         assert width == 1e6
 
     def test_validation(self, estimator):
+        top = estimator.config.bandwidth
         with pytest.raises(ValueError, match="w_min"):
-            required_bandwidth(estimator, SMALL_GRID, Scheme.CRE, 0.0, 1e8, 1e5)
+            required_bandwidth(estimator, SMALL_GRID, Scheme.CRE, 0.0, 1e5)
         with pytest.raises(ValueError, match="w_min"):
-            required_bandwidth(estimator, SMALL_GRID, Scheme.CRE, 2e8, 1e8, 1e5)
+            required_bandwidth(estimator, SMALL_GRID, Scheme.CRE, 2 * top, 1e5)
         for tolerance in (0.0, math.nan):
             with pytest.raises(ValueError, match="tolerance"):
-                required_bandwidth(
-                    estimator, SMALL_GRID, Scheme.CRE, 1e6, 1e8, tolerance
-                )
+                required_bandwidth(estimator, SMALL_GRID, Scheme.CRE, 1e6, tolerance)
 
     def test_unsatisfiable_names_failing_classes(self, tiny_config):
         config = tiny_config.with_volumes([12000.0, 3000.0, 8000.0])
         with pytest.raises(UnsatisfiableRequirementError) as excinfo:
             required_bandwidth(
-                CoverageEstimator(config), SMALL_GRID, Scheme.CRE, 1e6, 2e6, 1e5
+                bound_at(config, 2e6), SMALL_GRID, Scheme.CRE, 1e6, 1e5
             )
         assert excinfo.value.failing_classes
         assert all(cls in tuple(UserClass) for cls in excinfo.value.failing_classes)
@@ -326,8 +331,8 @@ class TestRequiredBandwidth:
     def test_bisection_brackets_the_threshold(self, tiny_config, scheme):
         tolerance = 1e5
         config = tiny_config.with_volumes([120.0, 30.0, 80.0])
-        base = CoverageEstimator(config)
-        width = required_bandwidth(base, SMALL_GRID, scheme, 1e6, 1e9, tolerance)
+        base = bound_at(config, 1e9)
+        width = required_bandwidth(base, SMALL_GRID, scheme, 1e6, tolerance)
         assert width > 1e6 + 2 * tolerance  # interior solution, not the edge
         at = run_scheme(scheme, base.with_bandwidth(width), SMALL_GRID)
         below = run_scheme(
@@ -337,7 +342,7 @@ class TestRequiredBandwidth:
         assert not below.feasible
         # a tolerance below the float spacing near the threshold ends the
         # bisection at two adjacent floats
-        width = required_bandwidth(base, SMALL_GRID, scheme, 1e6, 1e9, 1e-12)
+        width = required_bandwidth(base, SMALL_GRID, scheme, 1e6, 1e-12)
         at = run_scheme(scheme, base.with_bandwidth(width), SMALL_GRID)
         below = run_scheme(
             scheme, base.with_bandwidth(math.nextafter(width, 0.0)), SMALL_GRID
@@ -349,10 +354,10 @@ class TestRequiredBandwidth:
         lighter = tiny_config.with_volumes([120.0, 30.0, 80.0])
         heavier = tiny_config.with_volumes([240.0, 60.0, 160.0])
         w_light = required_bandwidth(
-            CoverageEstimator(lighter), SMALL_GRID, Scheme.CRE, 1e6, 1e9, 1e5
+            bound_at(lighter, 1e9), SMALL_GRID, Scheme.CRE, 1e6, 1e5
         )
         w_heavy = required_bandwidth(
-            CoverageEstimator(heavier), SMALL_GRID, Scheme.CRE, 1e6, 1e9, 1e5
+            bound_at(heavier, 1e9), SMALL_GRID, Scheme.CRE, 1e6, 1e5
         )
         assert w_heavy >= w_light
 
@@ -364,8 +369,8 @@ class TestConvexitySweep:
             DemandScenario.measured_2015(), values, tiny_config, SMALL_GRID
         )
         assert len(rows) == len(values) * len(tuple(Scheme))
-        assert [r.convexity for r in rows[:3]] == [1.0, 1.0, 1.0]
-        assert {r.scheme for r in rows} == set(Scheme)
+        assert [convexity for convexity, _ in rows] == [1.0] * 3 + [3.04] * 3
+        assert [result.scheme for _, result in rows] == list(Scheme) * 2
 
     def test_scheme_subset(self, tiny_config):
         rows = convexity_sweep(
@@ -373,7 +378,8 @@ class TestConvexitySweep:
             schemes=(Scheme.CRE,),
         )
         assert len(rows) == 1
-        assert rows[0].scheme is Scheme.CRE
+        assert rows[0][0] == 2.0
+        assert rows[0][1].scheme is Scheme.CRE
 
     def test_deterministic(self, tiny_config):
         args = (DemandScenario.measured_2015(), (1.0, 4.0), tiny_config, SMALL_GRID)
