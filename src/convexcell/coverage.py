@@ -386,9 +386,8 @@ class CoverageEstimator:
     station ids and caps of the rest, the undecided users, so a bias
     triple costs the sum of three load vectors and one gather and integer
     compare per undecided user. Grid searches over n values per class
-    build 3n parts instead of n^3 associations. Reports are cached by bias
-    triple; identical inputs give identical reports regardless of
-    evaluation order.
+    build 3n parts instead of n^3 associations. Every request is computed;
+    identical inputs give identical reports regardless of evaluation order.
     """
 
     def __init__(
@@ -432,27 +431,23 @@ class CoverageEstimator:
             macro, step = caps
             step -= macro
             self._user_caps.append((macro, step))
-        self._cache: dict[tuple[float, float, float], CoverageReport] = {}
         self._parts: dict[tuple[int, float], tuple] = {}
         # evaluate's station loads
         self._loads = np.empty(geo.n_station_ids, dtype=np.int32)
 
     def with_bandwidth(self, bandwidth: float) -> "CoverageEstimator":
-        """Estimator bound to the same geometry and demand at another bandwidth."""
-        if bandwidth <= 0.0:
-            raise ValueError("bandwidth must be > 0")
+        """Estimator bound to the same geometry and demand at another bandwidth.
+
+        A bandwidth the config refuses raises its ConfigError, a ValueError.
+        """
         clone = object.__new__(CoverageEstimator)
         clone._bind(replace(self.config, bandwidth=bandwidth), self.geometry)
         return clone
 
     def evaluate(self, bias: BiasVector) -> CoverageReport:
         """Rate coverage of one bias vector over the shared realizations."""
-        key = (bias.stationary_bias, bias.walking_bias, bias.vehicular_bias)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-
-        parts = [self._part(cls, value) for cls, value in enumerate(key)]
+        values = (bias.stationary_bias, bias.walking_bias, bias.vehicular_bias)
+        parts = [self._part(cls, value) for cls, value in enumerate(values)]
         loads = self._loads
         np.add(parts[0][0], parts[1][0], out=loads)
         np.add(loads, parts[2][0], out=loads)
@@ -464,14 +459,12 @@ class CoverageEstimator:
             per_class.append(count / (users.stop - users.start))
         average = float(np.dot(self._fractions, per_class))
         feasible = bool(np.all(np.asarray(per_class) >= self._min_coverage))
-        report = CoverageReport(
+        return CoverageReport(
             per_class_coverage=tuple(per_class),
             average_coverage=average,
             feasible=feasible,
             trials_used=self.geometry.trials,
         )
-        self._cache[key] = report
-        return report
 
     def _part(self, cls: int, bias: float) -> tuple:
         """Station loads, always-covered count and undecided users of a class.

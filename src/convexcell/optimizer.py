@@ -16,7 +16,6 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Callable, Iterable, Sequence
 
 from .association import BiasVector, linear_from_db
@@ -133,49 +132,54 @@ class DemandScenario:
         return config.with_volumes(self.class_volumes())
 
 
-def _argmax(
+def _best(
     estimator: CoverageEstimator,
-    grid: BiasGrid,
-    user_class: UserClass,
-    bias_of: Callable[[float], BiasVector],
-) -> tuple[float, CoverageReport]:
-    """Grid value maximizing one class's coverage; returns (value, its report).
+    biases: Iterable[BiasVector],
+    key: Callable[[CoverageReport], object],
+) -> tuple[BiasVector, CoverageReport]:
+    """The candidate whose report has the highest key, with that report.
 
-    ``bias_of`` places the candidate value in a bias vector. ``max`` keeps
-    the first of equal maxima, so ties break to the smallest bias.
+    The one selection rule of every scheme and stage. Candidates are
+    evaluated in order, and ``max`` keeps the first of equal keys, so ties
+    break to the earliest candidate: the smallest bias.
     """
     return max(
-        ((value, estimator.evaluate(bias_of(value))) for value in grid),
-        key=lambda item: item[1].per_class_coverage[user_class],
+        ((bias, estimator.evaluate(bias)) for bias in biases),
+        key=lambda item: key(item[1]),
     )
+
+
+def _class_coverage(user_class: UserClass) -> Callable[[CoverageReport], float]:
+    return lambda report: report.per_class_coverage[user_class]
+
+
+def _feasible_average(report: CoverageReport) -> tuple[bool, float]:
+    return (report.feasible, report.average_coverage)
 
 
 def _stage2(
     estimator: CoverageEstimator,
     grid: BiasGrid,
     stationary: float,
-) -> tuple[float, float, CoverageReport]:
-    """Walking-bias scan; returns (walking, vehicular bias, final report).
+) -> tuple[BiasVector, CoverageReport]:
+    """Walking-bias scan; returns the final (bias, report).
 
     Scans the grid upward and stops at the first walking bias whose
     stage-3 completion (the vehicular-coverage argmax) meets the vehicular
     coverage threshold: the macro resources vacated by walking users are
-    just enough. Falls back to the candidate with the best vehicular
+    just enough. Falls back to the completion with the best vehicular
     coverage when none qualifies.
     """
     min_vehicular = estimator.config.profiles[UserClass.VEHICULAR].min_coverage
-    best = None
-    best_coverage = -1.0
+    vehicular = _class_coverage(UserClass.VEHICULAR)
+    completions = []
     for walking in grid:
-        completion = partial(BiasVector, stationary, walking)
-        vehicular, report = _argmax(estimator, grid, UserClass.VEHICULAR, completion)
-        coverage = report.per_class_coverage[UserClass.VEHICULAR]
-        if coverage >= min_vehicular:
-            return walking, vehicular, report
-        if coverage > best_coverage:
-            best_coverage = coverage
-            best = (walking, vehicular, report)
-    return best
+        biases = (BiasVector(stationary, walking, v) for v in grid)
+        bias, report = _best(estimator, biases, vehicular)
+        if vehicular(report) >= min_vehicular:
+            return bias, report
+        completions.append((bias, report))
+    return max(completions, key=lambda item: vehicular(item[1]))
 
 
 def three_stage_optimize(
@@ -186,26 +190,13 @@ def three_stage_optimize(
     Stage 1 takes the bias maximizing stationary coverage with the other
     classes unbiased; stages 2 and 3 are the walking scan of ``_stage2``.
     """
-    stationary, _ = _argmax(
-        estimator, grid, UserClass.STATIONARY, lambda b: BiasVector(b, 1.0, 1.0)
+    stage1, _ = _best(
+        estimator,
+        (BiasVector(b, 1.0, 1.0) for b in grid),
+        _class_coverage(UserClass.STATIONARY),
     )
-    walking, vehicular, report = _stage2(estimator, grid, stationary)
-    bias = BiasVector(stationary, walking, vehicular)
+    bias, report = _stage2(estimator, grid, stage1.stationary_bias)
     return OptimizerResult(bias=bias, report=report, scheme=Scheme.THREE_STAGE)
-
-
-def _select(
-    biases: Iterable[BiasVector], estimator: CoverageEstimator
-) -> tuple[BiasVector, CoverageReport]:
-    """Highest average coverage, feasible candidates first.
-
-    ``max`` keeps the first of equal candidates. When no candidate is
-    feasible the best infeasible one is returned.
-    """
-    return max(
-        ((bias, estimator.evaluate(bias)) for bias in biases),
-        key=lambda item: (item[1].feasible, item[1].average_coverage),
-    )
 
 
 def cre_optimize(estimator: CoverageEstimator, grid: BiasGrid) -> OptimizerResult:
@@ -214,7 +205,8 @@ def cre_optimize(estimator: CoverageEstimator, grid: BiasGrid) -> OptimizerResul
     When no common bias is feasible the best-average infeasible candidate
     is returned with feasible=False. Ties break to the smallest bias.
     """
-    bias, report = _select((BiasVector.uniform(b) for b in grid), estimator)
+    biases = (BiasVector.uniform(b) for b in grid)
+    bias, report = _best(estimator, biases, _feasible_average)
     return OptimizerResult(bias=bias, report=report, scheme=Scheme.CRE)
 
 
@@ -231,7 +223,7 @@ def full_search(estimator: CoverageEstimator, grid: BiasGrid) -> OptimizerResult
             stacklevel=2,
         )
     biases = (BiasVector(*triple) for triple in itertools.product(grid, repeat=3))
-    bias, report = _select(biases, estimator)
+    bias, report = _best(estimator, biases, _feasible_average)
     return OptimizerResult(bias=bias, report=report, scheme=Scheme.FULL_SEARCH)
 
 
@@ -250,11 +242,15 @@ def run_scheme(
 
 
 def check_bracket(w_min: float, w_max: float, tolerance: float) -> None:
-    """Raise ValueError unless 0 < w_min <= w_max and tolerance > 0 (NaN fails)."""
+    """Raise ValueError unless 0 < w_min <= w_max and 0 < tolerance < inf.
+
+    NaN fails both checks. An infinite tolerance would end the bisection
+    before its first step and return the top of the bracket.
+    """
     if not 0.0 < w_min <= w_max:
         raise ValueError("need 0 < w_min <= w_max")
-    if not tolerance > 0.0:
-        raise ValueError("tolerance must be > 0")
+    if not 0.0 < tolerance < math.inf:
+        raise ValueError("tolerance must be > 0 and finite")
 
 
 def required_bandwidth(

@@ -215,8 +215,12 @@ class TestBandwidthCommand:
             (["--wmin", "2e8"], "need 0 < w_min <= w_max"),
             (["--wmax", "nan"], "need 0 < w_min <= w_max"),
             (["--wmax", "inf"], "bandwidth must be finite"),
+            (["--tolerance", "inf"], "tolerance must be > 0 and finite"),
         ],
-        ids=["zero-tolerance", "wmin-above-wmax", "nan-wmax", "inf-wmax"],
+        ids=[
+            "zero-tolerance", "wmin-above-wmax", "nan-wmax", "inf-wmax",
+            "inf-tolerance",
+        ],
     )
     def test_bad_bracket_rejected_before_the_geometry_build(
         self, tmp_path, config_path, capsys, monkeypatch, option, message

@@ -329,8 +329,9 @@ class TestEstimator:
         clone = estimator.with_bandwidth(2e6)
         assert clone.config.bandwidth == 2e6
         assert estimator.evaluate(bias) == before  # original untouched
-        with pytest.raises(ValueError):
-            estimator.with_bandwidth(0.0)
+        for bandwidth in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="bandwidth must be"):
+                estimator.with_bandwidth(bandwidth)
 
     def test_rebind_does_not_reuse_parts_across_bandwidths(self, tiny_config):
         biases = [BiasVector(b, 1.0, v) for b in (1.0, 3.0) for v in (1.0, 9.9)]

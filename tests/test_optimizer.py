@@ -2,7 +2,6 @@
 
 import math
 from dataclasses import replace
-from functools import partial
 
 import pytest
 from hypothesis import given
@@ -28,7 +27,7 @@ from convexcell import (
     three_stage_optimize,
 )
 from convexcell.coverage import CoverageReport
-from convexcell.optimizer import _argmax, _select, _stage2
+from convexcell.optimizer import _best, _class_coverage, _feasible_average, _stage2
 from helpers import (
     reference_cre,
     reference_full_search,
@@ -114,17 +113,17 @@ class TestDemandScenario:
         )
 
 
-def stage1_bias(b):
-    return BiasVector(b, 1.0, 1.0)
-
-
 class TestStages:
     def test_singleton_grid_forces_unbiased(self, estimator):
         grid = BiasGrid((1.0,))
-        assert _argmax(estimator, grid, UserClass.STATIONARY, stage1_bias)[0] == 1.0
-        assert _stage2(estimator, grid, 1.0)[0] == 1.0
-        stage3_bias = partial(BiasVector, 1.0, 1.0)
-        assert _argmax(estimator, grid, UserClass.VEHICULAR, stage3_bias)[0] == 1.0
+        unbiased = BiasVector(1.0, 1.0, 1.0)
+        stage1 = (BiasVector(b, 1.0, 1.0) for b in grid)
+        stationary = _class_coverage(UserClass.STATIONARY)
+        assert _best(estimator, stage1, stationary)[0] == unbiased
+        assert _stage2(estimator, grid, 1.0)[0] == unbiased
+        stage3 = (BiasVector(1.0, 1.0, b) for b in grid)
+        vehicular = _class_coverage(UserClass.VEHICULAR)
+        assert _best(estimator, stage3, vehicular)[0] == unbiased
 
     def test_stage1_all_candidates_tie_without_smalls(self):
         config = NetworkConfig(
@@ -143,14 +142,17 @@ class TestStages:
         expected_bias, _, expected_report = reference_stage3(
             estimator, SMALL_GRID, 2.0, 1.0
         )
-        got = _argmax(
-            estimator, SMALL_GRID, UserClass.VEHICULAR, partial(BiasVector, 2.0, 1.0)
+        got = _best(
+            estimator,
+            (BiasVector(2.0, 1.0, b) for b in SMALL_GRID),
+            _class_coverage(UserClass.VEHICULAR),
         )
-        assert got == (expected_bias, expected_report)
+        assert got == (BiasVector(2.0, 1.0, expected_bias), expected_report)
 
     def test_stage2_zero_vehicular_demand_stays_low(self, tiny_config):
         config = tiny_config.with_volumes([50.0, 10.0, 0.0])
-        assert _stage2(CoverageEstimator(config), SMALL_GRID, 1.0)[0] == 1.0
+        bias, _ = _stage2(CoverageEstimator(config), SMALL_GRID, 1.0)
+        assert bias.walking_bias == 1.0
 
     def test_stage2_matches_scan_rule(self, estimator):
         b_s = reference_stage1(estimator, SMALL_GRID)
@@ -269,7 +271,7 @@ def test_select_rule_on_fixed_reports(candidates, winner):
     stub = StubEstimator(
         {(b.stationary_bias,) * 3: r for b, r in zip(biases, reports)}
     )
-    assert _select(biases, stub) == (biases[winner], reports[winner])
+    assert _best(stub, biases, _feasible_average) == (biases[winner], reports[winner])
     assert stub.calls == [(b.stationary_bias,) * 3 for b in biases]
 
 
@@ -282,10 +284,59 @@ def test_argmax_rule_on_fixed_reports(coverages, winner):
     # the average runs against the class coverage, so only the class counts
     reports = [stub_report(1.0 - c, True, vehicular=c) for c in coverages]
     stub = StubEstimator({(1.0, 1.0, b): r for b, r in zip(grid, reports)})
-    completion = partial(BiasVector, 1.0, 1.0)
-    got = _argmax(stub, grid, UserClass.VEHICULAR, completion)
-    assert got == (grid.values[winner], reports[winner])
+    completions = (BiasVector(1.0, 1.0, b) for b in grid)
+    got = _best(stub, completions, _class_coverage(UserClass.VEHICULAR))
+    assert got == (BiasVector(1.0, 1.0, grid.values[winner]), reports[winner])
     assert stub.calls == [(1.0, 1.0, b) for b in grid]
+
+
+def stage2_stub(vehicular_coverages):
+    """Stub whose candidate (1, w, v) has the vehicular coverage given at [w][v].
+
+    Its config is the default one, whose vehicular threshold is 0.8.
+    """
+    stub = StubEstimator(
+        {
+            (1.0, w, v): stub_report(0.5, False, vehicular=coverage)
+            for w, row in vehicular_coverages.items()
+            for v, coverage in row.items()
+        }
+    )
+    stub.config = NetworkConfig()
+    return stub
+
+
+def test_stage2_falls_back_to_the_first_of_equal_completions():
+    # no walking value reaches 0.8, and walking 1 and 2 complete to the same
+    # best vehicular coverage
+    grid = BiasGrid((1.0, 2.0, 3.0))
+    stub = stage2_stub(
+        {
+            1.0: {1.0: 0.3, 2.0: 0.6, 3.0: 0.6},
+            2.0: {1.0: 0.6, 2.0: 0.2, 3.0: 0.1},
+            3.0: {1.0: 0.5, 2.0: 0.5, 3.0: 0.4},
+        }
+    )
+    bias, report = _stage2(stub, grid, 1.0)
+    assert bias == BiasVector(1.0, 1.0, 2.0)
+    assert report is stub.reports[(1.0, 1.0, 2.0)]
+    assert stub.calls == [(1.0, w, v) for w in grid for v in grid]
+
+
+def test_stage2_stops_at_the_first_qualifying_walking_value():
+    grid = BiasGrid((1.0, 2.0, 3.0))
+    stub = stage2_stub(
+        {
+            1.0: {1.0: 0.7, 2.0: 0.3, 3.0: 0.1},
+            2.0: {1.0: 0.1, 2.0: 0.9, 3.0: 0.9},
+            3.0: {1.0: 1.0, 2.0: 1.0, 3.0: 1.0},
+        }
+    )
+    bias, report = _stage2(stub, grid, 1.0)
+    assert bias == BiasVector(1.0, 2.0, 2.0)
+    assert report is stub.reports[(1.0, 2.0, 2.0)]
+    # walking 3 is never scanned
+    assert stub.calls == [(1.0, w, v) for w in (1.0, 2.0) for v in grid]
 
 
 def test_run_scheme_dispatch(estimator):
@@ -313,7 +364,7 @@ class TestRequiredBandwidth:
             required_bandwidth(estimator, SMALL_GRID, Scheme.CRE, 0.0, 1e5)
         with pytest.raises(ValueError, match="w_min"):
             required_bandwidth(estimator, SMALL_GRID, Scheme.CRE, 2 * top, 1e5)
-        for tolerance in (0.0, math.nan):
+        for tolerance in (0.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="tolerance"):
                 required_bandwidth(estimator, SMALL_GRID, Scheme.CRE, 1e6, tolerance)
 
