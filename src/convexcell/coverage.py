@@ -149,8 +149,9 @@ class TrialGeometry:
     three classes costs about 0.9 MB at the defaults.
 
     Trials are sampled and reduced on one thread per usable CPU, each trial
-    in blocks of about ``BLOCK_LINKS`` links, so the build holds about
-    workers x (one fading matrix + one block) of link data at a time. Each
+    in blocks of about ``BLOCK_LINKS`` links whose fading is drawn per
+    block, so the build holds about workers x one block of link data at a
+    time, whatever the user count. Each
     trial is a pure function of ``(seed, trial)`` and is collected in trial
     order, so the arrays do not depend on the number of threads.
     """
@@ -251,7 +252,8 @@ class TrialGeometry:
         Returns the arrays, each keyed by the geometry attribute it is
         concatenated into, with trial-local station ids in ``gid_macro``,
         and the trial's station count. Users are reduced in row blocks of
-        about ``BLOCK_LINKS`` links.
+        about ``BLOCK_LINKS`` links (at least one user), each with its rows
+        of the deployment's fading.
         """
         n_users = deployment.n_users
         n_macro = deployment.n_macro
@@ -271,26 +273,31 @@ class TrialGeometry:
             "total_inst": np.empty(n_users),
         }
         step = max(1, BLOCK_LINKS // deployment.n_stations)
-        for start in range(0, n_users, step):
+        starts = range(0, n_users, step)
+        for start, fading in zip(starts, deployment.fading_blocks(step)):
             users = slice(start, start + step)
-            block = replace(
-                deployment,
+            block = Deployment(
+                macro_positions=deployment.macro_positions,
+                small_positions=deployment.small_positions,
                 user_positions=deployment.user_positions[users],
                 user_classes=deployment.user_classes[users],
-                fading=deployment.fading[users],
+                fading=fading,
             )
             mean_power = mean_power_matrix(block, config)
-            inst_power = mean_power * block.fading
             rows = np.arange(block.n_users)
             best_macro = np.argmax(mean_power[:, :n_macro], axis=1)
             out["pw_macro"][users] = mean_power[rows, best_macro]
-            out["sig_macro"][users] = inst_power[rows, best_macro]
             out["gid_macro"][users] = best_macro
             if has_small:
                 best_small = np.argmax(mean_power[:, n_macro:], axis=1) + n_macro
                 out["pw_small"][users] = mean_power[rows, best_small]
-                out["sig_small"][users] = inst_power[rows, best_small]
                 out["gid_step"][users] = best_small - best_macro
+            # the instantaneous powers overwrite the mean powers, so the
+            # block's links stay in one buffer while they are in cache
+            inst_power = np.multiply(mean_power, fading, out=mean_power)
+            out["sig_macro"][users] = inst_power[rows, best_macro]
+            if has_small:
+                out["sig_small"][users] = inst_power[rows, best_small]
             inst_power.sum(axis=1, out=out["total_inst"][users])
         return out, deployment.n_stations
 

@@ -13,7 +13,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field, fields, replace
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -279,23 +279,51 @@ class Deployment:
     """One realization of station and user placement with fading gains.
 
     Stations carry global ids: macros are 0..n_macro-1, smalls follow.
-    fading[u, s] is the unit-mean exponential channel power gain of the
-    (user u, station s) link.
+    Row u, column s of the (n_users, n_stations) gain matrix is the
+    unit-mean exponential channel power gain of the (user u, station s)
+    link. A hand-built deployment gives that matrix as ``fading``. A
+    sampled one gives ``fading_state`` instead, the state of its bit
+    generator right after the positions were drawn, and never holds the
+    matrix: :meth:`fading_blocks` draws its rows a block at a time. Exactly
+    one of the two is given.
     """
 
     macro_positions: np.ndarray
     small_positions: np.ndarray
     user_positions: np.ndarray
     user_classes: np.ndarray
-    fading: np.ndarray
+    fading: np.ndarray | None = None
+    fading_state: Mapping[str, Any] | None = None
 
     def __post_init__(self) -> None:
         n_users = self.user_positions.shape[0]
         n_stations = self.macro_positions.shape[0] + self.small_positions.shape[0]
         if self.user_classes.shape != (n_users,):
             raise ValueError("user_classes must have one entry per user")
-        if self.fading.shape != (n_users, n_stations):
+        if (self.fading is None) == (self.fading_state is None):
+            raise ValueError("give exactly one of fading and fading_state")
+        if self.fading is not None and self.fading.shape != (n_users, n_stations):
             raise ValueError("fading must have shape (n_users, n_stations)")
+
+    def fading_blocks(self, rows: int) -> Iterator[np.ndarray]:
+        """The gain matrix as consecutive blocks of ``rows`` rows, in order.
+
+        The last block may be shorter. A given matrix is sliced; a sampled
+        deployment draws each block from a new generator set to
+        ``fading_state``, which gives the bits of one whole-matrix draw, so
+        every call yields the same gains and at most one block is held.
+        """
+        starts = range(0, self.n_users, rows)
+        if self.fading is not None:
+            for start in starts:
+                yield self.fading[start : start + rows]
+            return
+        bit_generator = np.random.PCG64()
+        bit_generator.state = self.fading_state
+        rng = np.random.Generator(bit_generator)
+        for start in starts:
+            count = min(rows, self.n_users - start)
+            yield rng.standard_exponential((count, self.n_stations))
 
     @property
     def n_macro(self) -> int:
@@ -346,7 +374,9 @@ def sample_deployment(config: NetworkConfig, trial_index: int) -> Deployment:
 
     Station counts are Poisson with mean density*area (at least one macro);
     positions and users are uniform i.i.d. in the window; fading gains are
-    i.i.d. unit-mean exponential per (user, station) link.
+    i.i.d. unit-mean exponential per (user, station) link. The gains are not
+    drawn here: the deployment keeps the generator state that follows the
+    positions, and :meth:`Deployment.fading_blocks` draws them from it.
     """
     if trial_index < 0:
         raise ValueError("trial_index must be >= 0")
@@ -357,7 +387,6 @@ def sample_deployment(config: NetworkConfig, trial_index: int) -> Deployment:
     macro_positions = rng.uniform(0.0, config.area_side, size=(n_macro, 2))
     small_positions = rng.uniform(0.0, config.area_side, size=(n_small, 2))
     user_positions = rng.uniform(0.0, config.area_side, size=(config.user_count, 2))
-    fading = rng.exponential(1.0, size=(config.user_count, n_macro + n_small))
 
     counts = config.class_counts()
     user_classes = np.repeat(np.arange(3, dtype=np.int8), counts)
@@ -367,21 +396,26 @@ def sample_deployment(config: NetworkConfig, trial_index: int) -> Deployment:
         small_positions=small_positions,
         user_positions=user_positions,
         user_classes=user_classes,
-        fading=fading,
+        fading_state=rng.bit_generator.state,
     )
 
 
 def link_distances(deployment: Deployment) -> np.ndarray:
     """(n_users, n_stations) matrix of user-to-station distances in meters.
 
-    The x and y offsets are built as contiguous matrices, so hypot streams
-    through memory instead of striding over interleaved pairs.
+    ``sqrt(dx*dx + dy*dy)``, computed in place in the contiguous x-offset
+    matrix with SIMD ufuncs. ``np.hypot`` is a libm call per element and
+    several times slower; it differs in the last bit for some links, as it
+    does not round the squares and their sum.
     """
     users = deployment.user_positions
     stations = deployment.station_positions()
     dx = np.subtract.outer(users[:, 0], stations[:, 0])
     dy = np.subtract.outer(users[:, 1], stations[:, 1])
-    return np.hypot(dx, dy, out=dx)
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return np.sqrt(dx, out=dx)
 
 
 def mean_power_matrix(deployment: Deployment, config: NetworkConfig) -> np.ndarray:

@@ -70,6 +70,10 @@ class BiasGrid:
 
     @classmethod
     def from_db(cls, db_values: Sequence[float]) -> "BiasGrid":
+        """Grid of the linear factors of dB values, which must be finite."""
+        db_values = tuple(db_values)
+        if not all(math.isfinite(db) for db in db_values):
+            raise ValueError(f"bias grid dB values must be finite, got {db_values}")
         return cls(tuple(linear_from_db(db) for db in db_values))
 
     def __iter__(self):

@@ -17,7 +17,12 @@ estimator's integer caps and decided users must give the same reports.
 ``reference_trial_geometry`` is the serial whole-trial assembly that
 TrialGeometry's threaded, user-blocked build replaced, with the broadcast
 distance and mean-power arithmetic it used; the geometry must match it
-bit for bit.
+bit for bit. Its distances are ``sqrt(dx*dx + dy*dy)``, the package's
+formula; ``hypot_link_distances`` keeps the ``np.hypot`` distances the
+package used before, which differ in the last bit for some links, so
+tests can check that the integer geometry does not depend on the formula.
+``reference_fading`` draws a sampled deployment's whole gain matrix in
+one call, as sampling once did, where the package draws it per block.
 
 The trace oracle (``TraceSample``, ``MobilitySegment``, ``compute_velocity``
 and the ``reference_*`` trace functions) is the per-sample object pipeline
@@ -85,7 +90,7 @@ def sinr(user, station, deployment, config, bandwidth=None):
     inst = (
         deployment.station_powers(config)
         * config.reference_loss
-        * deployment.fading[user]
+        * reference_fading(deployment)[user]
         * distance ** (-config.path_loss_exponent)
     )
     signal = inst[station]
@@ -205,27 +210,55 @@ def reference_float_coverage(estimator, biases):
     return reports
 
 
-def reference_link_distances(deployment):
-    """User-to-station distances by hypot over a broadcast (U, S, 2) delta."""
+def reference_fading(deployment):
+    """The whole (n_users, n_stations) gain matrix of a deployment.
+
+    A given matrix is returned as is; a sampled deployment's is drawn in one
+    ``exponential(1.0, (n_users, n_stations))`` call from a generator set
+    to its saved state.
+    """
+    if deployment.fading is not None:
+        return deployment.fading
+    bit_generator = np.random.PCG64()
+    bit_generator.state = deployment.fading_state
+    shape = (deployment.n_users, deployment.n_stations)
+    return np.random.Generator(bit_generator).exponential(1.0, shape)
+
+
+def _broadcast_delta(deployment):
+    """(U, S, 2) user-minus-station offsets."""
     stations = deployment.station_positions()
-    delta = deployment.user_positions[:, None, :] - stations[None, :, :]
+    return deployment.user_positions[:, None, :] - stations[None, :, :]
+
+
+def reference_link_distances(deployment):
+    """User-to-station distances, sqrt(dx*dx + dy*dy) over a broadcast delta."""
+    delta = _broadcast_delta(deployment)
+    dx, dy = delta[..., 0], delta[..., 1]
+    return np.sqrt(dx * dx + dy * dy)
+
+
+def hypot_link_distances(deployment):
+    """User-to-station distances by hypot over a broadcast delta."""
+    delta = _broadcast_delta(deployment)
     return np.hypot(delta[..., 0], delta[..., 1])
 
 
-def reference_trial_geometry(config, deployments):
+def reference_trial_geometry(config, deployments, distances=reference_link_distances):
     """TrialGeometry's arrays, one whole trial at a time on one thread.
 
     Returns a name -> array mapping with the geometry's attribute names,
-    plus ``n_station_ids``.
+    plus ``n_station_ids``. ``distances`` maps a deployment to its link
+    distances.
     """
     parts = {}
     station_offset = 0
     for deployment in deployments:
         powers = deployment.station_powers(config)
-        distances = np.maximum(reference_link_distances(deployment), MIN_PATH_DISTANCE_M)
-        path_loss = distances ** (-config.path_loss_exponent)
+        floored = np.maximum(distances(deployment), MIN_PATH_DISTANCE_M)
+        path_loss = floored ** (-config.path_loss_exponent)
         mean_power = powers[None, :] * config.reference_loss * path_loss
-        inst_power = mean_power * deployment.fading
+        inst_power = mean_power * reference_fading(deployment)
         rows = np.arange(deployment.n_users)
         n_macro = deployment.n_macro
         best_macro = np.argmax(mean_power[:, :n_macro], axis=1)

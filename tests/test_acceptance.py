@@ -21,7 +21,6 @@ from convexcell import (
     ClassProfile,
     CoverageEstimator,
     DemandScenario,
-    Deployment,
     NetworkConfig,
     Scheme,
     TrialGeometry,
@@ -296,12 +295,8 @@ def test_criterion_6_invariants(headline, tmp_path):
     ))
 
     # A uniform bias vector ignores user classes entirely (CRE equivalence).
-    declassed = Deployment(
-        macro_positions=deployment.macro_positions,
-        small_positions=deployment.small_positions,
-        user_positions=deployment.user_positions,
-        user_classes=np.zeros_like(deployment.user_classes),
-        fading=deployment.fading,
+    declassed = replace(
+        deployment, user_classes=np.zeros_like(deployment.user_classes)
     )
     uniform = BiasVector.uniform(3.3)
     checks.append((

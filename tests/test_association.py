@@ -16,7 +16,7 @@ from convexcell import (
     mean_power_matrix,
     sample_deployment,
 )
-from helpers import associate, make_deployment
+from helpers import associate, make_deployment, reference_fading
 
 
 @given(st.floats(0.0, 40.0))
@@ -168,7 +168,7 @@ class TestCellLoads:
                 np.empty((0, 2)),
                 deployment.user_positions,
                 deployment.user_classes,
-                deployment.fading[:, :1],
+                reference_fading(deployment)[:, :1],
             )
         serving = associate(deployment, BiasVector.uniform(1.0), config)
         loads = np.bincount(serving, minlength=deployment.n_stations)

@@ -295,6 +295,54 @@ def test_non_finite_grid_db_rejected_before_sampling(
     assert finished == []
 
 
+def test_non_finite_grid_db_error_shows_the_db_values(tmp_path, config_path, capsys):
+    """The error quotes the dB values given, not their linear factors."""
+    out = tmp_path / "out"
+    code = run(
+        ["sweep", "--config", config_path, "--out", str(out), "--grid-db", "0", "nan"]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error: bias grid dB values must be finite, got (0.0, nan)\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--convexity", "2.0", "--grid-db", "0", "6"],
+        ["bandwidth", "--grid-db", "0", "6"],
+        ["evaluate", "--bias", "0", "0", "0"],
+    ],
+    ids=["sweep", "bandwidth", "evaluate"],
+)
+@pytest.mark.parametrize(
+    "message, expected",
+    [
+        ("Unable to allocate 1 TiB", "error: out of memory: Unable to allocate 1 TiB\n"),
+        ("", "error: out of memory\n"),
+    ],
+    ids=["numpy", "bare"],
+)
+def test_out_of_memory_is_one_line_and_writes_nothing(
+    tmp_path, config_path, capsys, monkeypatch, argv, message, expected
+):
+    """A geometry too large for memory fails like any other bad input."""
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    # each command builds its geometry through one of these names
+    for module in (cli, coverage, optimizer):
+        monkeypatch.setattr(module, "TrialGeometry", out_of_memory)
+    out = tmp_path / "out"
+    command, *options = argv
+    code = run([command, "--config", config_path, "--out", str(out), *options])
+    assert code == 1
+    assert capsys.readouterr().err == expected
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

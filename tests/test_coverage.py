@@ -29,7 +29,9 @@ from convexcell import coverage
 from convexcell.optimizer import Scheme, required_bandwidth
 from helpers import (
     associate,
+    hypot_link_distances,
     make_deployment,
+    reference_fading,
     reference_float_coverage,
     reference_rate_coverage,
     reference_rate_factors,
@@ -424,6 +426,50 @@ class TestTrialGeometry:
         deployments = [sample_deployment(config, t) for t in range(config.trials)]
         assert_geometry_equal(geometry, reference_trial_geometry(config, deployments))
 
+    @pytest.mark.parametrize("case", ["tiny", "default-blocks"])
+    def test_integer_geometry_matches_hypot_distances(self, tiny_config, case):
+        """Classes and best stations are those of the hypot distances.
+
+        sqrt(dx*dx + dy*dy) differs from hypot in the last bit of some
+        distances; no best macro or best small station may move with it.
+        """
+        config = tiny_config if case == "tiny" else self.BLOCKED[case][0]
+        geometry = TrialGeometry(config)
+        deployments = [sample_deployment(config, t) for t in range(config.trials)]
+        expected = reference_trial_geometry(config, deployments, hypot_link_distances)
+        for name in ("cls", "gid_macro", "gid_step"):
+            assert getattr(geometry, name).tobytes() == expected[name].tobytes(), name
+
+    def test_blocks_bound_link_memory(self, monkeypatch):
+        """No block has more links than BLOCK_LINKS or one user's row, and
+        no sampled trial holds a whole (users, stations) array."""
+        config = NetworkConfig(user_count=3000, trials=3, seed=5)
+        trials = []
+        blocks = []
+        sample = coverage.sample_deployment
+
+        def sampled(config, trial):
+            trials.append(sample(config, trial))
+            return trials[-1]
+
+        def measured(block, config):
+            blocks.append((block.n_users * block.n_stations, block.n_stations))
+            return mean_power_matrix(block, config)
+
+        monkeypatch.setattr(coverage, "sample_deployment", sampled)
+        monkeypatch.setattr(coverage, "mean_power_matrix", measured)
+        TrialGeometry(config)
+        assert len(trials) == config.trials
+        assert len(blocks) > 3 * config.trials
+        assert all(links <= max(coverage.BLOCK_LINKS, n) for links, n in blocks)
+        for deployment in trials:
+            whole = (deployment.n_users, deployment.n_stations)
+            arrays = [
+                getattr(deployment, item.name)
+                for item in dataclasses.fields(deployment)
+            ]
+            assert not any(getattr(a, "shape", None) == whole for a in arrays)
+
     def test_hand_built_trials_match_oracle(self, tiny_config, monkeypatch):
         """Given deployments, one without a small tier, build like the oracle."""
         monkeypatch.setattr(coverage, "BLOCK_LINKS", 97)
@@ -431,7 +477,8 @@ class TestTrialGeometry:
         macros_only = dataclasses.replace(
             second,
             small_positions=np.empty((0, 2)),
-            fading=second.fading[:, : second.n_macro],
+            fading=reference_fading(second)[:, : second.n_macro],
+            fading_state=None,
         )
         deployments = [first, macros_only, second]
         geometry = TrialGeometry(tiny_config, iter(deployments))

@@ -19,7 +19,8 @@ from convexcell import (
     mean_power_matrix,
     sample_deployment,
 )
-from helpers import make_deployment, reference_link_distances, sinr
+from convexcell.coverage import BLOCK_LINKS
+from helpers import make_deployment, reference_fading, reference_link_distances, sinr
 
 # Config fuzz: each field is omitted, set near its default (the value
 # itself, as int or float, or scaled), or set to a JSON-style value of
@@ -252,7 +253,7 @@ class TestSampleDeployment:
         assert np.array_equal(a.macro_positions, b.macro_positions)
         assert np.array_equal(a.small_positions, b.small_positions)
         assert np.array_equal(a.user_positions, b.user_positions)
-        assert np.array_equal(a.fading, b.fading)
+        assert np.array_equal(reference_fading(a), reference_fading(b))
 
     def test_trials_differ(self):
         config = NetworkConfig(user_count=50)
@@ -265,7 +266,7 @@ class TestSampleDeployment:
         deployment = sample_deployment(config, 0)
         assert deployment.n_small == 0
         assert deployment.n_macro >= 1
-        assert deployment.fading.shape == (20, deployment.n_macro)
+        assert reference_fading(deployment).shape == (20, deployment.n_macro)
 
     def test_geometry_inside_window(self, tiny_config):
         deployment = sample_deployment(tiny_config, 2)
@@ -276,7 +277,7 @@ class TestSampleDeployment:
         ):
             assert (positions >= 0.0).all()
             assert (positions <= tiny_config.area_side).all()
-        assert (deployment.fading > 0.0).all()
+        assert (reference_fading(deployment) > 0.0).all()
 
     def test_class_counts_match_config(self, tiny_config):
         deployment = sample_deployment(tiny_config, 0)
@@ -286,6 +287,67 @@ class TestSampleDeployment:
     def test_negative_trial_rejected(self):
         with pytest.raises(ValueError, match="trial_index"):
             sample_deployment(NetworkConfig(), -1)
+
+
+class TestFadingBlocks:
+    """Gains drawn per block equal one whole-matrix draw from the same state."""
+
+    # (config, rows per block given the station count): one user; 97 links,
+    # as the reducer sizes them; 7 users, which leave a last block of 4 of
+    # the tiny config's 60; BLOCK_LINKS links over 3000 users of the default
+    # window, which span several blocks
+    CASES = {
+        "one-user": (None, lambda stations: 1),
+        "97-links": (None, lambda stations: max(1, 97 // stations)),
+        "seven-users": (None, lambda stations: 7),
+        "block-links": (
+            NetworkConfig(user_count=3000, trials=1, seed=5),
+            lambda stations: max(1, BLOCK_LINKS // stations),
+        ),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("trial", [0, 1])
+    def test_blocks_concatenate_to_the_whole_draw(self, tiny_config, case, trial):
+        config, rows_of = self.CASES[case]
+        deployment = sample_deployment(config or tiny_config, trial)
+        rows = rows_of(deployment.n_stations)
+        blocks = list(deployment.fading_blocks(rows))
+        assert len(blocks) == -(-deployment.n_users // rows) > 1
+        *full, last = [block.shape[0] for block in blocks]
+        assert full == [rows] * len(full)
+        assert last == deployment.n_users - rows * len(full)
+        whole = reference_fading(deployment)
+        assert np.concatenate(blocks).tobytes() == whole.tobytes()
+
+    def test_drawing_twice_gives_the_same_bits(self, tiny_config):
+        deployment = sample_deployment(tiny_config, 2)
+        first = list(deployment.fading_blocks(5))
+        second = list(deployment.fading_blocks(5))
+        assert [a.tobytes() for a in first] == [b.tobytes() for b in second]
+        # a drawn block is the caller's: writing to it changes no later draw
+        for block in first:
+            block[:] = 0.0
+        third = np.concatenate(list(deployment.fading_blocks(5)))
+        assert third.tobytes() == reference_fading(deployment).tobytes()
+
+    def test_given_matrix_is_sliced(self):
+        fading = np.arange(10.0).reshape(5, 2)
+        deployment = make_deployment(
+            [[0.0, 0.0]], [[1.0, 1.0]], np.zeros((5, 2)), [0] * 5, fading
+        )
+        blocks = list(deployment.fading_blocks(2))
+        assert [b.tolist() for b in blocks] == [
+            fading[0:2].tolist(), fading[2:4].tolist(), fading[4:].tolist()
+        ]
+        assert all(np.shares_memory(b, deployment.fading) for b in blocks)
+
+    def test_exactly_one_gain_source(self, tiny_config):
+        sampled = sample_deployment(tiny_config, 0)
+        with pytest.raises(ValueError, match="exactly one"):
+            dataclasses.replace(sampled, fading=reference_fading(sampled))
+        with pytest.raises(ValueError, match="exactly one"):
+            dataclasses.replace(sampled, fading_state=None)
 
 
 def received_power(power, distance, config):
@@ -379,6 +441,7 @@ class TestGeometryHelpers:
 
     @pytest.mark.parametrize("trial", [0, 1, 2])
     def test_link_distances_match_broadcast_hypot(self, tiny_config, trial):
+        """Bitwise the broadcast oracle; both are sqrt(dx*dx + dy*dy), not hypot."""
         deployment = sample_deployment(tiny_config, trial)
         distances = link_distances(deployment)
         expected = reference_link_distances(deployment)

@@ -67,6 +67,14 @@ class TestBiasGrid:
         with pytest.raises(ValueError, match="bias grid values must be finite"):
             BiasGrid(values)
 
+    @pytest.mark.parametrize(
+        "db_values", [(0.0, math.nan), (0.0, math.inf), (0.0, 2.0, -math.inf)]
+    )
+    def test_non_finite_db_values_rejected_as_given(self, db_values):
+        with pytest.raises(ValueError, match="dB values must be finite") as info:
+            BiasGrid.from_db(db_values)
+        assert str(db_values) in str(info.value)
+
     def test_iteration_order(self):
         assert list(SMALL_GRID)[0] == 1.0
         assert list(SMALL_GRID) == sorted(SMALL_GRID.values)
