@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
 from dataclasses import asdict, dataclass, replace
-from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -241,30 +241,44 @@ def run_bandwidth(manifest: RunManifest, args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def segment_rows(
+def write_segments(
+    path: Path,
     traces: Mapping[str, UserTrace],
     segments: Mapping[str, tuple[list[float], list[UserClass]]],
-) -> Iterable[tuple]:
-    """segments.csv rows, user by user, from the trace and segment columns.
+) -> None:
+    """Write segments.csv as csv.writer would, one string per user.
 
-    Each distinct time is formatted once: it ends one segment and starts
-    the next, and fixed-interval traces repeat it across users. Equal
-    instants in one time zone format alike, hence the memo key.
+    Only the user id can need quoting: csv writes a float as its repr, and
+    stamps, labels and finite floats hold no delimiter, quote or line end.
+    So each id is quoted once, by csv.writer, in a two-field row (a lone
+    empty field would be written as ``""``). Each distinct time is
+    formatted once: it ends one segment and starts the next, and
+    fixed-interval traces repeat it across users. Equal instants in one
+    time zone format alike, hence the memo key.
     """
     formatted: dict[tuple, str] = {}
-    for user_id, (velocities, states) in segments.items():
-        trace = traces[user_id]
-        stamps = []
-        for stamp in trace.timestamps:
-            key = (stamp, stamp.tzinfo)
-            text = formatted.get(key)
-            if text is None:
-                text = formatted[key] = stamp.isoformat()
-            stamps.append(text)
-        labels = [STATE_LABELS[state] for state in states]
-        yield from zip(
-            repeat(user_id), stamps, stamps[1:], labels, velocities, trace.rx_bytes[1:]
-        )
+    quoted = io.StringIO()
+    quoter = csv.writer(quoted)
+    with _create(path, newline="") as handle:
+        csv.writer(handle).writerow(SEGMENT_COLUMNS)
+        for user_id, (velocities, states) in segments.items():
+            quoted.seek(0)
+            quoted.truncate()
+            quoter.writerow((user_id, ""))
+            uid = quoted.getvalue()[:-3]  # drops ",\r\n"
+            trace = traces[user_id]
+            stamps = []
+            for stamp in trace.timestamps:
+                key = (stamp, stamp.tzinfo)
+                text = formatted.get(key)
+                if text is None:
+                    text = formatted[key] = stamp.isoformat()
+                stamps.append(text)
+            rows = zip(stamps, stamps[1:], states, velocities, trace.rx_bytes[1:])
+            handle.write("".join([
+                f"{uid},{start},{end},{STATE_LABELS[state]},{v!r},{rx!r}\r\n"
+                for start, end, state, v, rx in rows
+            ]))
 
 
 def run_analyze(manifest: RunManifest, args: argparse.Namespace) -> int:
@@ -281,7 +295,7 @@ def run_analyze(manifest: RunManifest, args: argparse.Namespace) -> int:
         paths["convexity_report.json"],
         {**report.to_dict(), "skipped_rows": len(skipped)},
     )
-    _write_csv(paths["segments.csv"], SEGMENT_COLUMNS, segment_rows(traces, segments))
+    write_segments(paths["segments.csv"], traces, segments)
     _write_json(
         paths["analyze_meta.json"],
         _meta(

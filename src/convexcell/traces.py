@@ -126,21 +126,41 @@ def build_segments(
 
     Segment ``i`` runs from sample ``i`` to sample ``i + 1`` and carries
     ``trace.rx_bytes[i + 1]``. The speed assumes linear movement between
-    the two recorded locations.
+    the two recorded locations: :func:`haversine_m` term for term, with
+    each sample's latitude cosine computed once for both of its segments,
+    so every velocity and state equals the one the two functions give.
     """
+    check_stationary_cutoff(stationary_cutoff)
+    radians, sin, asin, sqrt = math.radians, math.sin, math.asin, math.sqrt
+    diameter = 2.0 * EARTH_RADIUS_M
+    vehicular, walking, stationary = (
+        UserClass.VEHICULAR, UserClass.WALKING, UserClass.STATIONARY
+    )
+    stamps, lats, lons = trace.timestamps, trace.latitudes, trace.longitudes
+    cosines = [math.cos(radians(lat)) for lat in lats]
     velocities = []
     states = []
-    stamps, lats, lons = trace.timestamps, trace.latitudes, trace.longitudes
-    for t0, t1, lat0, lat1, lon0, lon1 in zip(
-        stamps, stamps[1:], lats, lats[1:], lons, lons[1:]
+    for t0, t1, lat0, lat1, lon0, lon1, cos0, cos1 in zip(
+        stamps, stamps[1:], lats, lats[1:], lons, lons[1:], cosines, cosines[1:]
     ):
         elapsed_s = (t1 - t0).total_seconds()
         if elapsed_s <= 0.0:
             raise ValueError("timestamps must be strictly increasing")
-        meters = haversine_m(lat0, lon0, lat1, lon1)
-        velocity = (meters / 1000.0) / (elapsed_s / 3600.0)
+        a = (
+            sin(radians(lat1 - lat0) / 2) ** 2
+            + cos0 * cos1 * sin(radians(lon1 - lon0) / 2) ** 2
+        )
+        velocity = (diameter * asin(sqrt(a)) / 1000.0) / (elapsed_s / 3600.0)
         velocities.append(velocity)
-        states.append(classify_mobility(velocity, stationary_cutoff))
+        # classify_mobility's comparisons, in its order
+        if velocity > VEHICULAR_CUTOFF_KMH:
+            states.append(vehicular)
+        elif velocity <= stationary_cutoff:
+            if velocity < 0.0:
+                raise ValueError("velocity must be >= 0")
+            states.append(stationary)
+        else:
+            states.append(walking)
     return velocities, states
 
 
@@ -217,8 +237,8 @@ def read_trace_csv(
     mode raises TraceFormatError listing all bad line numbers, lenient
     mode skips them and returns (line_number, reason) pairs. A row is
     numbered by the line it starts on, and rows the CSV reader refuses
-    (such as an oversized field) or whose user id is not UTF-8 are
-    malformed rows too.
+    (such as an oversized field) or whose user id is empty (after
+    stripping spaces) or not UTF-8 are malformed rows too.
     """
     traces: dict[str, UserTrace] = {}
     bad: list[tuple[int, str]] = []
@@ -262,7 +282,9 @@ def read_trace_csv(
                 if not math.isfinite(rx):
                     raise ValueError("rx_bytes is not a number")
                 trace = traces.get(user_id)
-                if trace is None:  # only ids that passed this check are keys
+                if trace is None:  # only ids that passed these checks are keys
+                    if not user_id:
+                        raise ValueError("user_id is empty")
                     try:
                         user_id.encode("utf-8")
                     except UnicodeEncodeError:

@@ -476,6 +476,8 @@ def reference_read_trace_csv(path, strict=True):
                 )
                 previous = samples.get(sample.user_id)
                 if previous is None:
+                    if not sample.user_id:
+                        raise ValueError("user_id is empty")
                     try:
                         sample.user_id.encode("utf-8")
                     except UnicodeEncodeError:

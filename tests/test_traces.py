@@ -1,6 +1,7 @@
 """Trace pipeline: velocity, mobility states, per-state volumes, convexity."""
 
 import csv
+import io
 import math
 from datetime import datetime, timedelta, timezone
 
@@ -29,7 +30,7 @@ from convexcell import (
     haversine_m,
     read_trace_csv,
 )
-from convexcell.cli import segment_rows
+from convexcell.cli import SEGMENT_COLUMNS, write_segments
 
 T0 = datetime(2015, 6, 1, 0, 0, tzinfo=timezone.utc)
 FIVE_MIN = timedelta(minutes=5)
@@ -211,6 +212,49 @@ class TestBuildSegments:
         for velocity, state in zip(velocities, states):
             assert velocity >= 0.0
             assert state is classify_mobility(velocity)
+
+    @given(
+        points=st.lists(
+            st.tuples(
+                st.floats(-90.0, 90.0),
+                st.one_of(  # both sides of the antimeridian, and anywhere
+                    st.floats(-180.0, -179.0),
+                    st.floats(179.0, 180.0),
+                    st.floats(-180.0, 180.0),
+                ),
+                st.integers(1, 10**10),  # microseconds since the last sample
+            ),
+            min_size=2,
+            max_size=6,
+        )
+    )
+    def test_velocities_and_states_match_haversine(self, points):
+        trace = UserTrace([], [], [], [])
+        stamp = T0
+        for lat, lon, step_us in points:
+            stamp += timedelta(microseconds=step_us)
+            trace.timestamps.append(stamp)
+            trace.latitudes.append(lat)
+            trace.longitudes.append(lon)
+            trace.rx_bytes.append(1.0)
+        expected = []
+        for i in range(len(points) - 1):
+            elapsed = (trace.timestamps[i + 1] - trace.timestamps[i]).total_seconds()
+            meters = haversine_m(
+                trace.latitudes[i], trace.longitudes[i],
+                trace.latitudes[i + 1], trace.longitudes[i + 1],
+            )
+            expected.append(meters / 1000 / (elapsed / 3600))
+        for cutoff in (0.0, 0.5, 5.0, 9.99):
+            velocities, states = build_segments(trace, cutoff)
+            assert velocities == expected
+            for velocity, state in zip(velocities, states):
+                assert state is classify_mobility(velocity, cutoff)
+
+    @pytest.mark.parametrize("cutoff", [-0.1, 10.0, 50.0, math.nan])
+    def test_cutoff_checked_without_segments(self, cutoff):
+        with pytest.raises(ValueError, match="stationary_cutoff"):
+            build_segments(single_sample(), cutoff)
 
 
 class TestAggregateUser:
@@ -507,6 +551,24 @@ class TestReadTraceCsv:
         with pytest.raises(TraceFormatError, match="line 3: user_id .* UTF-8"):
             read_trace_csv(path, strict=True)
 
+    @pytest.mark.parametrize("user_id", ["", " ", '"  "'])
+    def test_empty_user_id_is_a_bad_row(self, tmp_path, user_id):
+        path = tmp_path / "trace.csv"
+        write_trace(
+            path,
+            [
+                "u1,2015-06-01T00:00:00Z,0.0,0.0,0\n",
+                f"{user_id},2015-06-01T00:05:00Z,0.0,0.0,10\n",
+                "u1,2015-06-01T00:10:00Z,0.0,0.0,20\n",
+            ],
+        )
+        traces, bad = read_trace_csv(path, strict=False)
+        assert bad == [(3, "user_id is empty")]
+        assert list(traces) == ["u1"]
+        assert traces["u1"].rx_bytes == [0.0, 20.0]
+        with pytest.raises(TraceFormatError, match="line 3: user_id is empty"):
+            read_trace_csv(path, strict=True)
+
     def test_line_numbers_count_lines_of_multiline_fields(self, tmp_path):
         path = tmp_path / "trace.csv"
         write_trace(
@@ -597,8 +659,9 @@ class TestAnalyzeTrace:
 # Generated traces for the oracle cross-check: interleaved users on one
 # clock (so stamps repeat across users), sub-second steps, the same instant
 # written as Z, +00:00, naive and +09:00, users seen once, and each of the
-# seven malformed-row kinds of perfbench/tracegen.py.
-ORACLE_USERS = ("u0", "u1", "u 2", "u,3")
+# seven malformed-row kinds of perfbench/tracegen.py. The ids need csv
+# quoting in segments.csv or, spaced at the ends, read as another id.
+ORACLE_USERS = ("u0", "u1", "u 2", "u,3", 'u"4', "u\n5", "u\r6", " u1 ", " u 7 ")
 STAMP_STYLES = ("Z", "+00:00", "naive", "+09:00")
 MALFORMED_KINDS = 7
 ORACLE_EVENTS = st.lists(
@@ -639,7 +702,7 @@ def write_events(path, events):
     clocks = [datetime(2015, 6, 1)] * len(ORACLE_USERS)
     lats = [37.5] * len(ORACLE_USERS)
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
+        writer = csv.writer(handle)  # a "\r\n" row end quotes a lone "\r" too
         writer.writerow(TRACE_HEADER.strip().split(","))
         for user, step_s, north, rx, style, kind in events:
             clocks[user] += timedelta(seconds=step_s)
@@ -653,8 +716,16 @@ def write_events(path, events):
             writer.writerow(row if kind is None else malformed(row, kind))
 
 
+def write_reference_segments(path, segments):
+    """segments.csv as csv.writer writes the oracle's per-segment rows."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(SEGMENT_COLUMNS)
+        writer.writerows(reference_segment_rows(segments))
+
+
 def pipeline_outcome(read, analyze, rows, path, cutoff, strict):
-    """Skipped rows, report and segment rows, or the error that stopped them."""
+    """Skipped rows, report and segments.csv bytes, or the error that stopped them."""
     try:
         traces, skipped = read(path, strict=strict)
     except TraceFormatError as exc:
@@ -674,18 +745,61 @@ class TestColumnarMatchesOracle:
         strict=st.booleans(),
     )
     def test_same_rows_report_and_skips(self, tmp_path_factory, events, cutoff, strict):
-        path = tmp_path_factory.getbasetemp() / "oracle_trace.csv"
+        base = tmp_path_factory.getbasetemp()
+        path = base / "oracle_trace.csv"
         write_events(path, events)
+
+        def columnar_csv(traces, segments):
+            write_segments(base / "columnar_segments.csv", traces, segments)
+            return (base / "columnar_segments.csv").read_bytes()
+
+        def oracle_csv(_, segments):
+            write_reference_segments(base / "oracle_segments.csv", segments)
+            return (base / "oracle_segments.csv").read_bytes()
+
         columnar = pipeline_outcome(
-            read_trace_csv,
-            analyze_trace,
-            lambda traces, segments: list(segment_rows(traces, segments)),
-            path, cutoff, strict,
+            read_trace_csv, analyze_trace, columnar_csv, path, cutoff, strict
         )
         oracle = pipeline_outcome(
-            reference_read_trace_csv,
-            reference_analyze_trace,
-            lambda _, segments: reference_segment_rows(segments),
+            reference_read_trace_csv, reference_analyze_trace, oracle_csv,
             path, cutoff, strict,
         )
         assert columnar == oracle
+
+    @given(
+        user_ids=st.lists(
+            st.text(st.characters(blacklist_categories=("Cs",)), max_size=4),
+            min_size=1,
+            max_size=4,
+            unique=True,
+        ),
+        values=st.lists(
+            st.floats(0.0, allow_infinity=False), min_size=4, max_size=4
+        ),
+    )
+    def test_writer_quotes_any_id_as_csv_does(self, tmp_path_factory, user_ids, values):
+        # the reader never yields an empty or space-edged id; the writer
+        # still quotes one as csv.writer would
+        velocity_a, velocity_b, rx_a, rx_b = values
+        trace = UserTrace(
+            [T0, T0 + FIVE_MIN, T0 + 2 * FIVE_MIN], [0.0] * 3, [0.0] * 3,
+            [0.0, rx_a, rx_b],
+        )
+        states = [UserClass.WALKING, UserClass.STATIONARY]
+        traces = dict.fromkeys(user_ids, trace)
+        segments = dict.fromkeys(user_ids, ([velocity_a, velocity_b], states))
+        path = tmp_path_factory.getbasetemp() / "any_id_segments.csv"
+        write_segments(path, traces, segments)
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(SEGMENT_COLUMNS)
+        for user_id in user_ids:
+            writer.writerow(
+                (user_id, T0.isoformat(), (T0 + FIVE_MIN).isoformat(),
+                 "walking", velocity_a, rx_a)
+            )
+            writer.writerow(
+                (user_id, (T0 + FIVE_MIN).isoformat(),
+                 (T0 + 2 * FIVE_MIN).isoformat(), "stationary", velocity_b, rx_b)
+            )
+        assert path.read_bytes() == expected.getvalue().encode("utf-8")
