@@ -118,9 +118,10 @@ def _worker_count(trials: int) -> int:
 class Association(NamedTuple):
     """Serving stations of one class under one bias value (read-only arrays)."""
 
-    gid: np.ndarray  # int32 serving station id per user of the class
-    on_small: np.ndarray  # bool, True where that station is a small cell
+    on_small: np.ndarray  # bool per user of the class, True where a small cell serves it
     loads: np.ndarray  # int32 users of the class per station id
+    own: np.ndarray  # int32 per user: its serving station's load from its own class
+    full: np.ndarray  # int32 per user: own plus the station's other_candidates
 
 
 class TrialGeometry:
@@ -143,10 +144,13 @@ class TrialGeometry:
     ``other_candidates[cls]`` counts, per station id, the users of the
     other two classes that have the station as their best macro or best
     small station: whatever their biases, at most that many of them are
-    served there. ``association(cls, bias)`` keeps each class's serving
-    stations per bias value for the life of the geometry, 5 bytes per
-    user of the class plus 4 per station-trial; a grid value used by all
-    three classes costs about 0.9 MB at the defaults.
+    served there. ``association(cls, bias)`` keeps, per class and bias
+    value and for the life of the geometry, which users a small cell
+    serves, the class's load per station id, and each user's serving
+    station load from its own class alone and with those other-class
+    candidates added: 9 bytes per user of the class plus 4 per
+    station-trial. A grid value used by all three classes costs about
+    1.3 MB at the defaults, the 11-value grid about 14 MB.
 
     Trials are sampled and reduced on one thread per usable CPU, each trial
     in blocks of about ``BLOCK_LINKS`` links whose fading is drawn per
@@ -224,10 +228,14 @@ class TrialGeometry:
         """Serving stations of one class's users under one bias value.
 
         A user is served by its best small station when the bias times its
-        power beats the best macro's, ties going to the macro. The result
-        depends on neither demand nor bandwidth, so it is computed once and
-        kept, read-only, for the life of the geometry: every estimator,
-        scheme and bandwidth bound to this geometry shares it.
+        power beats the best macro's, ties going to the macro. Besides that
+        choice and the class's per-station loads, it keeps each user's
+        station load as gathered by station id: ``own`` from the class
+        alone, ``full`` with the station's ``other_candidates`` added. The
+        serving ids themselves are not kept. The result depends on neither
+        demand nor bandwidth, so it is computed once and kept, read-only,
+        for the life of the geometry: every estimator, scheme and bandwidth
+        bound to this geometry shares it.
         """
         key = (cls, bias)
         found = self._associations.get(key)
@@ -237,7 +245,9 @@ class TrialGeometry:
             # the int32 step keeps the ids int32 and avoids a slower np.where
             gid = self.gid_macro[users] + on_small * self.gid_step[users]
             loads = np.bincount(gid, minlength=self.n_station_ids).astype(np.int32)
-            found = Association(gid, on_small, loads)
+            own = loads.take(gid)
+            full = own + self.other_candidates[cls].take(gid)
+            found = Association(on_small, loads, own, full)
             for array in found:
                 array.flags.writeable = False
             self._associations[key] = found
@@ -387,14 +397,16 @@ class CoverageEstimator:
     an exact integer cap, the largest load of its station at which it is
     still covered; the estimator keeps only these caps, 8 bytes per
     user-trial. Users whose own class alone already loads the station past
-    the cap are never covered; users whose cap also holds when every
-    other-class user that could be served there is (``other_candidates``)
-    are always covered. A part keeps the count of the latter and the
-    station ids and caps of the rest, the undecided users, so a bias
-    triple costs the sum of three load vectors and one gather and integer
-    compare per undecided user. Grid searches over n values per class
-    build 3n parts instead of n^3 associations. Every request is computed;
-    identical inputs give identical reports regardless of evaluation order.
+    the cap (the association's ``own``) are never covered; users whose cap
+    also holds when every other-class user that could be served there is
+    (its ``full``) are always covered. The association gathers both loads
+    once, so a part is two integer compares per user against its caps. A
+    part keeps the count of the always-covered users and the station ids
+    and caps of the rest, the undecided users, so a bias triple costs the
+    sum of three load vectors and one gather and integer compare per
+    undecided user. Grid searches over n values per class build 3n parts
+    instead of n^3 associations. Every request is computed; identical
+    inputs give identical reports regardless of evaluation order.
     """
 
     def __init__(
@@ -478,23 +490,27 @@ class CoverageEstimator:
 
         Returns ``(loads, always, gid, cap)``: the class's per-station loads,
         the number of its users covered whatever the other classes' biases,
-        and the serving ids and caps of the users that depend on them.
+        and the serving ids and caps of the users that depend on them. The
+        serving ids are recomputed for those users only, with the
+        association's arithmetic.
         """
         key = (cls, bias)
         part = self._parts.get(key)
         if part is None:
             geo = self.geometry
-            gid, on_small, loads = geo.association(cls, bias)
+            on_small, loads, own, full = geo.association(cls, bias)
             cap_macro, cap_step = self._user_caps[cls]
             cap = cap_macro + on_small * cap_step
-            # how many other-class users the station can take on top of the
-            # class's own before the user's rate falls short: below 0 the
-            # user is never covered, at or above the bound always
-            slack = cap - loads.take(gid)
-            bound = geo.other_candidates[cls].take(gid)
-            always = np.count_nonzero(slack >= bound)
-            undecided = np.flatnonzero((slack >= 0) & (slack < bound))
-            part = (loads, always, gid[undecided], cap[undecided])
+            # below its class's own load the user is never covered, at or
+            # above the full load (own plus every other-class candidate)
+            # always; in between it depends on the other classes' biases
+            always = np.count_nonzero(cap >= full)
+            undecided = np.flatnonzero((cap >= own) & (cap < full))
+            # the serving ids of the undecided users, with association's arithmetic
+            users = geo.class_slices[cls]
+            gid = geo.gid_macro[users].take(undecided)
+            gid += on_small.take(undecided) * geo.gid_step[users].take(undecided)
+            part = (loads, always, gid, cap.take(undecided))
             self._parts[key] = part
         return part
 

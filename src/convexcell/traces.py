@@ -90,7 +90,8 @@ def haversine_m(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
     dphi = math.radians(lat2 - lat1)
     dlam = math.radians(lon2 - lon1)
     a = math.sin(dphi / 2) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2) ** 2
-    return 2.0 * EARTH_RADIUS_M * math.asin(math.sqrt(a))
+    # rounding can push a just above 1 for near-antipodal points
+    return 2.0 * EARTH_RADIUS_M * math.asin(math.sqrt(min(a, 1.0)))
 
 
 def check_stationary_cutoff(stationary_cutoff: float) -> None:
@@ -150,6 +151,8 @@ def build_segments(
             sin(radians(lat1 - lat0) / 2) ** 2
             + cos0 * cos1 * sin(radians(lon1 - lon0) / 2) ** 2
         )
+        if a > 1.0:  # min(a, 1.0), as haversine_m clamps it, without the call
+            a = 1.0
         velocity = (diameter * asin(sqrt(a)) / 1000.0) / (elapsed_s / 3600.0)
         velocities.append(velocity)
         # classify_mobility's comparisons, in its order

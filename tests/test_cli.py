@@ -11,6 +11,7 @@ from convexcell import (
     BiasVector,
     NetworkConfig,
     estimate_rate_coverage,
+    haversine_m,
 )
 from convexcell import cli, coverage, optimizer
 
@@ -507,6 +508,29 @@ class TestAnalyzeCommand:
         report = json.loads((out / "convexity_report.json").read_text())
         assert report["user_convexity"] is None
         assert report["per_state_volume_mb_per_day"]["stationary"] == pytest.approx(1.0)
+
+    def test_near_antipodal_pair(self, tmp_path):
+        """Rounding puts the haversine term of u's pair just above 1.
+
+        A walking user w keeps the convexity defined, so the run exits 0.
+        """
+        lat0, lon0 = 46.16290411904106, -25.807675899365506
+        lat1, lon1 = -46.16290411904006, 154.1923241006345
+        trace = tmp_path / "trace.csv"
+        trace.write_text(
+            "user_id,timestamp,lat,lon,rx_bytes\n"
+            f"u,2015-06-01T00:00:00Z,{lat0!r},{lon0!r},0\n"
+            f"u,2015-06-01T12:00:00Z,{lat1!r},{lon1!r},5\n"
+            "w,2015-06-01T00:00:00Z,0.0,0.0,0\n"
+            f"w,2015-06-01T00:05:00Z,{lat_step(215.0)!r},0.0,5\n"
+        )
+        out = tmp_path / "out"
+        assert run(["analyze", "--trace", str(trace), "--out", str(out)]) == 0
+        segments = read_rows(out / "segments.csv")
+        assert [row[0] for row in segments[1:]] == ["u", "w"]
+        meters = haversine_m(lat0, lon0, lat1, lon1)
+        assert meters == math.pi * EARTH_RADIUS_M
+        assert float(segments[1][4]) == (meters / 1000.0) / 12.0
 
     def test_missing_trace_file(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -801,3 +801,64 @@ def test_bisection_keeps_one_read_only_association_per_grid_value(tiny_config):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 0
+
+
+# a tiny config bound at two bandwidths, without noise, and without a small tier
+PART_CONFIGS = {
+    "bandwidth-1e6": {"bandwidth": 1e6},
+    "bandwidth-1e8": {"bandwidth": 1e8},
+    "noise-free": {"noise_power": 0.0},
+    "no-small-tier": {"small_density": 0.0},
+}
+
+
+@pytest.mark.parametrize("case", PART_CONFIGS)
+def test_parts_match_gathered_slack_and_bound(tiny_config, case):
+    """Each part's always-covered count, undecided ids and caps are those of
+    the per-user slack (cap minus the class's own station load) against the
+    bound (the station's other-class candidates), gathered by station id.
+    The volumes leave some users of every case undecided."""
+    config = tiny_config.with_volumes([3000.0, 1000.0, 2000.0])
+    estimator = CoverageEstimator(dataclasses.replace(config, **PART_CONFIGS[case]))
+    geo = estimator.geometry
+    scaled_macro, scaled_small, requirements = reference_rate_factors(
+        geo, estimator.config
+    )
+    undecided_users = 0
+    for cls, users in enumerate(geo.class_slices):
+        for value in BiasGrid.from_db([0.0, 4.0, 8.0, 12.0]).values:
+            on_small = value * geo.pw_small[users] > geo.pw_macro[users]
+            gid = geo.gid_macro[users] + on_small * geo.gid_step[users]
+            loads = np.bincount(gid, minlength=geo.n_station_ids)
+            scaled = np.where(on_small, scaled_small[users], scaled_macro[users])
+            cap = coverage._rate_caps(scaled, requirements[cls], geo.cls.size)
+            slack = cap - loads[gid]
+            bound = geo.other_candidates[cls][gid]
+            undecided = np.flatnonzero((slack >= 0) & (slack < bound))
+
+            part_loads, always, part_gid, part_cap = estimator._part(cls, value)
+            assert np.array_equal(part_loads, loads)
+            assert always == np.count_nonzero(slack >= bound)
+            assert part_gid.dtype == part_cap.dtype == np.int32
+            assert np.array_equal(part_gid, gid[undecided])
+            assert np.array_equal(part_cap, cap[undecided])
+            undecided_users += undecided.size
+    assert undecided_users > 0
+
+
+def test_association_holds_nine_bytes_per_user(tiny_config):
+    """An association keeps a bool and two int32 loads per user of its
+    class, and one int32 load per station id, all read-only."""
+    geo = TrialGeometry(tiny_config)
+    for cls, users in enumerate(geo.class_slices):
+        for value in (1.0, 10.0):
+            association = geo.association(cls, value)
+            on_small, loads, own, full = association
+            assert [array.dtype for array in association] == [
+                np.bool_, np.int32, np.int32, np.int32
+            ]
+            assert loads.shape == (geo.n_station_ids,)
+            n_users = users.stop - users.start
+            assert on_small.nbytes + own.nbytes + full.nbytes == 9 * n_users
+            for array in association:
+                assert not array.flags.writeable

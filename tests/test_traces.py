@@ -94,6 +94,12 @@ class TestHaversine:
             111194.92664455873, rel=1e-9
         )
 
+    def test_near_antipodal_rounding(self):
+        # rounding puts the haversine term of this pair just above 1
+        points = (46.16290411904106, -25.807675899365506,
+                  -46.16290411904006, 154.1923241006345)
+        assert haversine_m(*points) == math.pi * EARTH_RADIUS_M
+
     def test_symmetry(self):
         assert haversine_m(10.0, 20.0, 11.0, 21.0) == pytest.approx(
             haversine_m(11.0, 21.0, 10.0, 20.0), rel=1e-12
