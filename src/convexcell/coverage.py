@@ -166,17 +166,19 @@ class TrialGeometry:
         deployments: Iterable[Deployment] | None = None,
     ) -> None:
         self.key = _geometry_key(config)
-        counts = config.class_counts()
+        jobs = range(config.trials) if deployments is None else list(deployments)
+        if not jobs:
+            raise EstimationError("at least one trial is required")
+        if deployments is None:
+            counts = config.class_counts()
+        else:
+            counts = sum(np.bincount(d.user_classes, minlength=3) for d in jobs)
         for cls, count in zip(UserClass, counts):
             if count == 0:
                 raise EstimationError(
                     f"class {cls.label} has zero users in every trial; "
                     "increase user_count or its density_fraction"
                 )
-
-        jobs = range(config.trials) if deployments is None else list(deployments)
-        if not jobs:
-            raise EstimationError("at least one trial is required")
 
         def reduce_trial(job: int | Deployment) -> tuple[dict[str, np.ndarray], int]:
             deployment = sample_deployment(config, job) if deployments is None else job

@@ -146,6 +146,12 @@ class NetworkConfig:
                 )
         if self.area_side <= 0.0:
             raise ConfigError("area_side must be > 0")
+        try:
+            self.area_km2
+        except OverflowError:
+            raise ConfigError(
+                f"area_side is too large: its area overflows (got {self.area_side!r})"
+            ) from None
         if self.macro_density <= 0.0:
             raise ConfigError("macro_density must be > 0")
         if self.small_density < 0.0:
@@ -158,6 +164,12 @@ class NetworkConfig:
             raise ConfigError("path_loss_exponent must be > 2")
         if self.reference_loss <= 0.0:
             raise ConfigError("reference_loss must be > 0")
+        # the largest mean power a link can receive, at the 1 m distance floor
+        if not math.isfinite(float(self.macro_power) * float(self.reference_loss)):
+            raise ConfigError(
+                "reference_loss is too large: macro_power * reference_loss overflows "
+                f"(got {self.reference_loss!r})"
+            )
         if self.noise_power < 0.0:
             raise ConfigError("noise_power must be >= 0")
         if self.bandwidth <= 0.0:

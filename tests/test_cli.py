@@ -359,12 +359,14 @@ def test_out_of_memory_is_one_line_and_writes_nothing(
         ["analyze", "--trace", "TRACE", "--out", "UNDER_FILE"],
         ["analyze", "--trace", "TRACE", "--stationary-cutoff", "nan"],
         ["analyze", "--trace", "TRACE", "--stationary-cutoff", "50"],
+        ["sweep", "--config", "HUGE_AREA"],
+        ["evaluate", "--bias", "0", "0", "0", "--config", "HUGE_LOSS"],
     ],
     ids=[
         "sweep-nan-volume", "sweep-negative-convexity", "bandwidth-share-above-1",
         "trace-is-a-dir", "config-is-a-dir", "out-is-a-file", "sweep-out-is-a-file",
         "bandwidth-out-is-a-file", "analyze-out-is-a-file", "out-is-under-a-file",
-        "nan-cutoff", "cutoff-above-walking",
+        "nan-cutoff", "cutoff-above-walking", "area-overflows", "received-power-overflows",
     ],
 )
 def test_failed_command_is_one_line_and_writes_nothing(
@@ -378,6 +380,11 @@ def test_failed_command_is_one_line_and_writes_nothing(
     places = {
         "DIR": tmp_path, "FILE": existing, "UNDER_FILE": existing / "sub", "TRACE": trace
     }
+    # values that pass every range check but overflow a derived quantity
+    overflows = {"HUGE_AREA": {"area_side": 1e200}, "HUGE_LOSS": {"reference_loss": 1e308}}
+    for name, values in overflows.items():
+        places[name] = tmp_path / f"{name}.json"
+        places[name].write_text(json.dumps({**TINY_CONFIG, **values}))
     command, *options = [str(places.get(a, a)) for a in argv]
     # a later --config or --out replaces the defaults given first
     code = run([command, "--config", config_path, "--out", str(out), *options])

@@ -324,6 +324,15 @@ class TestEstimator:
         with pytest.raises(EstimationError, match="walking"):
             CoverageEstimator(NetworkConfig(user_count=5, trials=1))
 
+    def test_hand_built_trials_missing_a_class_rejected(self, tiny_config):
+        # the config counts every class ([54, 3, 3]), the given trials do not
+        deployment = sample_deployment(tiny_config, 0)
+        no_vehicular = dataclasses.replace(
+            deployment, user_classes=np.minimum(deployment.user_classes, 1)
+        )
+        with pytest.raises(EstimationError, match="vehicular"):
+            TrialGeometry(tiny_config, [no_vehicular])
+
     def test_with_bandwidth_validation_and_isolation(self, tiny_config):
         estimator = CoverageEstimator(tiny_config)
         bias = BiasVector.uniform(1.0)

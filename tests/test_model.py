@@ -93,12 +93,14 @@ class TestConfig:
         "field,value",
         [
             ("area_side", 0.0),
+            ("area_side", 1e200),  # its area overflows
             ("macro_density", 0.0),
             ("small_density", -1.0),
             ("macro_power", 0.0),
             ("small_power", -0.1),
             ("path_loss_exponent", 2.0),
             ("reference_loss", 0.0),
+            ("reference_loss", 1e308),  # macro_power * reference_loss overflows
             ("noise_power", -1e-21),
             ("bandwidth", 0.0),
             ("user_count", 0),
@@ -107,6 +109,7 @@ class TestConfig:
             ("demand_peak_factor", 0.9),
             ("trials", 0),
             ("seed", -1),
+            ("profiles", default_profiles()[:2]),
         ],
     )
     def test_field_validation(self, field, value):
@@ -176,6 +179,10 @@ class TestConfig:
             ({"profiles": {"vehicular": {"traffic_volume": "1"}}}, "traffic_volume"),
             ({"profiles": {"stationary": {"min_coverage": False}}}, "min_coverage"),
             ({"profiles": {"walking": 3.0}}, "profiles.walking"),
+            ({"profiles": {"walking": {"density_fraction": 1.5}}}, "walking.density_fraction"),
+            ({"profiles": {"vehicular": {"traffic_volume": -1.0}}}, "vehicular.traffic_volume"),
+            ({"profiles": {"walking": {"velocity": -1.0}}}, "walking.velocity must be >= 0"),
+            ({"profiles": {"stationary": {"min_coverage": 1.5}}}, "stationary.min_coverage"),
             ([["area_side", 1.0]], "config"),
         ],
     )
