@@ -179,11 +179,11 @@ class TestConfig:
             ({"profiles": {"vehicular": {"traffic_volume": "1"}}}, "traffic_volume"),
             ({"profiles": {"stationary": {"min_coverage": False}}}, "min_coverage"),
             ({"profiles": {"walking": 3.0}}, "profiles.walking"),
+            ([["area_side", 1.0]], "config"),
             ({"profiles": {"walking": {"density_fraction": 1.5}}}, "walking.density_fraction"),
             ({"profiles": {"vehicular": {"traffic_volume": -1.0}}}, "vehicular.traffic_volume"),
             ({"profiles": {"walking": {"velocity": -1.0}}}, "walking.velocity must be >= 0"),
             ({"profiles": {"stationary": {"min_coverage": 1.5}}}, "stationary.min_coverage"),
-            ([["area_side", 1.0]], "config"),
         ],
     )
     def test_from_dict_rejects_bad_values(self, data, field):
