@@ -170,7 +170,7 @@ def run_sweep(manifest: RunManifest, args: argparse.Namespace) -> int:
                 bias.stationary_bias,
                 bias.walking_bias,
                 bias.vehicular_bias,
-                str(result.feasible).lower(),
+                str(report.feasible).lower(),
             )
         )
     _write_csv(paths["sweep.csv"], SWEEP_COLUMNS, rows)
@@ -197,11 +197,13 @@ def run_bandwidth(manifest: RunManifest, args: argparse.Namespace) -> int:
     check_bracket(args.wmin, args.wmax, args.tolerance)
     top = replace(config, bandwidth=args.wmax)  # each bisection starts there
     point_configs = [
-        DemandScenario(
-            total_volume=volume,
-            stationary_share=args.stationary_share,
-            user_convexity=args.convexity,
-        ).apply(top)
+        top.with_volumes(
+            DemandScenario(
+                total_volume=volume,
+                stationary_share=args.stationary_share,
+                user_convexity=args.convexity,
+            ).class_volumes()
+        )
         for volume in args.volumes
     ]
     paths = _prepare_outputs(manifest, ("bandwidth.csv", "bandwidth_meta.json"))

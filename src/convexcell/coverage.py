@@ -386,11 +386,11 @@ class CoverageEstimator:
 
     Binds the demand (per-class rate requirements and coverage thresholds),
     handover efficiencies and bandwidth of ``config`` to a
-    :class:`TrialGeometry`. The geometry is built from ``config`` when none
-    is given; a given geometry must have been built from a config with the
-    same deployment fields (see ``GEOMETRY_FIELDS``), else ``ValueError``.
-    Binding costs milliseconds where building costs seconds, so a command
-    builds one geometry and binds each demand mix to it.
+    :class:`TrialGeometry`, which must have been built from a config with
+    the same deployment fields (see ``GEOMETRY_FIELDS``), else
+    ``ValueError``. Binding costs milliseconds where building costs
+    seconds, so a command builds one geometry and binds each demand mix to
+    it.
 
     A user's serving station depends only on its own class's bias, and
     station loads add up across classes. The geometry keeps each (class,
@@ -411,14 +411,8 @@ class CoverageEstimator:
     inputs give identical reports regardless of evaluation order.
     """
 
-    def __init__(
-        self,
-        config: NetworkConfig,
-        geometry: TrialGeometry | None = None,
-    ) -> None:
-        if geometry is None:
-            geometry = TrialGeometry(config)
-        elif geometry.key != _geometry_key(config):
+    def __init__(self, config: NetworkConfig, geometry: TrialGeometry) -> None:
+        if geometry.key != _geometry_key(config):
             raise ValueError(
                 "geometry was built from a config with other deployment fields "
                 f"({', '.join(GEOMETRY_FIELDS)} or density_fraction)"
@@ -519,4 +513,4 @@ class CoverageEstimator:
 
 def estimate_rate_coverage(config: NetworkConfig, bias: BiasVector) -> CoverageReport:
     """Monte-Carlo rate coverage of one bias vector under one config."""
-    return CoverageEstimator(config).evaluate(bias)
+    return CoverageEstimator(config, TrialGeometry(config)).evaluate(bias)

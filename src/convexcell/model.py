@@ -23,6 +23,10 @@ MIN_PATH_DISTANCE_M = 1.0
 # Thermal noise density, -174 dBm/Hz expressed in W/Hz.
 THERMAL_NOISE_W_PER_HZ = 3.981071705534985e-21
 
+# Largest Poisson mean numpy's generators accept; the next float up raises
+# "lam value too large".
+POISSON_MEAN_MAX = 9.223372006484771e18
+
 
 class ConfigError(ValueError):
     """Raised when a configuration value is invalid; names the field."""
@@ -156,6 +160,14 @@ class NetworkConfig:
             raise ConfigError("macro_density must be > 0")
         if self.small_density < 0.0:
             raise ConfigError("small_density must be >= 0")
+        for name in ("macro_density", "small_density"):
+            # the station count's Poisson mean, as sample_deployment computes it
+            mean = getattr(self, name) * self.area_km2
+            if not mean <= POISSON_MEAN_MAX:
+                raise ConfigError(
+                    f"{name} is too large: {name} * area_km2 = {mean!r} exceeds "
+                    f"the largest Poisson mean, {POISSON_MEAN_MAX!r}"
+                )
         if self.macro_power <= 0.0 or self.small_power <= 0.0:
             raise ConfigError("macro_power and small_power must be > 0")
         if self.macro_power <= self.small_power:
@@ -174,6 +186,12 @@ class NetworkConfig:
             raise ConfigError("noise_power must be >= 0")
         if self.bandwidth <= 0.0:
             raise ConfigError("bandwidth must be > 0")
+        # the noise term of every SINR
+        if not math.isfinite(float(self.noise_power) * float(self.bandwidth)):
+            raise ConfigError(
+                "noise_power is too large: noise_power * bandwidth overflows "
+                f"(got noise_power {self.noise_power!r}, bandwidth {self.bandwidth!r})"
+            )
         if self.user_count <= 0:
             raise ConfigError("user_count must be > 0")
         if self.handover_delay < 0.0:

@@ -14,15 +14,12 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
 from .association import BiasVector, linear_from_db
 from .coverage import CoverageEstimator, CoverageReport, TrialGeometry
 from .model import NetworkConfig, UserClass
-
-FULL_SEARCH_WARN_CANDIDATES = 2000
 
 DEFAULT_GRID_DB = tuple(float(db) for db in range(0, 21, 2))
 DEFAULT_CONVEXITY_VALUES = (1.0, 2.0, 3.04, 4.0, 5.0, 6.0, 7.0, 8.0)
@@ -91,10 +88,6 @@ class OptimizerResult:
     report: CoverageReport
     scheme: Scheme
 
-    @property
-    def feasible(self) -> bool:
-        return self.report.feasible
-
 
 @dataclass(frozen=True)
 class DemandScenario:
@@ -130,10 +123,6 @@ class DemandScenario:
         walking = moving_share * self.total_volume / (1.0 + self.user_convexity)
         vehicular = self.user_convexity * walking
         return (stationary, walking, vehicular)
-
-    def apply(self, config: NetworkConfig) -> NetworkConfig:
-        """Config with per-class traffic volumes set from this scenario."""
-        return config.with_volumes(self.class_volumes())
 
 
 def _best(
@@ -186,9 +175,9 @@ def _stage2(
     return max(completions, key=lambda item: vehicular(item[1]))
 
 
-def three_stage_optimize(
+def _three_stage(
     estimator: CoverageEstimator, grid: BiasGrid
-) -> OptimizerResult:
+) -> tuple[BiasVector, CoverageReport]:
     """Compose the three per-class stages under common random numbers.
 
     Stage 1 takes the bias maximizing stationary coverage with the other
@@ -199,50 +188,46 @@ def three_stage_optimize(
         (BiasVector(b, 1.0, 1.0) for b in grid),
         _class_coverage(UserClass.STATIONARY),
     )
-    bias, report = _stage2(estimator, grid, stage1.stationary_bias)
-    return OptimizerResult(bias=bias, report=report, scheme=Scheme.THREE_STAGE)
+    return _stage2(estimator, grid, stage1.stationary_bias)
 
 
-def cre_optimize(estimator: CoverageEstimator, grid: BiasGrid) -> OptimizerResult:
+def _cre(
+    estimator: CoverageEstimator, grid: BiasGrid
+) -> tuple[BiasVector, CoverageReport]:
     """Best common bias: highest average coverage, feasible candidates first.
 
     When no common bias is feasible the best-average infeasible candidate
-    is returned with feasible=False. Ties break to the smallest bias.
+    is returned. Ties break to the smallest bias.
     """
     biases = (BiasVector.uniform(b) for b in grid)
-    bias, report = _best(estimator, biases, _feasible_average)
-    return OptimizerResult(bias=bias, report=report, scheme=Scheme.CRE)
+    return _best(estimator, biases, _feasible_average)
 
 
-def full_search(estimator: CoverageEstimator, grid: BiasGrid) -> OptimizerResult:
+def _full_search(
+    estimator: CoverageEstimator, grid: BiasGrid
+) -> tuple[BiasVector, CoverageReport]:
     """Exhaustive search over the grid cube; the optimality oracle.
 
     Feasible candidates are preferred; among equals the lexicographically
     smallest (stationary, walking, vehicular) triple wins.
     """
-    n_candidates = len(grid) ** 3
-    if n_candidates > FULL_SEARCH_WARN_CANDIDATES:
-        warnings.warn(
-            f"full search over {n_candidates} candidates may be slow",
-            stacklevel=2,
-        )
     biases = (BiasVector(*triple) for triple in itertools.product(grid, repeat=3))
-    bias, report = _best(estimator, biases, _feasible_average)
-    return OptimizerResult(bias=bias, report=report, scheme=Scheme.FULL_SEARCH)
+    return _best(estimator, biases, _feasible_average)
 
 
 _SCHEME_RUNNERS = {
-    Scheme.THREE_STAGE: three_stage_optimize,
-    Scheme.CRE: cre_optimize,
-    Scheme.FULL_SEARCH: full_search,
+    Scheme.THREE_STAGE: _three_stage,
+    Scheme.CRE: _cre,
+    Scheme.FULL_SEARCH: _full_search,
 }
 
 
 def run_scheme(
     scheme: Scheme, estimator: CoverageEstimator, grid: BiasGrid
 ) -> OptimizerResult:
-    """Dispatch one association scheme by name."""
-    return _SCHEME_RUNNERS[scheme](estimator, grid)
+    """Run one association scheme: its winning bias vector and that report."""
+    bias, report = _SCHEME_RUNNERS[scheme](estimator, grid)
+    return OptimizerResult(bias=bias, report=report, scheme=scheme)
 
 
 def check_bracket(w_min: float, w_max: float, tolerance: float) -> None:
@@ -283,11 +268,11 @@ def required_bandwidth(
     w_max = estimator.config.bandwidth
     check_bracket(w_min, w_max, tolerance)
 
-    def result_at(width: float) -> OptimizerResult:
-        return run_scheme(scheme, estimator.with_bandwidth(width), grid)
+    def feasible_at(width: float) -> bool:
+        return run_scheme(scheme, estimator.with_bandwidth(width), grid).report.feasible
 
     top = run_scheme(scheme, estimator, grid)
-    if not top.feasible:
+    if not top.report.feasible:
         profiles = estimator.config.profiles
         failing = tuple(
             cls
@@ -299,7 +284,7 @@ def required_bandwidth(
             f"{scheme.value} infeasible even at {w_max:g} Hz (failing: {names})",
             failing,
         )
-    if result_at(w_min).feasible:
+    if feasible_at(w_min):
         return w_min
 
     low, high = w_min, w_max  # invariant: low infeasible, high feasible
@@ -307,7 +292,7 @@ def required_bandwidth(
         mid = 0.5 * (low + high)
         if not low < mid < high:  # adjacent floats: no width lies between
             break
-        if result_at(mid).feasible:
+        if feasible_at(mid):
             high = mid
         else:
             low = mid
@@ -335,7 +320,9 @@ def convexity_sweep(
     geometry = TrialGeometry(config)
     rows = []
     for convexity, scenario in zip(convexity_values, scenarios):
-        estimator = CoverageEstimator(scenario.apply(config), geometry)
+        estimator = CoverageEstimator(
+            config.with_volumes(scenario.class_volumes()), geometry
+        )
         for scheme in schemes:
             rows.append((convexity, run_scheme(scheme, estimator, grid)))
         # release this point's parts (caps and undecided users) before

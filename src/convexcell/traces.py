@@ -35,7 +35,7 @@ TRACE_CSV_HEADER = ("user_id", "timestamp", "lat", "lon", "rx_bytes")
 
 
 class TraceFormatError(ValueError):
-    """Malformed trace input; the message lists offending line numbers."""
+    """Malformed trace input; the message names the offending lines or user."""
 
 
 class InsufficientDataError(ValueError):
@@ -195,16 +195,26 @@ def aggregate_population(
     """Average per-state volumes over users and derive user convexity.
 
     user_convexity is None when the mean walking volume is zero, since the
-    ratio does not exist; the volumes are reported either way.
+    ratio does not exist; the volumes are reported either way. A mean, a
+    total or a user convexity that overflows raises TraceFormatError, as
+    JSON has no infinity.
     """
     if not user_volumes:
         raise InsufficientDataError("no per-user volumes to aggregate")
     n = len(user_volumes)
     mean = tuple(sum(v[s] for v in user_volumes) / n for s in range(3))
     total = sum(mean)
+    if not all(math.isfinite(v) for v in (*mean, total)):
+        raise TraceFormatError(
+            "per-state volumes averaged over users, or their total, are not finite"
+        )
     shares = tuple(v / total for v in mean) if total > 0.0 else (0.0, 0.0, 0.0)
     walking = mean[UserClass.WALKING]
     convexity = None if walking == 0.0 else mean[UserClass.VEHICULAR] / walking
+    if convexity == math.inf:
+        raise TraceFormatError(
+            "user convexity overflows: the mean walking volume is too small"
+        )
     return ConvexityReport(
         per_state_volume=mean,
         per_state_share=shares,
@@ -324,9 +334,10 @@ def analyze_trace(
     Returns the report and, per user id in sorted order, the
     :func:`build_segments` velocities and states of every user that was
     aggregated. Users with fewer than two samples raise in strict mode and
-    are skipped otherwise. A zero walking volume yields a report with
-    user_convexity None rather than an exception, so volumes remain
-    inspectable.
+    are skipped otherwise. A user whose per-state volume overflows (huge
+    ``rx_bytes`` over a short span) raises TraceFormatError naming it. A
+    zero walking volume yields a report with user_convexity None rather
+    than an exception, so volumes remain inspectable.
     """
     check_stationary_cutoff(stationary_cutoff)
     triples = []
@@ -340,7 +351,12 @@ def analyze_trace(
                 )
             continue
         segments[user_id] = build_segments(trace, stationary_cutoff)
-        triples.append(aggregate_user(trace, segments[user_id][1]))
+        volumes = aggregate_user(trace, segments[user_id][1])
+        if not all(math.isfinite(v) for v in volumes):
+            raise TraceFormatError(
+                f"user {user_id} has a per-state volume that is not finite"
+            )
+        triples.append(volumes)
     if not triples:
         raise InsufficientDataError("no user has two or more samples")
     return aggregate_population(triples), segments

@@ -28,7 +28,7 @@ The trace oracle (``TraceSample``, ``MobilitySegment``, ``compute_velocity``
 and the ``reference_*`` trace functions) is the per-sample object pipeline
 the package's column-wise ``UserTrace`` path replaced: one validated record
 per row, one record per segment and per-segment aggregation, with the same
-arithmetic.
+arithmetic. ``OVERFLOWING_TRACES`` holds trace rows both must refuse.
 """
 
 import csv
@@ -44,10 +44,12 @@ from convexcell import (
     SECONDS_PER_DAY,
     TRACE_CSV_HEADER,
     BiasVector,
+    CoverageEstimator,
     CoverageReport,
     Deployment,
     InsufficientDataError,
     TraceFormatError,
+    TrialGeometry,
     UserClass,
     aggregate_population,
     classify_mobility,
@@ -58,6 +60,11 @@ from convexcell import (
     rate_requirement,
 )
 from convexcell.traces import BYTES_PER_MB, _parse_timestamp
+
+
+def estimator_for(config):
+    """An estimator bound to a geometry built from config itself."""
+    return CoverageEstimator(config, TrialGeometry(config))
 
 
 def make_deployment(macro_xy, small_xy, user_xy, classes, fading):
@@ -426,7 +433,10 @@ def reference_build_segments(samples, stationary_cutoff):
 
 
 def reference_aggregate_user(segments):
-    """Per-state MB/day of one user, summed segment by segment."""
+    """Per-state MB/day of one user, summed segment by segment.
+
+    A volume that overflows is refused, naming the user.
+    """
     if not segments:
         raise InsufficientDataError(
             "at least two samples are required to aggregate a user"
@@ -436,7 +446,49 @@ def reference_aggregate_user(segments):
         state_bytes[segment.state] += segment.rx_bytes
     span_days = (segments[-1].end - segments[0].start).total_seconds()
     span_days /= SECONDS_PER_DAY
-    return tuple(b / BYTES_PER_MB / span_days for b in state_bytes)
+    volumes = tuple(b / BYTES_PER_MB / span_days for b in state_bytes)
+    if not all(math.isfinite(v) for v in volumes):
+        raise TraceFormatError(
+            f"user {segments[0].user_id} has a per-state volume that is not finite"
+        )
+    return volumes
+
+
+# Trace data rows whose volumes or convexity overflow a float, with what
+# the refusal must name. One user: two stationary one-minute segments carry
+# 1e308 bytes each, so their sum is infinite. Two users: each one's single
+# 1 ms stationary segment gives a finite 1.296e308 MB/day, but the sum
+# over users that their mean divides is infinite. Convexity: 1e10
+# vehicular bytes over 1e-300 walking bytes.
+OVERFLOWING_TRACES = {
+    "one-user": (
+        [
+            "u1,2015-06-01T00:00:00Z,0.0,0.0,0\n",
+            "u1,2015-06-01T00:01:00Z,0.0,0.0,1e308\n",
+            "u1,2015-06-01T00:02:00Z,0.0,0.0,1e308\n",
+            "u1,2015-06-01T00:03:00Z,0.0,0.0,0\n",
+            "u1,2015-06-01T00:04:00Z,0.0,0.0,0\n",
+        ],
+        "user u1",
+    ),
+    "mean-over-users": (
+        [
+            "u1,2015-06-01T00:00:00.000Z,0.0,0.0,0\n",
+            "u1,2015-06-01T00:00:00.001Z,0.0,0.0,1.5e306\n",
+            "u2,2015-06-01T00:00:00.000Z,0.0,0.0,0\n",
+            "u2,2015-06-01T00:00:00.001Z,0.0,0.0,1.5e306\n",
+        ],
+        "averaged over users",
+    ),
+    "convexity": (
+        [
+            "u1,2015-06-01T00:00:00Z,0.0,0.0,0\n",
+            "u1,2015-06-01T00:05:00Z,0.0005,0.0,1e-300\n",
+            "u1,2015-06-01T00:10:00Z,0.01,0.0,1e10\n",
+        ],
+        "user convexity overflows",
+    ),
+}
 
 
 def reference_read_trace_csv(path, strict=True):

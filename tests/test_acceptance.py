@@ -28,16 +28,15 @@ from convexcell import (
     analyze_trace,
     cli,
     convexity_sweep,
-    cre_optimize,
-    full_search,
     handover_efficiency,
     read_trace_csv,
     required_bandwidth,
+    run_scheme,
     sample_deployment,
-    three_stage_optimize,
 )
 from helpers import (
     associate,
+    estimator_for,
     make_deployment,
     reference_cre,
     reference_full_search,
@@ -86,7 +85,8 @@ def bandwidth_table(headline):
     top = replace(config, bandwidth=1e8)  # each bisection starts at its top
     table = {}
     for total in (145.05, 290.1):
-        point_config = replace(scenario, total_volume=total).apply(top)
+        volumes = replace(scenario, total_volume=total).class_volumes()
+        point_config = top.with_volumes(volumes)
         estimator = CoverageEstimator(point_config, geometry)
         for scheme in (Scheme.THREE_STAGE, Scheme.CRE):
             table[(total, scheme)] = required_bandwidth(
@@ -143,13 +143,13 @@ def test_criterion_3_feasibility_separation(headline):
     table = headline["table"]
     only_three = [
         c for c in CONVEXITIES
-        if table[(c, Scheme.THREE_STAGE)].feasible
-        and not table[(c, Scheme.CRE)].feasible
+        if table[(c, Scheme.THREE_STAGE)].report.feasible
+        and not table[(c, Scheme.CRE)].report.feasible
     ]
     only_cre = [
         c for c in CONVEXITIES
-        if table[(c, Scheme.CRE)].feasible
-        and not table[(c, Scheme.THREE_STAGE)].feasible
+        if table[(c, Scheme.CRE)].report.feasible
+        and not table[(c, Scheme.THREE_STAGE)].report.feasible
     ]
     ok = bool(only_three) and not only_cre
     verdict(
@@ -324,7 +324,7 @@ def test_criterion_6_invariants(headline, tmp_path):
     checks.append(("coverage in [0,1]", bounds_ok))
     checks.append(("average is the density-weighted mean", identity_ok))
 
-    estimator = CoverageEstimator(config)
+    estimator = estimator_for(config)
     widths = [5e6, 1e7, 2e7]
     averages = [
         estimator.with_bandwidth(w).evaluate(bias).average_coverage
@@ -340,7 +340,7 @@ def test_criterion_6_invariants(headline, tmp_path):
     )
     checks.append((
         "coverage anti-monotone in demand",
-        CoverageEstimator(heavier).evaluate(bias).average_coverage
+        estimator_for(heavier).evaluate(bias).average_coverage
         <= estimator.evaluate(bias).average_coverage + 1e-12,
     ))
 
@@ -433,9 +433,9 @@ def test_criterion_7_hand_enumerated_optimum():
     }
     assert {t for t, f in feasibles.items() if f} == expected_feasible
 
-    full = full_search(estimator, grid)
-    cre = cre_optimize(estimator, grid)
-    three = three_stage_optimize(estimator, grid)
+    full = run_scheme(Scheme.FULL_SEARCH, estimator, grid)
+    cre = run_scheme(Scheme.CRE, estimator, grid)
+    three = run_scheme(Scheme.THREE_STAGE, estimator, grid)
 
     ref_full_key, ref_full_report = reference_full_search(estimator, grid)
     ref_cre_key, ref_cre_report = reference_cre(estimator, grid)
@@ -445,15 +445,15 @@ def test_criterion_7_hand_enumerated_optimum():
     ok = (
         (full.bias.stationary_bias, full.bias.walking_bias,
          full.bias.vehicular_bias) == ref_full_key == (4.0, 2.0, 1.0)
-        and full.feasible
+        and full.report.feasible
         and full.report.average_coverage == 1.0
         and cre.bias.stationary_bias == ref_cre_key == 2.0
-        and not cre.feasible
+        and not cre.report.feasible
         and cre.report.average_coverage == pytest.approx(0.8, abs=1e-12)
         and cre.report.per_class_coverage == (1.0, 1.0, 0.0)
         and (three.bias.stationary_bias, three.bias.walking_bias,
              three.bias.vehicular_bias) == (ref_s, ref_w, ref_v) == (4.0, 2.0, 1.0)
-        and three.feasible
+        and three.report.feasible
         and three.report.average_coverage == 1.0
     )
     verdict(

@@ -14,6 +14,7 @@ from convexcell import (
     haversine_m,
 )
 from convexcell import cli, coverage, optimizer
+from helpers import OVERFLOWING_TRACES
 
 TINY_CONFIG = {
     "user_count": 40,
@@ -361,12 +362,15 @@ def test_out_of_memory_is_one_line_and_writes_nothing(
         ["analyze", "--trace", "TRACE", "--stationary-cutoff", "50"],
         ["sweep", "--config", "HUGE_AREA"],
         ["evaluate", "--bias", "0", "0", "0", "--config", "HUGE_LOSS"],
+        ["evaluate", "--bias", "0", "0", "0", "--config", "HUGE_NOISE"],
+        ["evaluate", "--bias", "0", "0", "0", "--config", "HUGE_DENSITY"],
     ],
     ids=[
         "sweep-nan-volume", "sweep-negative-convexity", "bandwidth-share-above-1",
         "trace-is-a-dir", "config-is-a-dir", "out-is-a-file", "sweep-out-is-a-file",
         "bandwidth-out-is-a-file", "analyze-out-is-a-file", "out-is-under-a-file",
         "nan-cutoff", "cutoff-above-walking", "area-overflows", "received-power-overflows",
+        "noise-overflows", "density-beyond-poisson",
     ],
 )
 def test_failed_command_is_one_line_and_writes_nothing(
@@ -380,8 +384,14 @@ def test_failed_command_is_one_line_and_writes_nothing(
     places = {
         "DIR": tmp_path, "FILE": existing, "UNDER_FILE": existing / "sub", "TRACE": trace
     }
-    # values that pass every range check but overflow a derived quantity
-    overflows = {"HUGE_AREA": {"area_side": 1e200}, "HUGE_LOSS": {"reference_loss": 1e308}}
+    # values that pass every range check but overflow a derived quantity;
+    # the error names the first field given
+    overflows = {
+        "HUGE_AREA": {"area_side": 1e200},
+        "HUGE_LOSS": {"reference_loss": 1e308},
+        "HUGE_NOISE": {"noise_power": 1e300, "bandwidth": 1e10, "trials": 2},
+        "HUGE_DENSITY": {"macro_density": 1e300, "trials": 1},
+    }
     for name, values in overflows.items():
         places[name] = tmp_path / f"{name}.json"
         places[name].write_text(json.dumps({**TINY_CONFIG, **values}))
@@ -391,6 +401,8 @@ def test_failed_command_is_one_line_and_writes_nothing(
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+    for name in set(argv) & set(overflows):
+        assert next(iter(overflows[name])) in err
     assert not out.exists()
     assert finished == []
 
@@ -471,6 +483,22 @@ class TestAnalyzeCommand:
                 + (out / "segments.csv").read_bytes()
             )
         assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize("case", OVERFLOWING_TRACES)
+    def test_non_finite_volume_is_one_line_and_writes_nothing(
+        self, tmp_path, capsys, case
+    ):
+        """JSON has no infinity, so an overflowing volume or convexity is refused."""
+        rows, name = OVERFLOWING_TRACES[case]
+        trace = tmp_path / "trace.csv"
+        trace.write_text("user_id,timestamp,lat,lon,rx_bytes\n" + "".join(rows))
+        out = tmp_path / "out"
+        code = run(["analyze", "--trace", str(trace), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert name in err
+        assert not out.exists()
 
     def test_header_only_trace_fails(self, tmp_path, capsys):
         trace = tmp_path / "trace.csv"

@@ -29,6 +29,7 @@ from convexcell import coverage
 from convexcell.optimizer import Scheme, required_bandwidth
 from helpers import (
     associate,
+    estimator_for,
     hypot_link_distances,
     make_deployment,
     reference_fading,
@@ -262,7 +263,7 @@ class TestEstimator:
         assert report.feasible == feasible
 
     def test_weighted_mean_identity_and_bounds(self, tiny_config):
-        estimator = CoverageEstimator(tiny_config)
+        estimator = estimator_for(tiny_config)
         fractions = tiny_config.density_fractions()
         for bias in (BiasVector.uniform(b) for b in (1.0, 2.0, 25.0)):
             report = estimator.evaluate(bias)
@@ -274,7 +275,7 @@ class TestEstimator:
             assert report.trials_used == tiny_config.trials
 
     def test_feasible_definition(self, tiny_config):
-        estimator = CoverageEstimator(tiny_config)
+        estimator = estimator_for(tiny_config)
         report = estimator.evaluate(BiasVector.uniform(1.0))
         thresholds = [p.min_coverage for p in tiny_config.profiles]
         assert report.feasible == all(
@@ -282,7 +283,7 @@ class TestEstimator:
         )
 
     def test_monotone_in_bandwidth(self, tiny_config):
-        estimator = CoverageEstimator(tiny_config)
+        estimator = estimator_for(tiny_config)
         bias = BiasVector(2.0, 1.0, 1.0)
         widths = [2e6, 5e6, 10e6, 40e6]
         averages = [
@@ -312,17 +313,17 @@ class TestEstimator:
         )
 
     def test_evaluation_order_does_not_matter(self, tiny_config):
-        first = CoverageEstimator(tiny_config)
+        first = estimator_for(tiny_config)
         first.evaluate(BiasVector.uniform(100.0))
         first.evaluate(BiasVector(1.0, 1.0, 16.0))
         mixed = first.evaluate(BiasVector.uniform(1.0))
-        fresh = CoverageEstimator(tiny_config).evaluate(BiasVector.uniform(1.0))
+        fresh = estimator_for(tiny_config).evaluate(BiasVector.uniform(1.0))
         assert mixed == fresh
 
     def test_zero_user_class_rejected(self):
         # 5 users at the default fractions floor walking and vehicular to zero
         with pytest.raises(EstimationError, match="walking"):
-            CoverageEstimator(NetworkConfig(user_count=5, trials=1))
+            estimator_for(NetworkConfig(user_count=5, trials=1))
 
     def test_hand_built_trials_missing_a_class_rejected(self, tiny_config):
         # the config counts every class ([54, 3, 3]), the given trials do not
@@ -334,7 +335,7 @@ class TestEstimator:
             TrialGeometry(tiny_config, [no_vehicular])
 
     def test_with_bandwidth_validation_and_isolation(self, tiny_config):
-        estimator = CoverageEstimator(tiny_config)
+        estimator = estimator_for(tiny_config)
         bias = BiasVector.uniform(1.0)
         before = estimator.evaluate(bias)
         clone = estimator.with_bandwidth(2e6)
@@ -346,10 +347,10 @@ class TestEstimator:
 
     def test_rebind_does_not_reuse_parts_across_bandwidths(self, tiny_config):
         biases = [BiasVector(b, 1.0, v) for b in (1.0, 3.0) for v in (1.0, 9.9)]
-        narrow = CoverageEstimator(dataclasses.replace(tiny_config, bandwidth=2e6))
+        narrow = estimator_for(dataclasses.replace(tiny_config, bandwidth=2e6))
         before = [narrow.evaluate(bias) for bias in biases]
         wide = narrow.with_bandwidth(4e7)
-        fresh = CoverageEstimator(dataclasses.replace(tiny_config, bandwidth=4e7))
+        fresh = estimator_for(dataclasses.replace(tiny_config, bandwidth=4e7))
         after = [wide.evaluate(bias) for bias in biases]
         assert after == [fresh.evaluate(bias) for bias in biases]
         assert after != before  # the bandwidth matters for these biases
@@ -373,7 +374,7 @@ class TestTrialGeometry:
         for volumes in ([20.0, 5.0, 10.0], [120.0, 30.0, 200.0]):
             config = tiny_config.with_volumes(volumes)
             shared = CoverageEstimator(config, geometry)
-            fresh = CoverageEstimator(config)
+            fresh = estimator_for(config)
             reports = [shared.evaluate(bias) for bias in self.BIASES]
             assert reports == [fresh.evaluate(bias) for bias in self.BIASES]
             wide, wide_fresh = shared.with_bandwidth(4e7), fresh.with_bandwidth(4e7)
@@ -390,7 +391,7 @@ class TestTrialGeometry:
             tiny_config, bandwidth=2e6, handover_delay=3.0, demand_peak_factor=9.0
         )
         shared = CoverageEstimator(config, geometry)
-        fresh = CoverageEstimator(config)
+        fresh = estimator_for(config)
         assert [shared.evaluate(b) for b in self.BIASES] == [
             fresh.evaluate(b) for b in self.BIASES
         ]
@@ -536,7 +537,7 @@ class TestTrialGeometry:
             for estimator, reports in zip(shared, interleaved):
                 reports.append(estimator.evaluate(bias))
         for estimator, reports in zip(shared, interleaved):
-            fresh = CoverageEstimator(estimator.config)
+            fresh = estimator_for(estimator.config)
             assert reports == [fresh.evaluate(bias) for bias in biases]
         # demand and bandwidth both move these reports, so a mixed-up
         # working array would show
@@ -694,7 +695,7 @@ def test_edge_configs_match_float_kernel(tiny_config, case, bandwidth):
     fields = dict(EDGE_CONFIGS[case])
     config = tiny_config.with_volumes(fields.pop("volumes", [20.0, 5.0, 10.0]))
     config = dataclasses.replace(config, bandwidth=bandwidth, **fields)
-    estimator = CoverageEstimator(config)
+    estimator = estimator_for(config)
     reports = [estimator.evaluate(bias) for bias in DEFAULT_TRIPLES]
     assert reports == reference_float_coverage(estimator, DEFAULT_TRIPLES)
 
@@ -800,7 +801,7 @@ def test_bisection_keeps_one_read_only_association_per_grid_value(tiny_config):
     """Every probe and scheme shares the geometry's associations."""
     grid = BiasGrid.from_db([0.0, 4.0, 8.0, 12.0])
     config = tiny_config.with_volumes([120.0, 30.0, 80.0])
-    estimator = CoverageEstimator(dataclasses.replace(config, bandwidth=1e9))
+    estimator = estimator_for(dataclasses.replace(config, bandwidth=1e9))
     for scheme in (Scheme.THREE_STAGE, Scheme.CRE):
         required_bandwidth(estimator, grid, scheme, 1e5, 1e5)
     associations = estimator.geometry._associations
@@ -828,7 +829,7 @@ def test_parts_match_gathered_slack_and_bound(tiny_config, case):
     bound (the station's other-class candidates), gathered by station id.
     The volumes leave some users of every case undecided."""
     config = tiny_config.with_volumes([3000.0, 1000.0, 2000.0])
-    estimator = CoverageEstimator(dataclasses.replace(config, **PART_CONFIGS[case]))
+    estimator = estimator_for(dataclasses.replace(config, **PART_CONFIGS[case]))
     geo = estimator.geometry
     scaled_macro, scaled_small, requirements = reference_rate_factors(
         geo, estimator.config

@@ -20,6 +20,7 @@ from convexcell import (
     sample_deployment,
 )
 from convexcell.coverage import BLOCK_LINKS
+from convexcell.model import POISSON_MEAN_MAX
 from helpers import make_deployment, reference_fading, reference_link_distances, sinr
 
 # Config fuzz: each field is omitted, set near its default (the value
@@ -110,11 +111,26 @@ class TestConfig:
             ("trials", 0),
             ("seed", -1),
             ("profiles", default_profiles()[:2]),
+            ("noise_power", 1e302),  # noise_power * bandwidth overflows
+            ("macro_density", 1e300),  # beyond numpy's largest Poisson mean
+            ("small_density", 1e300),
         ],
     )
     def test_field_validation(self, field, value):
         with pytest.raises(ConfigError, match=field.split("_")[0]):
             NetworkConfig(**{field: value})
+
+    @pytest.mark.parametrize("name", ["macro_density", "small_density"])
+    def test_station_density_up_to_the_largest_poisson_mean(self, name):
+        limit = POISSON_MEAN_MAX
+        rng = np.random.default_rng(0)
+        rng.poisson(limit)
+        with pytest.raises(ValueError, match="lam value too large"):
+            rng.poisson(math.nextafter(limit, math.inf))
+        # a 1 km window: the Poisson mean is the density itself
+        NetworkConfig(area_side=1000.0, **{name: limit})
+        with pytest.raises(ConfigError, match=name):
+            NetworkConfig(area_side=1000.0, **{name: math.nextafter(limit, math.inf)})
 
     def test_two_tier_power_ordering(self):
         with pytest.raises(ConfigError, match="macro_power must exceed"):
@@ -184,6 +200,8 @@ class TestConfig:
             ({"profiles": {"vehicular": {"traffic_volume": -1.0}}}, "vehicular.traffic_volume"),
             ({"profiles": {"walking": {"velocity": -1.0}}}, "walking.velocity must be >= 0"),
             ({"profiles": {"stationary": {"min_coverage": 1.5}}}, "stationary.min_coverage"),
+            ({"noise_power": 1e300, "bandwidth": 1e10, "trials": 2}, "noise_power"),
+            ({"macro_density": 1e300, "trials": 1}, "macro_density"),
         ],
     )
     def test_from_dict_rejects_bad_values(self, data, field):

@@ -12,7 +12,6 @@ from convexcell import (
     DEFAULT_GRID_DB,
     BiasGrid,
     BiasVector,
-    CoverageEstimator,
     DemandScenario,
     NetworkConfig,
     Scheme,
@@ -20,15 +19,13 @@ from convexcell import (
     UserClass,
     convexity_sweep,
     coverage,
-    cre_optimize,
-    full_search,
     required_bandwidth,
     run_scheme,
-    three_stage_optimize,
 )
 from convexcell.coverage import CoverageReport
 from convexcell.optimizer import _best, _class_coverage, _feasible_average, _stage2
 from helpers import (
+    estimator_for,
     reference_cre,
     reference_full_search,
     reference_stage1,
@@ -41,7 +38,7 @@ SMALL_GRID = BiasGrid.from_db([0.0, 4.0, 8.0, 12.0])
 
 @pytest.fixture
 def estimator(tiny_config):
-    return CoverageEstimator(tiny_config)
+    return estimator_for(tiny_config)
 
 
 class TestBiasGrid:
@@ -115,7 +112,7 @@ class TestDemandScenario:
 
     def test_apply_writes_profile_volumes(self, tiny_config):
         scenario = DemandScenario(100.0, 0.5, 4.0)
-        config = scenario.apply(tiny_config)
+        config = tiny_config.with_volumes(scenario.class_volumes())
         assert [p.traffic_volume for p in config.profiles] == pytest.approx(
             [50.0, 10.0, 40.0]
         )
@@ -138,12 +135,13 @@ class TestStages:
             area_side=1000.0, macro_density=3.0, small_density=0.0,
             user_count=60, trials=2,
         )
-        result = three_stage_optimize(CoverageEstimator(config), SMALL_GRID)
+        estimator = estimator_for(config)
+        result = run_scheme(Scheme.THREE_STAGE, estimator, SMALL_GRID)
         assert result.bias.stationary_bias == 1.0
 
     def test_stage1_matches_brute_force(self, estimator):
         expected = reference_stage1(estimator, SMALL_GRID)
-        result = three_stage_optimize(estimator, SMALL_GRID)
+        result = run_scheme(Scheme.THREE_STAGE, estimator, SMALL_GRID)
         assert result.bias.stationary_bias == expected
 
     def test_stage3_matches_brute_force(self, estimator):
@@ -159,58 +157,58 @@ class TestStages:
 
     def test_stage2_zero_vehicular_demand_stays_low(self, tiny_config):
         config = tiny_config.with_volumes([50.0, 10.0, 0.0])
-        bias, _ = _stage2(CoverageEstimator(config), SMALL_GRID, 1.0)
+        bias, _ = _stage2(estimator_for(config), SMALL_GRID, 1.0)
         assert bias.walking_bias == 1.0
 
     def test_stage2_matches_scan_rule(self, estimator):
         b_s = reference_stage1(estimator, SMALL_GRID)
         expected_w, expected_v, _ = reference_stage2(estimator, SMALL_GRID, b_s)
-        result = three_stage_optimize(estimator, SMALL_GRID)
+        result = run_scheme(Scheme.THREE_STAGE, estimator, SMALL_GRID)
         assert result.bias.walking_bias == expected_w
         assert result.bias.vehicular_bias == expected_v
 
 
 class TestThreeStage:
     def test_singleton_grid(self, estimator):
-        result = three_stage_optimize(estimator, BiasGrid((1.0,)))
+        result = run_scheme(Scheme.THREE_STAGE, estimator, BiasGrid((1.0,)))
         assert result.bias == BiasVector(1.0, 1.0, 1.0)
         assert result.scheme is Scheme.THREE_STAGE
 
     def test_zero_demand_ties_to_unbiased(self, tiny_config):
         config = tiny_config.with_volumes([0.0, 0.0, 0.0])
-        result = three_stage_optimize(CoverageEstimator(config), SMALL_GRID)
+        estimator = estimator_for(config)
+        result = run_scheme(Scheme.THREE_STAGE, estimator, SMALL_GRID)
         assert result.bias == BiasVector(1.0, 1.0, 1.0)
         assert result.report.average_coverage == 1.0
-        assert result.feasible
+        assert result.report.feasible
 
     def test_report_matches_returned_bias(self, tiny_config, estimator):
-        result = three_stage_optimize(estimator, SMALL_GRID)
-        fresh = CoverageEstimator(tiny_config).evaluate(result.bias)
+        result = run_scheme(Scheme.THREE_STAGE, estimator, SMALL_GRID)
+        fresh = estimator_for(tiny_config).evaluate(result.bias)
         assert result.report == fresh
-        assert result.feasible == fresh.feasible
 
 
 class TestCre:
     def test_singleton_grid(self, estimator):
-        result = cre_optimize(estimator, BiasGrid((1.0,)))
+        result = run_scheme(Scheme.CRE, estimator, BiasGrid((1.0,)))
         assert result.bias == BiasVector(1.0, 1.0, 1.0)
         assert result.scheme is Scheme.CRE
 
     def test_common_bias_by_construction(self, estimator):
-        result = cre_optimize(estimator, SMALL_GRID)
+        result = run_scheme(Scheme.CRE, estimator, SMALL_GRID)
         bias = result.bias
         assert bias.stationary_bias == bias.walking_bias == bias.vehicular_bias
 
     def test_matches_selection_reference(self, estimator):
         expected_bias, expected_report = reference_cre(estimator, SMALL_GRID)
-        result = cre_optimize(estimator, SMALL_GRID)
+        result = run_scheme(Scheme.CRE, estimator, SMALL_GRID)
         assert result.bias == BiasVector.uniform(expected_bias)
         assert result.report == expected_report
 
 
 class TestFullSearch:
     def test_singleton_grid(self, estimator):
-        result = full_search(estimator, BiasGrid((1.0,)))
+        result = run_scheme(Scheme.FULL_SEARCH, estimator, BiasGrid((1.0,)))
         assert result.bias == BiasVector(1.0, 1.0, 1.0)
         assert result.scheme is Scheme.FULL_SEARCH
 
@@ -218,25 +216,16 @@ class TestFullSearch:
         expected_triple, expected_report = reference_full_search(
             estimator, SMALL_GRID
         )
-        result = full_search(estimator, SMALL_GRID)
+        result = run_scheme(Scheme.FULL_SEARCH, estimator, SMALL_GRID)
         assert result.bias == BiasVector(*expected_triple)
         assert result.report == expected_report
 
     def test_dominates_both_schemes(self, estimator):
-        oracle = full_search(estimator, SMALL_GRID)
-        heuristic = three_stage_optimize(estimator, SMALL_GRID)
-        baseline = cre_optimize(estimator, SMALL_GRID)
+        oracle = run_scheme(Scheme.FULL_SEARCH, estimator, SMALL_GRID)
+        heuristic = run_scheme(Scheme.THREE_STAGE, estimator, SMALL_GRID)
+        baseline = run_scheme(Scheme.CRE, estimator, SMALL_GRID)
         assert oracle.report.average_coverage >= heuristic.report.average_coverage
         assert oracle.report.average_coverage >= baseline.report.average_coverage
-
-    def test_warns_on_large_grids(self):
-        config = NetworkConfig(
-            area_side=500.0, macro_density=4.0, small_density=8.0,
-            user_count=30, trials=1,
-        )
-        wide = BiasGrid.from_db([float(d) for d in range(0, 26, 2)])  # 13^3 cells
-        with pytest.warns(UserWarning, match="full search"):
-            full_search(CoverageEstimator(config), wide)
 
 
 class StubEstimator:
@@ -355,7 +344,7 @@ def test_run_scheme_dispatch(estimator):
 
 def bound_at(config, bandwidth):
     """Estimator of config at bandwidth: the top of a bisection's bracket."""
-    return CoverageEstimator(replace(config, bandwidth=bandwidth))
+    return estimator_for(replace(config, bandwidth=bandwidth))
 
 
 class TestRequiredBandwidth:
@@ -397,8 +386,8 @@ class TestRequiredBandwidth:
         below = run_scheme(
             scheme, base.with_bandwidth(width - 2 * tolerance), SMALL_GRID
         )
-        assert at.feasible
-        assert not below.feasible
+        assert at.report.feasible
+        assert not below.report.feasible
         # a tolerance below the float spacing near the threshold ends the
         # bisection at two adjacent floats
         width = required_bandwidth(base, SMALL_GRID, scheme, 1e6, 1e-12)
@@ -406,8 +395,8 @@ class TestRequiredBandwidth:
         below = run_scheme(
             scheme, base.with_bandwidth(math.nextafter(width, 0.0)), SMALL_GRID
         )
-        assert at.feasible
-        assert not below.feasible
+        assert at.report.feasible
+        assert not below.report.feasible
 
     def test_monotone_in_total_volume(self, tiny_config):
         lighter = tiny_config.with_volumes([120.0, 30.0, 80.0])

@@ -7,6 +7,7 @@ from datetime import datetime, timedelta, timezone
 
 import pytest
 from helpers import (
+    OVERFLOWING_TRACES,
     TraceSample,
     compute_velocity,
     reference_analyze_trace,
@@ -350,6 +351,20 @@ class TestAggregatePopulation:
         with pytest.raises(InsufficientDataError):
             aggregate_population([])
 
+    @pytest.mark.parametrize(
+        "triples, message",
+        [
+            ([(1e308, 0.0, 0.0), (1e308, 0.0, 0.0)], "averaged over users"),
+            ([(1e308, 1e308, 0.0)], "averaged over users"),
+            ([(0.0, 1e-300, 1e10)], "user convexity overflows"),
+        ],
+        ids=["mean", "total", "convexity"],
+    )
+    def test_non_finite_mean_total_or_convexity_rejected(self, triples, message):
+        # JSON has no infinity, and a share would be inf / inf
+        with pytest.raises(TraceFormatError, match=message):
+            aggregate_population(triples)
+
     @given(
         st.lists(
             st.tuples(
@@ -651,6 +666,22 @@ class TestAnalyzeTrace:
     def test_deterministic(self):
         data = {"u1": walk_user(DAY_2012)}
         assert analyze_trace(data)[0] == analyze_trace(data)[0]
+
+    @pytest.mark.parametrize("case", OVERFLOWING_TRACES)
+    def test_non_finite_volume_refused_as_the_oracle_does(self, tmp_path, case):
+        rows, name = OVERFLOWING_TRACES[case]
+        path = tmp_path / "trace.csv"
+        write_trace(path, rows)
+        errors = []
+        for read, analyze in (
+            (read_trace_csv, analyze_trace),
+            (reference_read_trace_csv, reference_analyze_trace),
+        ):
+            traces, _ = read(path)
+            with pytest.raises(TraceFormatError, match=name) as info:
+                analyze(traces, 0.5)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
 
     def test_report_serialization(self):
         report, _ = analyze_trace({"u1": walk_user(DAY_2012)})
