@@ -8,18 +8,17 @@ mobility and data-usage logs.
 
 from .association import BiasVector, linear_from_db
 from .coverage import (
-    BITS_PER_MB,
-    SECONDS_PER_DAY,
     CoverageEstimator,
     CoverageReport,
     EstimationError,
     TrialGeometry,
     estimate_rate_coverage,
     handover_efficiency,
-    rate_requirement,
 )
 from .model import (
+    BITS_PER_MB,
     MIN_PATH_DISTANCE_M,
+    SECONDS_PER_DAY,
     THERMAL_NOISE_W_PER_HZ,
     ClassProfile,
     ConfigError,
@@ -30,6 +29,7 @@ from .model import (
     largest_remainder_counts,
     link_distances,
     mean_power_matrix,
+    rate_requirement,
     sample_deployment,
 )
 from .optimizer import (
@@ -57,8 +57,6 @@ from .traces import (
     aggregate_user,
     analyze_trace,
     build_segments,
-    classify_mobility,
-    haversine_m,
     read_trace_csv,
 )
 
@@ -98,12 +96,10 @@ __all__ = [
     "aggregate_user",
     "analyze_trace",
     "build_segments",
-    "classify_mobility",
     "convexity_sweep",
     "default_profiles",
     "estimate_rate_coverage",
     "handover_efficiency",
-    "haversine_m",
     "largest_remainder_counts",
     "linear_from_db",
     "link_distances",

@@ -14,7 +14,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -56,44 +56,30 @@ STATE_LABELS = tuple(cls.label for cls in UserClass)
 UNSATISFIABLE = "unsatisfiable"
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Resolved invocation: command, config source, and output policy."""
-
-    command: str
-    config_path: str | None
-    output_dir: str
-    seed: int | None
-    scheme: str | None
-    trials: int | None
-    overwrite: bool
-    strict: bool
-
-
 class CliError(Exception):
     """Fatal CLI failure with a user-facing message."""
 
 
-def _load_config(manifest: RunManifest) -> NetworkConfig:
+def _load_config(args: argparse.Namespace) -> NetworkConfig:
     data = {}
-    if manifest.config_path is not None:
-        with open(manifest.config_path, encoding="utf-8") as handle:
+    if args.config is not None:
+        with open(args.config, encoding="utf-8") as handle:
             data = json.load(handle)
     overrides = {}
-    if manifest.seed is not None:
-        overrides["seed"] = manifest.seed
-    if manifest.trials is not None:
-        overrides["trials"] = manifest.trials
+    if args.seed is not None:
+        overrides["seed"] = args.seed
+    if args.trials is not None:
+        overrides["trials"] = args.trials
     return replace(NetworkConfig.from_dict(data), **overrides)
 
 
-def _prepare_outputs(manifest: RunManifest, names: Sequence[str]) -> dict[str, Path]:
+def _prepare_outputs(args: argparse.Namespace, names: Sequence[str]) -> dict[str, Path]:
     """Output paths, refusing existing files; the writers create the directory.
 
     Runs before any work, so an --out that cannot become a directory fails
     at once instead of after the whole computation.
     """
-    out_dir = Path(manifest.output_dir)
+    out_dir = Path(args.out)
     nearest = next(p for p in (out_dir, *out_dir.parents) if p.exists())
     if not nearest.is_dir():
         raise CliError(f"--out {out_dir}: {nearest} is not a directory")
@@ -102,7 +88,7 @@ def _prepare_outputs(manifest: RunManifest, names: Sequence[str]) -> dict[str, P
     directories = [str(p) for p in paths.values() if p.is_dir()]
     if directories:
         raise CliError(f"output {', '.join(directories)} is a directory")
-    if not manifest.overwrite:
+    if not args.overwrite:
         existing = [str(p) for p in paths.values() if p.exists()]
         if existing:
             raise CliError(
@@ -130,8 +116,18 @@ def _write_json(path: Path, payload: dict) -> None:
         handle.write("\n")
 
 
-def _meta(manifest: RunManifest, config: NetworkConfig | None, **extra) -> dict:
-    payload = {"manifest": asdict(manifest), **extra}
+def _meta(args: argparse.Namespace, config: NetworkConfig | None, **extra) -> dict:
+    manifest = {
+        "command": args.command,
+        "config_path": args.config,
+        "output_dir": args.out,
+        "seed": args.seed,
+        "scheme": args.scheme,
+        "trials": args.trials,
+        "overwrite": args.overwrite,
+        "strict": args.strict,
+    }
+    payload = {"manifest": manifest, **extra}
     if config is not None:
         payload["config"] = config.to_dict()
         payload["config_hash"] = config.config_hash()
@@ -145,16 +141,16 @@ def _parse_schemes(value: str | None, default: Sequence[Scheme]) -> list[Scheme]
     return [Scheme(value)]
 
 
-def run_sweep(manifest: RunManifest, args: argparse.Namespace) -> int:
-    config = _load_config(manifest)
+def run_sweep(args: argparse.Namespace) -> int:
+    config = _load_config(args)
     grid = BiasGrid.from_db(args.grid_db)
-    schemes = _parse_schemes(manifest.scheme, tuple(Scheme))
+    schemes = _parse_schemes(args.scheme, tuple(Scheme))
     scenario = DemandScenario(
         total_volume=args.total_volume,
         stationary_share=args.stationary_share,
         user_convexity=args.convexity[0],
     )
-    paths = _prepare_outputs(manifest, ("sweep.csv", "sweep_meta.json"))
+    paths = _prepare_outputs(args, ("sweep.csv", "sweep_meta.json"))
 
     points = convexity_sweep(scenario, args.convexity, config, grid, schemes)
     rows = []
@@ -177,7 +173,7 @@ def run_sweep(manifest: RunManifest, args: argparse.Namespace) -> int:
     _write_json(
         paths["sweep_meta.json"],
         _meta(
-            manifest,
+            args,
             config,
             convexity_values=list(args.convexity),
             total_volume=args.total_volume,
@@ -190,10 +186,10 @@ def run_sweep(manifest: RunManifest, args: argparse.Namespace) -> int:
     return 0
 
 
-def run_bandwidth(manifest: RunManifest, args: argparse.Namespace) -> int:
-    config = _load_config(manifest)
+def run_bandwidth(args: argparse.Namespace) -> int:
+    config = _load_config(args)
     grid = BiasGrid.from_db(args.grid_db)
-    schemes = _parse_schemes(manifest.scheme, (Scheme.THREE_STAGE, Scheme.CRE))
+    schemes = _parse_schemes(args.scheme, (Scheme.THREE_STAGE, Scheme.CRE))
     check_bracket(args.wmin, args.wmax, args.tolerance)
     top = replace(config, bandwidth=args.wmax)  # each bisection starts there
     point_configs = [
@@ -206,7 +202,7 @@ def run_bandwidth(manifest: RunManifest, args: argparse.Namespace) -> int:
         )
         for volume in args.volumes
     ]
-    paths = _prepare_outputs(manifest, ("bandwidth.csv", "bandwidth_meta.json"))
+    paths = _prepare_outputs(args, ("bandwidth.csv", "bandwidth_meta.json"))
 
     geometry = TrialGeometry(config)
     rows = []
@@ -227,7 +223,7 @@ def run_bandwidth(manifest: RunManifest, args: argparse.Namespace) -> int:
     _write_json(
         paths["bandwidth_meta.json"],
         _meta(
-            manifest,
+            args,
             config,
             volumes=list(args.volumes),
             stationary_share=args.stationary_share,
@@ -283,14 +279,14 @@ def write_segments(
             ]))
 
 
-def run_analyze(manifest: RunManifest, args: argparse.Namespace) -> int:
+def run_analyze(args: argparse.Namespace) -> int:
     check_stationary_cutoff(args.stationary_cutoff)
     paths = _prepare_outputs(
-        manifest, ("convexity_report.json", "segments.csv", "analyze_meta.json")
+        args, ("convexity_report.json", "segments.csv", "analyze_meta.json")
     )
-    traces, skipped = read_trace_csv(args.trace, strict=manifest.strict)
+    traces, skipped = read_trace_csv(args.trace, strict=args.strict)
     report, segments = analyze_trace(
-        traces, stationary_cutoff=args.stationary_cutoff, strict=manifest.strict
+        traces, stationary_cutoff=args.stationary_cutoff, strict=args.strict
     )
 
     _write_json(
@@ -301,7 +297,7 @@ def run_analyze(manifest: RunManifest, args: argparse.Namespace) -> int:
     _write_json(
         paths["analyze_meta.json"],
         _meta(
-            manifest,
+            args,
             None,
             trace=str(args.trace),
             stationary_cutoff=args.stationary_cutoff,
@@ -317,17 +313,17 @@ def run_analyze(manifest: RunManifest, args: argparse.Namespace) -> int:
     return 0
 
 
-def run_evaluate(manifest: RunManifest, args: argparse.Namespace) -> int:
+def run_evaluate(args: argparse.Namespace) -> int:
     if not all(0.0 <= value < math.inf for value in args.bias):
         raise CliError("bias values are in dB and must be >= 0 and finite")
     bias = BiasVector.from_db(*args.bias)
-    config = _load_config(manifest)
-    paths = _prepare_outputs(manifest, ("evaluate_report.json",))
+    config = _load_config(args)
+    paths = _prepare_outputs(args, ("evaluate_report.json",))
     report = estimate_rate_coverage(config, bias)
     _write_json(
         paths["evaluate_report.json"],
         _meta(
-            manifest,
+            args,
             config,
             bias_db=list(args.bias),
             bias_linear=[
@@ -377,6 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     optimizer.add_argument("--scheme", choices=[s.value for s in Scheme])
 
+    # every command's manifest records both; only some commands take them
+    parser.set_defaults(scheme=None, strict=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
     sweep = sub.add_parser(
@@ -442,18 +440,8 @@ _COMMANDS = {
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    manifest = RunManifest(
-        command=args.command,
-        config_path=args.config,
-        output_dir=args.out,
-        seed=args.seed,
-        scheme=getattr(args, "scheme", None),
-        trials=args.trials,
-        overwrite=args.overwrite,
-        strict=getattr(args, "strict", False),
-    )
     try:
-        return _COMMANDS[args.command](manifest, args)
+        return _COMMANDS[args.command](args)
     except (
         CliError,
         UnsatisfiableRequirementError,

@@ -1,4 +1,4 @@
-"""Rate requirements, handover loss, and Monte-Carlo rate-coverage estimation.
+"""Handover loss and Monte-Carlo rate-coverage estimation.
 
 Rate coverage of a class is the fraction of (user, trial) pairs whose
 achieved rate meets the class's demand-derived requirement. All bias
@@ -21,11 +21,9 @@ from .model import (
     NetworkConfig,
     UserClass,
     mean_power_matrix,
+    rate_requirement,
     sample_deployment,
 )
-
-SECONDS_PER_DAY = 86400.0
-BITS_PER_MB = 8e6  # 1 MB = 1e6 bytes
 
 
 class EstimationError(RuntimeError):
@@ -44,19 +42,6 @@ class CoverageReport:
     average_coverage: float
     feasible: bool
     trials_used: int
-
-
-def rate_requirement(volume_mb_per_day: float, peak_factor: float) -> float:
-    """Busy-period rate requirement in bits/s for a mean daily volume.
-
-    The mean daily volume is spread over 86400 s and concentrated by
-    peak_factor into the busy period a user must actually be served in.
-    """
-    if volume_mb_per_day < 0.0:
-        raise ValueError("volume must be >= 0")
-    if peak_factor < 1.0:
-        raise ValueError("peak_factor must be >= 1")
-    return volume_mb_per_day * BITS_PER_MB / SECONDS_PER_DAY * peak_factor
 
 
 def handover_efficiency(
@@ -157,7 +142,9 @@ class TrialGeometry:
     block, so the build holds about workers x one block of link data at a
     time, whatever the user count. Each
     trial is a pure function of ``(seed, trial)`` and is collected in trial
-    order, so the arrays do not depend on the number of threads.
+    order, so the arrays do not depend on the number of threads. A trial
+    whose squared distances or instantaneous powers overflow a float raises
+    EstimationError instead of carrying infinities into the rates.
     """
 
     def __init__(
@@ -182,7 +169,15 @@ class TrialGeometry:
 
         def reduce_trial(job: int | Deployment) -> tuple[dict[str, np.ndarray], int]:
             deployment = sample_deployment(config, job) if deployments is None else job
-            return self._reduce(config, deployment)
+            # numpy's error state is per thread, so each worker sets its own
+            try:
+                with np.errstate(over="raise"):
+                    return self._reduce(config, deployment)
+            except FloatingPointError:
+                raise EstimationError(
+                    "link distances or received powers overflow a float: "
+                    "area_side, macro_power or reference_loss is too large"
+                ) from None
 
         # imported here, not at module level: the import takes about 8 ms,
         # which commands that build no geometry (analyze) need not pay

@@ -1,4 +1,5 @@
-"""Two-tier cellular network model: configuration, deployment sampling, path loss.
+"""Two-tier cellular network model: configuration, rate requirements, deployment
+sampling, path loss.
 
 Distances are in meters, powers in watts, densities in stations per km^2.
 A deployment is one Monte-Carlo realization of station and user placement
@@ -26,6 +27,9 @@ THERMAL_NOISE_W_PER_HZ = 3.981071705534985e-21
 # Largest Poisson mean numpy's generators accept; the next float up raises
 # "lam value too large".
 POISSON_MEAN_MAX = 9.223372006484771e18
+
+SECONDS_PER_DAY = 86400.0
+BITS_PER_MB = 8e6  # 1 MB = 1e6 bytes
 
 
 class ConfigError(ValueError):
@@ -93,6 +97,19 @@ class ClassProfile:
             raise ConfigError("profiles.walking.velocity must be <= 10 km/h")
         if self.user_class is UserClass.VEHICULAR and self.velocity <= 10.0:
             raise ConfigError("profiles.vehicular.velocity must be > 10 km/h")
+
+
+def rate_requirement(volume_mb_per_day: float, peak_factor: float) -> float:
+    """Busy-period rate requirement in bits/s for a mean daily volume.
+
+    The mean daily volume is spread over 86400 s and concentrated by
+    peak_factor into the busy period a user must actually be served in.
+    """
+    if volume_mb_per_day < 0.0:
+        raise ValueError("volume must be >= 0")
+    if peak_factor < 1.0:
+        raise ValueError("peak_factor must be >= 1")
+    return volume_mb_per_day * BITS_PER_MB / SECONDS_PER_DAY * peak_factor
 
 
 def default_profiles() -> tuple[ClassProfile, ClassProfile, ClassProfile]:
@@ -216,6 +233,16 @@ class NetworkConfig:
             raise ConfigError(
                 f"profiles density_fraction must sum to 1 (got {total!r})"
             )
+        # the bits/s each user of a class must get, as the estimator computes it
+        peak = self.demand_peak_factor
+        for profile in self.profiles:
+            volume = profile.traffic_volume
+            if not math.isfinite(rate_requirement(volume, peak)):
+                raise ConfigError(
+                    f"profiles.{profile.user_class.label}.traffic_volume and "
+                    "demand_peak_factor overflow the rate requirement "
+                    f"(got {volume!r} and {peak!r})"
+                )
 
     # -- derived quantities -------------------------------------------------
 

@@ -62,10 +62,6 @@ class BiasGrid:
                 raise ValueError("bias grid must be strictly increasing")
 
     @classmethod
-    def default(cls) -> "BiasGrid":
-        return cls.from_db(DEFAULT_GRID_DB)
-
-    @classmethod
     def from_db(cls, db_values: Sequence[float]) -> "BiasGrid":
         """Grid of the linear factors of dB values, which must be finite."""
         db_values = tuple(db_values)
@@ -75,9 +71,6 @@ class BiasGrid:
 
     def __iter__(self):
         return iter(self.values)
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 @dataclass(frozen=True)
@@ -315,14 +308,16 @@ def convexity_sweep(
     binds its demand to it, so rows see identical deployments and fading
     and are exactly comparable.
     """
-    # scenarios first: a bad convexity fails before the geometry is built
-    scenarios = [replace(base, user_convexity=value) for value in convexity_values]
+    # every point's config first: a bad convexity, or a volume whose rate
+    # requirement overflows, fails before the geometry is built
+    point_configs = [
+        config.with_volumes(replace(base, user_convexity=value).class_volumes())
+        for value in convexity_values
+    ]
     geometry = TrialGeometry(config)
     rows = []
-    for convexity, scenario in zip(convexity_values, scenarios):
-        estimator = CoverageEstimator(
-            config.with_volumes(scenario.class_volumes()), geometry
-        )
+    for convexity, point_config in zip(convexity_values, point_configs):
+        estimator = CoverageEstimator(point_config, geometry)
         for scheme in schemes:
             rows.append((convexity, run_scheme(scheme, estimator, grid)))
         # release this point's parts (caps and undecided users) before

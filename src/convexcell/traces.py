@@ -23,8 +23,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .coverage import SECONDS_PER_DAY
-from .model import UserClass
+from .model import SECONDS_PER_DAY, UserClass
 
 EARTH_RADIUS_M = 6_371_000.0
 VEHICULAR_CUTOFF_KMH = 10.0
@@ -83,40 +82,10 @@ class ConvexityReport:
         }
 
 
-def haversine_m(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
-    """Great-circle distance between two coordinates in meters."""
-    phi1 = math.radians(lat1)
-    phi2 = math.radians(lat2)
-    dphi = math.radians(lat2 - lat1)
-    dlam = math.radians(lon2 - lon1)
-    a = math.sin(dphi / 2) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2) ** 2
-    # rounding can push a just above 1 for near-antipodal points
-    return 2.0 * EARTH_RADIUS_M * math.asin(math.sqrt(min(a, 1.0)))
-
-
 def check_stationary_cutoff(stationary_cutoff: float) -> None:
     """Raise ValueError unless the cutoff lies in [0, 10) km/h (NaN does not)."""
     if not 0.0 <= stationary_cutoff < VEHICULAR_CUTOFF_KMH:
         raise ValueError("stationary_cutoff must be in [0, 10) km/h")
-
-
-def classify_mobility(
-    velocity_kmh: float,
-    stationary_cutoff: float = DEFAULT_STATIONARY_CUTOFF_KMH,
-) -> UserClass:
-    """Map a speed to a mobility state.
-
-    Vehicular above 10 km/h (strict), stationary at or below the cutoff,
-    walking in between. Every finite speed maps to exactly one state.
-    """
-    if velocity_kmh < 0.0:
-        raise ValueError("velocity must be >= 0")
-    check_stationary_cutoff(stationary_cutoff)
-    if velocity_kmh > VEHICULAR_CUTOFF_KMH:
-        return UserClass.VEHICULAR
-    if velocity_kmh <= stationary_cutoff:
-        return UserClass.STATIONARY
-    return UserClass.WALKING
 
 
 def build_segments(
@@ -127,9 +96,11 @@ def build_segments(
 
     Segment ``i`` runs from sample ``i`` to sample ``i + 1`` and carries
     ``trace.rx_bytes[i + 1]``. The speed assumes linear movement between
-    the two recorded locations: :func:`haversine_m` term for term, with
-    each sample's latitude cosine computed once for both of its segments,
-    so every velocity and state equals the one the two functions give.
+    the two recorded locations: their great-circle (haversine) distance
+    over the elapsed time, with each sample's latitude cosine computed
+    once for both of its segments. A segment is vehicular above 10 km/h
+    (strict), stationary at or below ``stationary_cutoff``, and walking in
+    between, so every speed maps to exactly one state.
     """
     check_stationary_cutoff(stationary_cutoff)
     radians, sin, asin, sqrt = math.radians, math.sin, math.asin, math.sqrt
@@ -151,16 +122,13 @@ def build_segments(
             sin(radians(lat1 - lat0) / 2) ** 2
             + cos0 * cos1 * sin(radians(lon1 - lon0) / 2) ** 2
         )
-        if a > 1.0:  # min(a, 1.0), as haversine_m clamps it, without the call
+        if a > 1.0:  # rounding can push a just above 1 for near-antipodal points
             a = 1.0
         velocity = (diameter * asin(sqrt(a)) / 1000.0) / (elapsed_s / 3600.0)
         velocities.append(velocity)
-        # classify_mobility's comparisons, in its order
         if velocity > VEHICULAR_CUTOFF_KMH:
             states.append(vehicular)
         elif velocity <= stationary_cutoff:
-            if velocity < 0.0:
-                raise ValueError("velocity must be >= 0")
             states.append(stationary)
         else:
             states.append(walking)

@@ -24,11 +24,12 @@ tests can check that the integer geometry does not depend on the formula.
 ``reference_fading`` draws a sampled deployment's whole gain matrix in
 one call, as sampling once did, where the package draws it per block.
 
-The trace oracle (``TraceSample``, ``MobilitySegment``, ``compute_velocity``
-and the ``reference_*`` trace functions) is the per-sample object pipeline
-the package's column-wise ``UserTrace`` path replaced: one validated record
-per row, one record per segment and per-segment aggregation, with the same
-arithmetic. ``OVERFLOWING_TRACES`` holds trace rows both must refuse.
+The trace oracle (``TraceSample``, ``MobilitySegment``, ``haversine_m``,
+``classify_mobility``, ``compute_velocity`` and the ``reference_*`` trace
+functions) is the per-sample object pipeline the package's column-wise
+``UserTrace`` path replaced: one validated record per row, one distance,
+speed and state per segment and per-segment aggregation, with the same
+arithmetic; ``build_segments`` must match it term for term. ``OVERFLOWING_TRACES`` holds trace rows both must refuse.
 """
 
 import csv
@@ -40,6 +41,8 @@ from datetime import datetime
 import numpy as np
 
 from convexcell import (
+    DEFAULT_STATIONARY_CUTOFF_KMH,
+    EARTH_RADIUS_M,
     MIN_PATH_DISTANCE_M,
     SECONDS_PER_DAY,
     TRACE_CSV_HEADER,
@@ -51,15 +54,14 @@ from convexcell import (
     TraceFormatError,
     TrialGeometry,
     UserClass,
+    VEHICULAR_CUTOFF_KMH,
     aggregate_population,
-    classify_mobility,
     handover_efficiency,
-    haversine_m,
     link_distances,
     mean_power_matrix,
     rate_requirement,
 )
-from convexcell.traces import BYTES_PER_MB, _parse_timestamp
+from convexcell.traces import BYTES_PER_MB, _parse_timestamp, check_stationary_cutoff
 
 
 def estimator_for(config):
@@ -397,6 +399,33 @@ class MobilitySegment:
     state: UserClass
     velocity: float  # km/h
     rx_bytes: float
+
+
+def haversine_m(lat1, lon1, lat2, lon2):
+    """Great-circle distance between two coordinates in meters."""
+    phi1 = math.radians(lat1)
+    phi2 = math.radians(lat2)
+    dphi = math.radians(lat2 - lat1)
+    dlam = math.radians(lon2 - lon1)
+    a = math.sin(dphi / 2) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2) ** 2
+    # rounding can push a just above 1 for near-antipodal points
+    return 2.0 * EARTH_RADIUS_M * math.asin(math.sqrt(min(a, 1.0)))
+
+
+def classify_mobility(velocity_kmh, stationary_cutoff=DEFAULT_STATIONARY_CUTOFF_KMH):
+    """Map a speed to a mobility state.
+
+    Vehicular above 10 km/h (strict), stationary at or below the cutoff,
+    walking in between. Every finite speed maps to exactly one state.
+    """
+    if velocity_kmh < 0.0:
+        raise ValueError("velocity must be >= 0")
+    check_stationary_cutoff(stationary_cutoff)
+    if velocity_kmh > VEHICULAR_CUTOFF_KMH:
+        return UserClass.VEHICULAR
+    if velocity_kmh <= stationary_cutoff:
+        return UserClass.STATIONARY
+    return UserClass.WALKING
 
 
 def compute_velocity(previous, current):

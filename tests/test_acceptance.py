@@ -16,6 +16,7 @@ import pytest
 
 from convexcell import (
     DEFAULT_CONVEXITY_VALUES,
+    DEFAULT_GRID_DB,
     BiasGrid,
     BiasVector,
     ClassProfile,
@@ -66,7 +67,7 @@ def verdict(criterion, ok, detail):
 def headline():
     """Reference sweep: all schemes over the full convexity range."""
     config = NetworkConfig()
-    grid = BiasGrid.default()
+    grid = BiasGrid.from_db(DEFAULT_GRID_DB)
     scenario = DemandScenario.measured_2015()
     start = time.perf_counter()
     points = convexity_sweep(scenario, CONVEXITIES, config, grid)

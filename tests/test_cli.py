@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import warnings
 
 import pytest
 
@@ -11,10 +12,9 @@ from convexcell import (
     BiasVector,
     NetworkConfig,
     estimate_rate_coverage,
-    haversine_m,
 )
 from convexcell import cli, coverage, optimizer
-from helpers import OVERFLOWING_TRACES
+from helpers import OVERFLOWING_TRACES, haversine_m
 
 TINY_CONFIG = {
     "user_count": 40,
@@ -364,13 +364,18 @@ def test_out_of_memory_is_one_line_and_writes_nothing(
         ["evaluate", "--bias", "0", "0", "0", "--config", "HUGE_LOSS"],
         ["evaluate", "--bias", "0", "0", "0", "--config", "HUGE_NOISE"],
         ["evaluate", "--bias", "0", "0", "0", "--config", "HUGE_DENSITY"],
+        ["evaluate", "--bias", "0", "0", "0", "--config", "HUGE_PEAK"],
+        ["evaluate", "--bias", "0", "0", "0", "--config", "HUGE_VOLUME"],
+        ["sweep", "--convexity", "1", "--total-volume", "1e307", "--trials", "2",
+         "--scheme", "cre"],
     ],
     ids=[
         "sweep-nan-volume", "sweep-negative-convexity", "bandwidth-share-above-1",
         "trace-is-a-dir", "config-is-a-dir", "out-is-a-file", "sweep-out-is-a-file",
         "bandwidth-out-is-a-file", "analyze-out-is-a-file", "out-is-under-a-file",
         "nan-cutoff", "cutoff-above-walking", "area-overflows", "received-power-overflows",
-        "noise-overflows", "density-beyond-poisson",
+        "noise-overflows", "density-beyond-poisson", "peak-rate-overflows",
+        "volume-rate-overflows", "sweep-rate-overflows",
     ],
 )
 def test_failed_command_is_one_line_and_writes_nothing(
@@ -391,6 +396,8 @@ def test_failed_command_is_one_line_and_writes_nothing(
         "HUGE_LOSS": {"reference_loss": 1e308},
         "HUGE_NOISE": {"noise_power": 1e300, "bandwidth": 1e10, "trials": 2},
         "HUGE_DENSITY": {"macro_density": 1e300, "trials": 1},
+        "HUGE_PEAK": {"demand_peak_factor": 1e308, "trials": 2},
+        "HUGE_VOLUME": {"profiles": {"vehicular": {"traffic_volume": 1e305}}, "trials": 2},
     }
     for name, values in overflows.items():
         places[name] = tmp_path / f"{name}.json"
@@ -405,6 +412,39 @@ def test_failed_command_is_one_line_and_writes_nothing(
         assert next(iter(overflows[name])) in err
     assert not out.exists()
     assert finished == []
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {
+            "area_side": 1e155,
+            "macro_density": 1e-304,
+            "small_density": 0,
+            "user_count": 50,
+            "trials": 2,
+        },
+        {"reference_loss": 4.4e306, "trials": 200},
+    ],
+    ids=["distance-overflows", "faded-power-overflows"],
+)
+def test_geometry_overflow_is_one_line_and_writes_nothing(tmp_path, capsys, config):
+    """Values that pass validation but overflow a trial's link arithmetic."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(
+            ["evaluate", "--bias", "0", "0", "0", "--config", str(path), "--out", str(out)]
+        )
+    assert code == 1
+    assert caught == []
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    for name in ("area_side", "macro_power", "reference_loss"):
+        assert name in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -433,6 +473,56 @@ def test_output_name_that_is_a_directory_is_refused(
     assert "is a directory" in err
     assert [p.name for p in out.iterdir()] == [name]
     assert finished == []
+
+
+@pytest.mark.parametrize(
+    "argv, meta, manifest",
+    [
+        (
+            ["sweep", "--convexity", "2.0", "--grid-db", "0", "6", "--scheme", "cre",
+             "--seed", "3", "--trials", "1", "--overwrite"],
+            "sweep_meta.json",
+            {"seed": 3, "scheme": "cre", "trials": 1, "overwrite": True},
+        ),
+        (
+            ["bandwidth", "--volumes", "0.5", "--grid-db", "0", "6"],
+            "bandwidth_meta.json",
+            {},
+        ),
+        (
+            ["analyze", "--trace", "TRACE", "--strict"],
+            "analyze_meta.json",
+            {"strict": True},
+        ),
+        (
+            ["evaluate", "--bias", "0", "0", "0", "--trials", "1"],
+            "evaluate_report.json",
+            {"trials": 1},
+        ),
+    ],
+    ids=["sweep", "bandwidth", "analyze", "evaluate"],
+)
+def test_meta_manifest_records_the_invocation(
+    tmp_path, config_path, argv, meta, manifest
+):
+    """Every command writes the same eight manifest keys, all as given."""
+    out = tmp_path / "out"
+    trace = tmp_path / "trace.csv"
+    write_day_trace(trace, (88.58, 14.00, 42.48))
+    command, *options = [str(trace) if a == "TRACE" else a for a in argv]
+    assert run([command, "--config", config_path, "--out", str(out), *options]) == 0
+    payload = json.loads((out / meta).read_text())
+    assert payload["manifest"] == {
+        "command": command,
+        "config_path": config_path,
+        "output_dir": str(out),
+        "seed": None,
+        "scheme": None,
+        "trials": None,
+        "overwrite": False,
+        "strict": False,
+        **manifest,
+    }
 
 
 def lat_step(meters):

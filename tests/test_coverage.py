@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from convexcell import (
+    DEFAULT_GRID_DB,
     BiasGrid,
     BiasVector,
     ClassProfile,
@@ -633,7 +634,8 @@ def test_coverage_monotone_in_bandwidth_per_candidate(bias, width, ratio):
 
 # every triple of the default 11-value grid
 DEFAULT_TRIPLES = [
-    BiasVector(*triple) for triple in itertools.product(BiasGrid.default(), repeat=3)
+    BiasVector(*triple)
+    for triple in itertools.product(BiasGrid.from_db(DEFAULT_GRID_DB), repeat=3)
 ]
 
 
@@ -805,7 +807,7 @@ def test_bisection_keeps_one_read_only_association_per_grid_value(tiny_config):
     for scheme in (Scheme.THREE_STAGE, Scheme.CRE):
         required_bandwidth(estimator, grid, scheme, 1e5, 1e5)
     associations = estimator.geometry._associations
-    assert 0 < len(associations) <= 3 * len(grid)
+    assert 0 < len(associations) <= 3 * len(grid.values)
     for association in associations.values():
         for array in association:
             assert not array.flags.writeable

@@ -202,6 +202,11 @@ class TestConfig:
             ({"profiles": {"stationary": {"min_coverage": 1.5}}}, "stationary.min_coverage"),
             ({"noise_power": 1e300, "bandwidth": 1e10, "trials": 2}, "noise_power"),
             ({"macro_density": 1e300, "trials": 1}, "macro_density"),
+            ({"demand_peak_factor": 1e308, "trials": 2}, "demand_peak_factor"),
+            (
+                {"profiles": {"vehicular": {"traffic_volume": 1e305}}, "trials": 2},
+                "vehicular.traffic_volume",
+            ),
         ],
     )
     def test_from_dict_rejects_bad_values(self, data, field):

@@ -43,8 +43,8 @@ def estimator(tiny_config):
 
 class TestBiasGrid:
     def test_default_grid(self):
-        grid = BiasGrid.default()
-        assert len(grid) == 11
+        grid = BiasGrid.from_db(DEFAULT_GRID_DB)
+        assert len(grid.values) == 11
         assert grid.values[0] == 1.0
         assert grid.values[-1] == pytest.approx(100.0)
         assert DEFAULT_GRID_DB == tuple(float(d) for d in range(0, 21, 2))

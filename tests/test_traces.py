@@ -9,7 +9,9 @@ import pytest
 from helpers import (
     OVERFLOWING_TRACES,
     TraceSample,
+    classify_mobility,
     compute_velocity,
+    haversine_m,
     reference_analyze_trace,
     reference_read_trace_csv,
     reference_segment_rows,
@@ -27,8 +29,6 @@ from convexcell import (
     aggregate_user,
     analyze_trace,
     build_segments,
-    classify_mobility,
-    haversine_m,
     read_trace_csv,
 )
 from convexcell.cli import SEGMENT_COLUMNS, write_segments
