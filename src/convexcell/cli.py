@@ -18,8 +18,8 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .association import BiasVector
 from .coverage import (
+    BiasVector,
     CoverageEstimator,
     EstimationError,
     TrialGeometry,
@@ -55,9 +55,12 @@ STATE_LABELS = tuple(cls.label for cls in UserClass)
 
 UNSATISFIABLE = "unsatisfiable"
 
-
-class CliError(Exception):
-    """Fatal CLI failure with a user-facing message."""
+# manifest key -> dest of the eight arguments every command records
+MANIFEST_DESTS = {
+    "command": "command", "config_path": "config", "output_dir": "out",
+    "seed": "seed", "scheme": "scheme", "trials": "trials",
+    "overwrite": "overwrite", "strict": "strict",
+}
 
 
 def _load_config(args: argparse.Namespace) -> NetworkConfig:
@@ -82,16 +85,16 @@ def _prepare_outputs(args: argparse.Namespace, names: Sequence[str]) -> dict[str
     out_dir = Path(args.out)
     nearest = next(p for p in (out_dir, *out_dir.parents) if p.exists())
     if not nearest.is_dir():
-        raise CliError(f"--out {out_dir}: {nearest} is not a directory")
+        raise ValueError(f"--out {out_dir}: {nearest} is not a directory")
     paths = {name: out_dir / name for name in names}
     # --overwrite replaces files only; a directory would fail mid-write
     directories = [str(p) for p in paths.values() if p.is_dir()]
     if directories:
-        raise CliError(f"output {', '.join(directories)} is a directory")
+        raise ValueError(f"output {', '.join(directories)} is a directory")
     if not args.overwrite:
         existing = [str(p) for p in paths.values() if p.exists()]
         if existing:
-            raise CliError(
+            raise ValueError(
                 f"refusing to overwrite {', '.join(existing)} (use --overwrite)"
             )
     return paths
@@ -116,18 +119,12 @@ def _write_json(path: Path, payload: dict) -> None:
         handle.write("\n")
 
 
-def _meta(args: argparse.Namespace, config: NetworkConfig | None, **extra) -> dict:
-    manifest = {
-        "command": args.command,
-        "config_path": args.config,
-        "output_dir": args.out,
-        "seed": args.seed,
-        "scheme": args.scheme,
-        "trials": args.trials,
-        "overwrite": args.overwrite,
-        "strict": args.strict,
-    }
-    payload = {"manifest": manifest, **extra}
+def _meta(args: argparse.Namespace, config: NetworkConfig | None, **results) -> dict:
+    """Metadata of a run: the manifest, every other argument under its dest,
+    the given results and the resolved config."""
+    arguments = dict(vars(args))
+    manifest = {key: arguments.pop(dest) for key, dest in MANIFEST_DESTS.items()}
+    payload = {"manifest": manifest, **arguments, **results}
     if config is not None:
         payload["config"] = config.to_dict()
         payload["config_hash"] = config.config_hash()
@@ -135,24 +132,18 @@ def _meta(args: argparse.Namespace, config: NetworkConfig | None, **extra) -> di
     return payload
 
 
-def _parse_schemes(value: str | None, default: Sequence[Scheme]) -> list[Scheme]:
-    if value is None:
-        return list(default)
-    return [Scheme(value)]
-
-
 def run_sweep(args: argparse.Namespace) -> int:
     config = _load_config(args)
     grid = BiasGrid.from_db(args.grid_db)
-    schemes = _parse_schemes(args.scheme, tuple(Scheme))
+    schemes = [Scheme(args.scheme)] if args.scheme else list(Scheme)
     scenario = DemandScenario(
         total_volume=args.total_volume,
         stationary_share=args.stationary_share,
-        user_convexity=args.convexity[0],
+        user_convexity=args.convexity_values[0],
     )
     paths = _prepare_outputs(args, ("sweep.csv", "sweep_meta.json"))
 
-    points = convexity_sweep(scenario, args.convexity, config, grid, schemes)
+    points = convexity_sweep(scenario, args.convexity_values, config, grid, schemes)
     rows = []
     for convexity, result in points:
         report = result.report
@@ -172,15 +163,7 @@ def run_sweep(args: argparse.Namespace) -> int:
     _write_csv(paths["sweep.csv"], SWEEP_COLUMNS, rows)
     _write_json(
         paths["sweep_meta.json"],
-        _meta(
-            args,
-            config,
-            convexity_values=list(args.convexity),
-            total_volume=args.total_volume,
-            stationary_share=args.stationary_share,
-            grid_db=list(args.grid_db),
-            schemes=[s.value for s in schemes],
-        ),
+        _meta(args, config, schemes=[s.value for s in schemes]),
     )
     print(f"wrote {paths['sweep.csv']} ({len(rows)} rows)")
     return 0
@@ -189,9 +172,9 @@ def run_sweep(args: argparse.Namespace) -> int:
 def run_bandwidth(args: argparse.Namespace) -> int:
     config = _load_config(args)
     grid = BiasGrid.from_db(args.grid_db)
-    schemes = _parse_schemes(args.scheme, (Scheme.THREE_STAGE, Scheme.CRE))
-    check_bracket(args.wmin, args.wmax, args.tolerance)
-    top = replace(config, bandwidth=args.wmax)  # each bisection starts there
+    schemes = [Scheme(args.scheme)] if args.scheme else [Scheme.THREE_STAGE, Scheme.CRE]
+    check_bracket(args.w_min, args.w_max, args.tolerance)
+    top = replace(config, bandwidth=args.w_max)  # each bisection starts there
     point_configs = [
         top.with_volumes(
             DemandScenario(
@@ -212,7 +195,7 @@ def run_bandwidth(args: argparse.Namespace) -> int:
             estimator = CoverageEstimator(point_config, geometry)
             try:
                 width = required_bandwidth(
-                    estimator, grid, scheme, args.wmin, args.tolerance
+                    estimator, grid, scheme, args.w_min, args.tolerance
                 )
                 rows.append((volume, scheme.value, width))
             except UnsatisfiableRequirementError as exc:
@@ -222,18 +205,7 @@ def run_bandwidth(args: argparse.Namespace) -> int:
     _write_csv(paths["bandwidth.csv"], BANDWIDTH_COLUMNS, rows)
     _write_json(
         paths["bandwidth_meta.json"],
-        _meta(
-            args,
-            config,
-            volumes=list(args.volumes),
-            stationary_share=args.stationary_share,
-            convexity=args.convexity,
-            w_min=args.wmin,
-            w_max=args.wmax,
-            tolerance=args.tolerance,
-            grid_db=list(args.grid_db),
-            schemes=[s.value for s in schemes],
-        ),
+        _meta(args, config, schemes=[s.value for s in schemes]),
     )
     print(f"wrote {paths['bandwidth.csv']} ({len(rows)} rows)")
     return 1 if failed else 0
@@ -299,8 +271,6 @@ def run_analyze(args: argparse.Namespace) -> int:
         _meta(
             args,
             None,
-            trace=str(args.trace),
-            stationary_cutoff=args.stationary_cutoff,
             skipped_rows=[{"line": line, "reason": reason} for line, reason in skipped],
         ),
     )
@@ -314,9 +284,9 @@ def run_analyze(args: argparse.Namespace) -> int:
 
 
 def run_evaluate(args: argparse.Namespace) -> int:
-    if not all(0.0 <= value < math.inf for value in args.bias):
-        raise CliError("bias values are in dB and must be >= 0 and finite")
-    bias = BiasVector.from_db(*args.bias)
+    if not all(0.0 <= value < math.inf for value in args.bias_db):
+        raise ValueError("bias values are in dB and must be >= 0 and finite")
+    bias = BiasVector.from_db(*args.bias_db)
     config = _load_config(args)
     paths = _prepare_outputs(args, ("evaluate_report.json",))
     report = estimate_rate_coverage(config, bias)
@@ -325,7 +295,6 @@ def run_evaluate(args: argparse.Namespace) -> int:
         _meta(
             args,
             config,
-            bias_db=list(args.bias),
             bias_linear=[
                 bias.stationary_bias, bias.walking_bias, bias.vehicular_bias
             ],
@@ -383,7 +352,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="coverage of every scheme vs user convexity",
     )
     sweep.add_argument(
-        "--convexity", type=float, nargs="+", default=list(DEFAULT_CONVEXITY_VALUES)
+        "--convexity",
+        type=float,
+        nargs="+",
+        default=list(DEFAULT_CONVEXITY_VALUES),
+        dest="convexity_values",
+        metavar="CONVEXITY",
     )
     sweep.add_argument(
         "--total-volume", type=float, default=measured.total_volume, help="MB/day"
@@ -399,8 +373,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--volumes", type=float, nargs="+", default=[total, 2 * total], help="MB/day"
     )
     bandwidth.add_argument("--convexity", type=float, default=measured.user_convexity)
-    bandwidth.add_argument("--wmin", type=float, default=1e6, help="Hz")
-    bandwidth.add_argument("--wmax", type=float, default=1e8, help="Hz")
+    bandwidth.add_argument(
+        "--wmin", type=float, default=1e6, dest="w_min", metavar="WMIN", help="Hz"
+    )
+    bandwidth.add_argument(
+        "--wmax", type=float, default=1e8, dest="w_max", metavar="WMAX", help="Hz"
+    )
     bandwidth.add_argument("--tolerance", type=float, default=1e5, help="Hz")
 
     analyze = sub.add_parser(
@@ -422,6 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         nargs=3,
         required=True,
+        dest="bias_db",
         metavar=("S_DB", "W_DB", "V_DB"),
         help="per-class small-cell bias in dB (stationary walking vehicular)",
     )
@@ -443,11 +422,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except (
-        CliError,
         UnsatisfiableRequirementError,
         EstimationError,
         OSError,
-        ValueError,  # also config, trace and JSON errors
+        ValueError,  # also config, trace, JSON and output-path errors
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,4 +1,4 @@
-"""Handover loss and Monte-Carlo rate-coverage estimation.
+"""Association bias, handover loss and Monte-Carlo rate-coverage estimation.
 
 Rate coverage of a class is the fraction of (user, trial) pairs whose
 achieved rate meets the class's demand-derived requirement. All bias
@@ -15,7 +15,6 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .association import BiasVector
 from .model import (
     Deployment,
     NetworkConfig,
@@ -98,6 +97,47 @@ def _worker_count(trials: int) -> int:
     except AttributeError:  # not every platform has CPU affinity
         cpus = os.cpu_count() or 1
     return max(1, min(cpus, trials))
+
+
+def linear_from_db(db: float) -> float:
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        raise ValueError(f"{db!r} dB overflows as a linear factor") from None
+
+
+@dataclass(frozen=True)
+class BiasVector:
+    """Per-class small-cell association bias, linear factors >= 1.
+
+    1.0 means unbiased max-power association for that class; values above 1
+    expand the small-cell footprint for the class. Values below 1 are not
+    representable; keep a class at 1 and raise the others instead. NaN and
+    infinity are rejected too.
+    """
+
+    stationary_bias: float = 1.0
+    walking_bias: float = 1.0
+    vehicular_bias: float = 1.0
+
+    def __post_init__(self) -> None:
+        for name in ("stationary_bias", "walking_bias", "vehicular_bias"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 1.0):
+                raise ValueError(f"{name} must be finite and >= 1 (linear)")
+
+    @classmethod
+    def uniform(cls, bias: float) -> "BiasVector":
+        """Common bias for all classes (cell range expansion)."""
+        return cls(bias, bias, bias)
+
+    @classmethod
+    def from_db(cls, stationary_db: float, walking_db: float, vehicular_db: float) -> "BiasVector":
+        return cls(
+            linear_from_db(stationary_db),
+            linear_from_db(walking_db),
+            linear_from_db(vehicular_db),
+        )
 
 
 class Association(NamedTuple):
@@ -232,7 +272,9 @@ class TrialGeometry:
         serving ids themselves are not kept. The result depends on neither
         demand nor bandwidth, so it is computed once and kept, read-only,
         for the life of the geometry: every estimator, scheme and bandwidth
-        bound to this geometry shares it.
+        bound to this geometry shares it. Biasing on mean power keeps the
+        serving map fixed across fading draws, as a real network configures
+        it.
         """
         key = (cls, bias)
         found = self._associations.get(key)

@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Iterator, Mapping, Sequence
 
@@ -198,6 +199,20 @@ class NetworkConfig:
             raise ConfigError(
                 "reference_loss is too large: macro_power * reference_loss overflows "
                 f"(got {self.reference_loss!r})"
+            )
+        # the smallest mean power a link can receive, across the window's
+        # diagonal; below the least normal float far powers lose precision or
+        # round to 0, and a user whose powers are all 0 is served by the first
+        # station of each tier
+        weaker = self.small_power if self.small_density > 0.0 else self.macro_power
+        farthest = max(self.area_side * math.sqrt(2.0), MIN_PATH_DISTANCE_M)
+        weakest = weaker * self.reference_loss * farthest**-self.path_loss_exponent
+        if not weakest >= sys.float_info.min:
+            raise ConfigError(
+                "path_loss_exponent is too large for area_side: the mean power "
+                f"across the window's diagonal underflows to {weakest!r} (got "
+                f"path_loss_exponent {self.path_loss_exponent!r}, "
+                f"area_side {self.area_side!r})"
             )
         if self.noise_power < 0.0:
             raise ConfigError("noise_power must be >= 0")

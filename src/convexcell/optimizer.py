@@ -17,8 +17,13 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
-from .association import BiasVector, linear_from_db
-from .coverage import CoverageEstimator, CoverageReport, TrialGeometry
+from .coverage import (
+    BiasVector,
+    CoverageEstimator,
+    CoverageReport,
+    TrialGeometry,
+    linear_from_db,
+)
 from .model import NetworkConfig, UserClass
 
 DEFAULT_GRID_DB = tuple(float(db) for db in range(0, 21, 2))
@@ -27,10 +32,6 @@ DEFAULT_CONVEXITY_VALUES = (1.0, 2.0, 3.04, 4.0, 5.0, 6.0, 7.0, 8.0)
 
 class UnsatisfiableRequirementError(RuntimeError):
     """No bandwidth in the search interval satisfies every class threshold."""
-
-    def __init__(self, message: str, failing_classes: tuple[UserClass, ...]):
-        super().__init__(message)
-        self.failing_classes = failing_classes
 
 
 class Scheme(enum.Enum):
@@ -267,15 +268,13 @@ def required_bandwidth(
     top = run_scheme(scheme, estimator, grid)
     if not top.report.feasible:
         profiles = estimator.config.profiles
-        failing = tuple(
-            cls
+        names = ", ".join(
+            cls.label
             for cls in UserClass
             if top.report.per_class_coverage[cls] < profiles[cls].min_coverage
         )
-        names = ", ".join(cls.label for cls in failing)
         raise UnsatisfiableRequirementError(
-            f"{scheme.value} infeasible even at {w_max:g} Hz (failing: {names})",
-            failing,
+            f"{scheme.value} infeasible even at {w_max:g} Hz (failing: {names})"
         )
     if feasible_at(w_min):
         return w_min

@@ -366,6 +366,10 @@ def test_out_of_memory_is_one_line_and_writes_nothing(
         ["evaluate", "--bias", "0", "0", "0", "--config", "HUGE_DENSITY"],
         ["evaluate", "--bias", "0", "0", "0", "--config", "HUGE_PEAK"],
         ["evaluate", "--bias", "0", "0", "0", "--config", "HUGE_VOLUME"],
+        ["evaluate", "--bias", "0", "0", "0", "--config", "HUGE_EXPONENT"],
+        ["evaluate", "--bias", "0", "0", "0", "--config", "LARGE_EXPONENT"],
+        ["evaluate", "--bias", "0", "0", "0", "--config", "FAR_SPARSE"],
+        ["evaluate", "--bias", "0", "0", "0", "--config", "FAR_WINDOW"],
         ["sweep", "--convexity", "1", "--total-volume", "1e307", "--trials", "2",
          "--scheme", "cre"],
     ],
@@ -375,7 +379,9 @@ def test_out_of_memory_is_one_line_and_writes_nothing(
         "bandwidth-out-is-a-file", "analyze-out-is-a-file", "out-is-under-a-file",
         "nan-cutoff", "cutoff-above-walking", "area-overflows", "received-power-overflows",
         "noise-overflows", "density-beyond-poisson", "peak-rate-overflows",
-        "volume-rate-overflows", "sweep-rate-overflows",
+        "volume-rate-overflows", "huge-exponent-underflows",
+        "large-exponent-underflows", "sparse-window-underflows",
+        "far-window-underflows", "sweep-rate-overflows",
     ],
 )
 def test_failed_command_is_one_line_and_writes_nothing(
@@ -389,8 +395,8 @@ def test_failed_command_is_one_line_and_writes_nothing(
     places = {
         "DIR": tmp_path, "FILE": existing, "UNDER_FILE": existing / "sub", "TRACE": trace
     }
-    # values that pass every range check but overflow a derived quantity;
-    # the error names the first field given
+    # values that pass every range check but overflow a derived quantity,
+    # or underflow every mean power; the error names the first field given
     overflows = {
         "HUGE_AREA": {"area_side": 1e200},
         "HUGE_LOSS": {"reference_loss": 1e308},
@@ -398,7 +404,18 @@ def test_failed_command_is_one_line_and_writes_nothing(
         "HUGE_DENSITY": {"macro_density": 1e300, "trials": 1},
         "HUGE_PEAK": {"demand_peak_factor": 1e308, "trials": 2},
         "HUGE_VOLUME": {"profiles": {"vehicular": {"traffic_volume": 1e305}}, "trials": 2},
+        "HUGE_EXPONENT": {"path_loss_exponent": 1e300, "trials": 2},
+        "LARGE_EXPONENT": {"path_loss_exponent": 120, "trials": 2},
+        "FAR_SPARSE": {
+            "area_side": 1e120, "macro_density": 1e-230, "small_density": 0,
+            "user_count": 50, "trials": 2,
+        },
+        "FAR_WINDOW": {
+            "area_side": 1e155, "macro_density": 1e-304, "small_density": 0,
+            "user_count": 50, "trials": 2,
+        },
     }
+    underflows = {"HUGE_EXPONENT", "LARGE_EXPONENT", "FAR_SPARSE", "FAR_WINDOW"}
     for name, values in overflows.items():
         places[name] = tmp_path / f"{name}.json"
         places[name].write_text(json.dumps({**TINY_CONFIG, **values}))
@@ -410,6 +427,8 @@ def test_failed_command_is_one_line_and_writes_nothing(
     assert err.startswith("error:") and err.count("\n") == 1
     for name in set(argv) & set(overflows):
         assert next(iter(overflows[name])) in err
+    if set(argv) & underflows:
+        assert "path_loss_exponent is too large for area_side" in err
     assert not out.exists()
     assert finished == []
 
@@ -418,8 +437,9 @@ def test_failed_command_is_one_line_and_writes_nothing(
     "config",
     [
         {
-            "area_side": 1e155,
-            "macro_density": 1e-304,
+            "area_side": 1.5e154,
+            "path_loss_exponent": 2.0000001,
+            "macro_density": 1e-302,
             "small_density": 0,
             "user_count": 50,
             "trials": 2,
@@ -475,37 +495,67 @@ def test_output_name_that_is_a_directory_is_refused(
     assert finished == []
 
 
+# what each command computes, next to its arguments and resolved config
+DERIVED_META_KEYS = {
+    "sweep": {"config", "config_hash", "seed", "schemes"},
+    "bandwidth": {"config", "config_hash", "seed", "schemes"},
+    "analyze": {"skipped_rows"},
+    "evaluate": {
+        "config", "config_hash", "seed", "bias_linear", "per_class_coverage",
+        "average_coverage", "feasible", "trials_used",
+    },
+}
+
+
 @pytest.mark.parametrize(
-    "argv, meta, manifest",
+    "argv, meta, manifest, arguments",
     [
         (
             ["sweep", "--convexity", "2.0", "--grid-db", "0", "6", "--scheme", "cre",
              "--seed", "3", "--trials", "1", "--overwrite"],
             "sweep_meta.json",
             {"seed": 3, "scheme": "cre", "trials": 1, "overwrite": True},
+            {
+                "convexity_values": [2.0],
+                "total_volume": 145.05,
+                "stationary_share": 0.6107,
+                "grid_db": [0.0, 6.0],
+            },
         ),
         (
             ["bandwidth", "--volumes", "0.5", "--grid-db", "0", "6"],
             "bandwidth_meta.json",
             {},
+            {
+                "volumes": [0.5],
+                "stationary_share": 0.6107,
+                "convexity": 3.04,
+                "w_min": 1e6,
+                "w_max": 1e8,
+                "tolerance": 1e5,
+                "grid_db": [0.0, 6.0],
+            },
         ),
         (
             ["analyze", "--trace", "TRACE", "--strict"],
             "analyze_meta.json",
             {"strict": True},
+            {"trace": "TRACE", "stationary_cutoff": 0.5},
         ),
         (
             ["evaluate", "--bias", "0", "0", "0", "--trials", "1"],
             "evaluate_report.json",
             {"trials": 1},
+            {"bias_db": [0.0, 0.0, 0.0]},
         ),
     ],
     ids=["sweep", "bandwidth", "analyze", "evaluate"],
 )
 def test_meta_manifest_records_the_invocation(
-    tmp_path, config_path, argv, meta, manifest
+    tmp_path, config_path, argv, meta, manifest, arguments
 ):
-    """Every command writes the same eight manifest keys, all as given."""
+    """Every command writes the same eight manifest keys, all as given, and
+    each of its other arguments at the top level."""
     out = tmp_path / "out"
     trace = tmp_path / "trace.csv"
     write_day_trace(trace, (88.58, 14.00, 42.48))
@@ -523,6 +573,9 @@ def test_meta_manifest_records_the_invocation(
         "strict": False,
         **manifest,
     }
+    arguments = {k: str(trace) if v == "TRACE" else v for k, v in arguments.items()}
+    assert {key: payload[key] for key in arguments} == arguments
+    assert set(payload) == {"manifest", *arguments, *DERIVED_META_KEYS[command]}
 
 
 def lat_step(meters):

@@ -132,6 +132,19 @@ class TestConfig:
         with pytest.raises(ConfigError, match=name):
             NetworkConfig(area_side=1000.0, **{name: math.nextafter(limit, math.inf)})
 
+    def test_weakest_mean_power_must_be_a_normal_float(self):
+        # at the defaults the power across the 2 km window's diagonal falls
+        # below the least normal float between exponents 88 and 89 for a
+        # small station, and between 89 and 90 for a macro
+        NetworkConfig(path_loss_exponent=88.0)
+        with pytest.raises(ConfigError, match="path_loss_exponent .* area_side"):
+            NetworkConfig(path_loss_exponent=89.0)
+        NetworkConfig(path_loss_exponent=89.0, small_density=0.0)
+        with pytest.raises(ConfigError, match="path_loss_exponent .* area_side"):
+            NetworkConfig(path_loss_exponent=90.0, small_density=0.0)
+        with pytest.raises(ConfigError, match="path_loss_exponent .* area_side"):
+            NetworkConfig(area_side=1e120, macro_density=1e-230, small_density=0.0)
+
     def test_two_tier_power_ordering(self):
         with pytest.raises(ConfigError, match="macro_power must exceed"):
             NetworkConfig(macro_power=1.0, small_power=2.0)

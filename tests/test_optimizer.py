@@ -366,14 +366,28 @@ class TestRequiredBandwidth:
                 required_bandwidth(estimator, SMALL_GRID, Scheme.CRE, 1e6, tolerance)
 
     def test_unsatisfiable_names_failing_classes(self, tiny_config):
-        config = tiny_config.with_volumes([12000.0, 3000.0, 8000.0])
-        with pytest.raises(UnsatisfiableRequirementError) as excinfo:
-            required_bandwidth(
-                bound_at(config, 2e6), SMALL_GRID, Scheme.CRE, 1e6, 1e5
+        """The message lists exactly the classes below their min_coverage
+        under the scheme's choice at the top of the bracket."""
+        seen = set()
+        # all three classes fail, walking alone, walking and vehicular
+        for volumes in ([12000.0, 3000.0, 8000.0], [120.0, 3000.0, 80.0],
+                        [120.0, 300.0, 800.0]):
+            config = tiny_config.with_volumes(volumes)
+            with pytest.raises(UnsatisfiableRequirementError) as excinfo:
+                required_bandwidth(
+                    bound_at(config, 2e6), SMALL_GRID, Scheme.CRE, 1e6, 1e5
+                )
+            top = run_scheme(Scheme.CRE, bound_at(config, 2e6), SMALL_GRID).report
+            failing = ", ".join(
+                cls.label
+                for cls in UserClass
+                if top.per_class_coverage[cls] < config.profiles[cls].min_coverage
             )
-        assert excinfo.value.failing_classes
-        assert all(cls in tuple(UserClass) for cls in excinfo.value.failing_classes)
-        assert "infeasible" in str(excinfo.value)
+            assert str(excinfo.value) == (
+                f"cre infeasible even at 2e+06 Hz (failing: {failing})"
+            )
+            seen.add(failing)
+        assert len(seen) == 3
 
     @pytest.mark.parametrize("scheme", [Scheme.CRE, Scheme.THREE_STAGE])
     def test_bisection_brackets_the_threshold(self, tiny_config, scheme):
