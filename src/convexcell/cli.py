@@ -144,22 +144,19 @@ def run_sweep(args: argparse.Namespace) -> int:
     paths = _prepare_outputs(args, ("sweep.csv", "sweep_meta.json"))
 
     points = convexity_sweep(scenario, args.convexity_values, config, grid, schemes)
-    rows = []
-    for convexity, result in points:
-        report = result.report
-        bias = result.bias
-        rows.append(
-            (
-                convexity,
-                result.scheme.value,
-                report.average_coverage,
-                *report.per_class_coverage,
-                bias.stationary_bias,
-                bias.walking_bias,
-                bias.vehicular_bias,
-                str(report.feasible).lower(),
-            )
+    rows = [
+        (
+            convexity,
+            scheme.value,
+            report.average_coverage,
+            *report.per_class_coverage,
+            bias.stationary_bias,
+            bias.walking_bias,
+            bias.vehicular_bias,
+            str(report.feasible).lower(),
         )
+        for convexity, scheme, bias, report in points
+    ]
     _write_csv(paths["sweep.csv"], SWEEP_COLUMNS, rows)
     _write_json(
         paths["sweep_meta.json"],

@@ -370,9 +370,14 @@ def _rate_factors(
     with np.errstate(divide="ignore", invalid="ignore"):
         np.divide(signal[users], factor, out=factor)
     np.log1p(factor, out=factor)
-    factor *= eff
-    factor /= math.log(2.0)
-    factor *= bandwidth
+    # both outcomes are meant: a factor that overflows is +inf, a user
+    # covered at every load, and an infinite SINR (no noise, no interferer)
+    # times zero efficiency (always in handover) is NaN, which the rate caps
+    # read as never covered
+    with np.errstate(over="ignore", invalid="ignore"):
+        factor *= eff
+        factor /= math.log(2.0)
+        factor *= bandwidth
     return factor
 
 

@@ -204,13 +204,16 @@ class NetworkConfig:
         # diagonal; below the least normal float far powers lose precision or
         # round to 0, and a user whose powers are all 0 is served by the first
         # station of each tier
-        weaker = self.small_power if self.small_density > 0.0 else self.macro_power
+        weaker = "small_power" if self.small_density > 0.0 else "macro_power"
+        power = getattr(self, weaker)
         farthest = max(self.area_side * math.sqrt(2.0), MIN_PATH_DISTANCE_M)
-        weakest = weaker * self.reference_loss * farthest**-self.path_loss_exponent
+        weakest = power * self.reference_loss * farthest**-self.path_loss_exponent
         if not weakest >= sys.float_info.min:
             raise ConfigError(
-                "path_loss_exponent is too large for area_side: the mean power "
-                f"across the window's diagonal underflows to {weakest!r} (got "
+                f"the mean power across the window's diagonal, {weaker} * "
+                "reference_loss * max(area_side * sqrt(2), 1 m) ** "
+                f"-path_loss_exponent, underflows to {weakest!r} (got {weaker} "
+                f"{power!r}, reference_loss {self.reference_loss!r}, "
                 f"path_loss_exponent {self.path_loss_exponent!r}, "
                 f"area_side {self.area_side!r})"
             )
@@ -234,6 +237,13 @@ class NetworkConfig:
             raise ConfigError("demand_peak_factor must be >= 1")
         if self.trials <= 0:
             raise ConfigError("trials must be > 0")
+        for name in ("user_count", "trials"):
+            count = getattr(self, name)
+            if count > sys.maxsize:
+                raise ConfigError(
+                    f"{name} must be at most {sys.maxsize}, the largest range "
+                    f"length or array dimension (got {count!r})"
+                )
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must be an unsigned 64-bit integer")
         if len(self.profiles) != 3:

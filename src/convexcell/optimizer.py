@@ -75,15 +75,6 @@ class BiasGrid:
 
 
 @dataclass(frozen=True)
-class OptimizerResult:
-    """Winning bias vector of one scheme with its coverage report."""
-
-    bias: BiasVector
-    report: CoverageReport
-    scheme: Scheme
-
-
-@dataclass(frozen=True)
 class DemandScenario:
     """Total daily traffic split into per-class volumes by user convexity.
 
@@ -218,10 +209,9 @@ _SCHEME_RUNNERS = {
 
 def run_scheme(
     scheme: Scheme, estimator: CoverageEstimator, grid: BiasGrid
-) -> OptimizerResult:
+) -> tuple[BiasVector, CoverageReport]:
     """Run one association scheme: its winning bias vector and that report."""
-    bias, report = _SCHEME_RUNNERS[scheme](estimator, grid)
-    return OptimizerResult(bias=bias, report=report, scheme=scheme)
+    return _SCHEME_RUNNERS[scheme](estimator, grid)
 
 
 def check_bracket(w_min: float, w_max: float, tolerance: float) -> None:
@@ -263,15 +253,16 @@ def required_bandwidth(
     check_bracket(w_min, w_max, tolerance)
 
     def feasible_at(width: float) -> bool:
-        return run_scheme(scheme, estimator.with_bandwidth(width), grid).report.feasible
+        _, report = run_scheme(scheme, estimator.with_bandwidth(width), grid)
+        return report.feasible
 
-    top = run_scheme(scheme, estimator, grid)
-    if not top.report.feasible:
+    _, report = run_scheme(scheme, estimator, grid)
+    if not report.feasible:
         profiles = estimator.config.profiles
         names = ", ".join(
             cls.label
             for cls in UserClass
-            if top.report.per_class_coverage[cls] < profiles[cls].min_coverage
+            if report.per_class_coverage[cls] < profiles[cls].min_coverage
         )
         raise UnsatisfiableRequirementError(
             f"{scheme.value} infeasible even at {w_max:g} Hz (failing: {names})"
@@ -297,15 +288,15 @@ def convexity_sweep(
     config: NetworkConfig,
     grid: BiasGrid,
     schemes: Sequence[Scheme] = tuple(Scheme),
-) -> list[tuple[float, OptimizerResult]]:
+) -> list[tuple[float, Scheme, BiasVector, CoverageReport]]:
     """Evaluate every scheme across a range of user-convexity values.
 
-    Returns one (convexity, result) pair per point and scheme, schemes in
-    the given order within each point. Total volume and the stationary
-    share stay fixed; only the split of moving traffic between walking and
-    vehicular users varies. One trial geometry is built and every point
-    binds its demand to it, so rows see identical deployments and fading
-    and are exactly comparable.
+    Returns one (convexity, scheme, bias, report) row per point and scheme,
+    schemes in the given order within each point. Total volume and the
+    stationary share stay fixed; only the split of moving traffic between
+    walking and vehicular users varies. One trial geometry is built and
+    every point binds its demand to it, so rows see identical deployments
+    and fading and are exactly comparable.
     """
     # every point's config first: a bad convexity, or a volume whose rate
     # requirement overflows, fails before the geometry is built
@@ -318,7 +309,7 @@ def convexity_sweep(
     for convexity, point_config in zip(convexity_values, point_configs):
         estimator = CoverageEstimator(point_config, geometry)
         for scheme in schemes:
-            rows.append((convexity, run_scheme(scheme, estimator, grid)))
+            rows.append((convexity, scheme, *run_scheme(scheme, estimator, grid)))
         # release this point's parts (caps and undecided users) before
         # binding the next; the associations stay on the geometry for it
         del estimator

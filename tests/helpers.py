@@ -170,9 +170,11 @@ def reference_rate_factors(geo, config):
         eff = np.array(
             [handover_efficiency(p.velocity, density, config) for p in config.profiles]
         )
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # an infinite SINR times zero efficiency is NaN, and a factor may
+        # overflow to +inf, as in the estimator
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             sinr = signal / (geo.total_inst - signal + config.noise_power * width)
-        factors.append(np.log1p(sinr) * eff[geo.cls] / math.log(2.0) * width)
+            factors.append(np.log1p(sinr) * eff[geo.cls] / math.log(2.0) * width)
     return factors[0], factors[1], requirements
 
 

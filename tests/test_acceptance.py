@@ -72,8 +72,12 @@ def headline():
     start = time.perf_counter()
     points = convexity_sweep(scenario, CONVEXITIES, config, grid)
     elapsed = time.perf_counter() - start
-    table = {(c, result.scheme): result for c, result in points}
-    return {"table": table, "elapsed": elapsed, "config": config, "grid": grid}
+    table = {(c, scheme): report for c, scheme, _, report in points}
+    biases = {(c, scheme): bias for c, scheme, bias, _ in points}
+    return {
+        "table": table, "biases": biases, "elapsed": elapsed, "config": config,
+        "grid": grid,
+    }
 
 
 @pytest.fixture(scope="module")
@@ -101,8 +105,8 @@ def test_criterion_1_beats_cre_across_convexity(headline):
     gaps = {}
     trials_ok = True
     for c in CONVEXITIES:
-        three = table[(c, Scheme.THREE_STAGE)].report
-        cre = table[(c, Scheme.CRE)].report
+        three = table[(c, Scheme.THREE_STAGE)]
+        cre = table[(c, Scheme.CRE)]
         gaps[c] = three.average_coverage - cre.average_coverage
         trials_ok &= min(three.trials_used, cre.trials_used) >= MIN_TRIALS
     min_gap = min(gaps.values())
@@ -127,8 +131,8 @@ def test_criterion_2_tracks_full_search(headline):
     table = headline["table"]
     ratios = {
         c: (
-            table[(c, Scheme.THREE_STAGE)].report.average_coverage
-            / table[(c, Scheme.FULL_SEARCH)].report.average_coverage
+            table[(c, Scheme.THREE_STAGE)].average_coverage
+            / table[(c, Scheme.FULL_SEARCH)].average_coverage
         )
         for c in CONVEXITIES
     }
@@ -144,13 +148,13 @@ def test_criterion_3_feasibility_separation(headline):
     table = headline["table"]
     only_three = [
         c for c in CONVEXITIES
-        if table[(c, Scheme.THREE_STAGE)].report.feasible
-        and not table[(c, Scheme.CRE)].report.feasible
+        if table[(c, Scheme.THREE_STAGE)].feasible
+        and not table[(c, Scheme.CRE)].feasible
     ]
     only_cre = [
         c for c in CONVEXITIES
-        if table[(c, Scheme.CRE)].report.feasible
-        and not table[(c, Scheme.THREE_STAGE)].report.feasible
+        if table[(c, Scheme.CRE)].feasible
+        and not table[(c, Scheme.THREE_STAGE)].feasible
     ]
     ok = bool(only_three) and not only_cre
     verdict(
@@ -315,8 +319,7 @@ def test_criterion_6_invariants(headline, tmp_path):
     fractions = headline["config"].density_fractions()
     identity_ok = True
     bounds_ok = True
-    for result in headline["table"].values():
-        report = result.report
+    for report in headline["table"].values():
         per_class = np.asarray(report.per_class_coverage)
         bounds_ok &= bool(np.all(per_class >= 0.0) and np.all(per_class <= 1.0))
         identity_ok &= abs(
@@ -355,15 +358,16 @@ def test_criterion_6_invariants(headline, tmp_path):
 
     table = headline["table"]
     dominance = all(
-        table[(c, Scheme.FULL_SEARCH)].report.average_coverage
-        >= table[(c, s)].report.average_coverage - 1e-12
+        table[(c, Scheme.FULL_SEARCH)].average_coverage
+        >= table[(c, s)].average_coverage - 1e-12
         for c in CONVEXITIES
         for s in (Scheme.THREE_STAGE, Scheme.CRE)
     )
     checks.append(("full search dominates", dominance))
 
     walking_biases = [
-        table[(c, Scheme.THREE_STAGE)].bias.walking_bias for c in CONVEXITIES
+        headline["biases"][(c, Scheme.THREE_STAGE)].walking_bias
+        for c in CONVEXITIES
     ]
     checks.append((
         "stage-2 walking bias non-decreasing in convexity",
@@ -434,9 +438,9 @@ def test_criterion_7_hand_enumerated_optimum():
     }
     assert {t for t, f in feasibles.items() if f} == expected_feasible
 
-    full = run_scheme(Scheme.FULL_SEARCH, estimator, grid)
-    cre = run_scheme(Scheme.CRE, estimator, grid)
-    three = run_scheme(Scheme.THREE_STAGE, estimator, grid)
+    full_bias, full = run_scheme(Scheme.FULL_SEARCH, estimator, grid)
+    cre_bias, cre = run_scheme(Scheme.CRE, estimator, grid)
+    three_bias, three = run_scheme(Scheme.THREE_STAGE, estimator, grid)
 
     ref_full_key, ref_full_report = reference_full_search(estimator, grid)
     ref_cre_key, ref_cre_report = reference_cre(estimator, grid)
@@ -444,18 +448,18 @@ def test_criterion_7_hand_enumerated_optimum():
     ref_w, ref_v, _ = reference_stage2(estimator, grid, ref_s)
 
     ok = (
-        (full.bias.stationary_bias, full.bias.walking_bias,
-         full.bias.vehicular_bias) == ref_full_key == (4.0, 2.0, 1.0)
-        and full.report.feasible
-        and full.report.average_coverage == 1.0
-        and cre.bias.stationary_bias == ref_cre_key == 2.0
-        and not cre.report.feasible
-        and cre.report.average_coverage == pytest.approx(0.8, abs=1e-12)
-        and cre.report.per_class_coverage == (1.0, 1.0, 0.0)
-        and (three.bias.stationary_bias, three.bias.walking_bias,
-             three.bias.vehicular_bias) == (ref_s, ref_w, ref_v) == (4.0, 2.0, 1.0)
-        and three.report.feasible
-        and three.report.average_coverage == 1.0
+        (full_bias.stationary_bias, full_bias.walking_bias,
+         full_bias.vehicular_bias) == ref_full_key == (4.0, 2.0, 1.0)
+        and full.feasible
+        and full.average_coverage == 1.0
+        and cre_bias.stationary_bias == ref_cre_key == 2.0
+        and not cre.feasible
+        and cre.average_coverage == pytest.approx(0.8, abs=1e-12)
+        and cre.per_class_coverage == (1.0, 1.0, 0.0)
+        and (three_bias.stationary_bias, three_bias.walking_bias,
+             three_bias.vehicular_bias) == (ref_s, ref_w, ref_v) == (4.0, 2.0, 1.0)
+        and three.feasible
+        and three.average_coverage == 1.0
     )
     verdict(
         7, ok,

@@ -372,6 +372,10 @@ def test_out_of_memory_is_one_line_and_writes_nothing(
         ["evaluate", "--bias", "0", "0", "0", "--config", "FAR_WINDOW"],
         ["sweep", "--convexity", "1", "--total-volume", "1e307", "--trials", "2",
          "--scheme", "cre"],
+        ["evaluate", "--bias", "0", "0", "0", "--config", "TINY_LOSS"],
+        ["evaluate", "--bias", "0", "0", "0", "--config", "TINY_SMALL_POWER"],
+        ["evaluate", "--bias", "0", "0", "0", "--trials", str(10**30)],
+        ["evaluate", "--bias", "0", "0", "0", "--config", "HUGE_USER_COUNT"],
     ],
     ids=[
         "sweep-nan-volume", "sweep-negative-convexity", "bandwidth-share-above-1",
@@ -381,7 +385,9 @@ def test_out_of_memory_is_one_line_and_writes_nothing(
         "noise-overflows", "density-beyond-poisson", "peak-rate-overflows",
         "volume-rate-overflows", "huge-exponent-underflows",
         "large-exponent-underflows", "sparse-window-underflows",
-        "far-window-underflows", "sweep-rate-overflows",
+        "far-window-underflows", "sweep-rate-overflows", "tiny-loss-underflows",
+        "tiny-small-power-underflows", "trials-beyond-maxsize",
+        "user-count-beyond-maxsize",
     ],
 )
 def test_failed_command_is_one_line_and_writes_nothing(
@@ -414,8 +420,15 @@ def test_failed_command_is_one_line_and_writes_nothing(
             "area_side": 1e155, "macro_density": 1e-304, "small_density": 0,
             "user_count": 50, "trials": 2,
         },
+        "TINY_LOSS": {"reference_loss": 1e-300},
+        "TINY_SMALL_POWER": {"small_power": 1e-300},
+        # counts beyond the largest range length or array dimension
+        "HUGE_USER_COUNT": {"user_count": 10**30, "trials": 1},
     }
-    underflows = {"HUGE_EXPONENT", "LARGE_EXPONENT", "FAR_SPARSE", "FAR_WINDOW"}
+    underflows = {
+        "HUGE_EXPONENT", "LARGE_EXPONENT", "FAR_SPARSE", "FAR_WINDOW", "TINY_LOSS",
+        "TINY_SMALL_POWER",
+    }
     for name, values in overflows.items():
         places[name] = tmp_path / f"{name}.json"
         places[name].write_text(json.dumps({**TINY_CONFIG, **values}))
@@ -428,7 +441,7 @@ def test_failed_command_is_one_line_and_writes_nothing(
     for name in set(argv) & set(overflows):
         assert next(iter(overflows[name])) in err
     if set(argv) & underflows:
-        assert "path_loss_exponent is too large for area_side" in err
+        assert "the mean power across the window's diagonal" in err
     assert not out.exists()
     assert finished == []
 

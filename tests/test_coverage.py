@@ -688,10 +688,17 @@ EDGE_CONFIGS = {
     "no-small-tier-noise-free": {
         "small_density": 0.0, "noise_power": 0.0, "volumes": [20.0, 0.0, 10.0]
     },
+    # one station per trial and no noise: every SINR is infinite, and the
+    # moving classes' zero efficiency makes their rate factors NaN
+    "one-station-always-in-handover": {
+        "noise_power": 0.0, "small_density": 0.0, "macro_density": 1e-9,
+        "handover_delay": 1e9,
+    },
 }
 
 
-@pytest.mark.parametrize("bandwidth", [1e6, 1e7, 1e8])
+# 1.7e308 overflows the rate factors of noise-free links to +inf
+@pytest.mark.parametrize("bandwidth", [1e6, 1e7, 1e8, 1.7e308])
 @pytest.mark.parametrize("case", EDGE_CONFIGS)
 def test_edge_configs_match_float_kernel(tiny_config, case, bandwidth):
     fields = dict(EDGE_CONFIGS[case])

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -131,6 +132,13 @@ class TestConfig:
         NetworkConfig(area_side=1000.0, **{name: limit})
         with pytest.raises(ConfigError, match=name):
             NetworkConfig(area_side=1000.0, **{name: math.nextafter(limit, math.inf)})
+
+    @pytest.mark.parametrize("name", ["user_count", "trials"])
+    def test_counts_up_to_the_largest_index(self, name):
+        # constructed only: a geometry would submit every trial at once
+        NetworkConfig(**{name: sys.maxsize})
+        with pytest.raises(ConfigError, match=name):
+            NetworkConfig(**{name: sys.maxsize + 1})
 
     def test_weakest_mean_power_must_be_a_normal_float(self):
         # at the defaults the power across the 2 km window's diagonal falls

@@ -23,7 +23,15 @@ from convexcell import (
     run_scheme,
 )
 from convexcell.coverage import CoverageReport
-from convexcell.optimizer import _best, _class_coverage, _feasible_average, _stage2
+from convexcell.optimizer import (
+    _best,
+    _class_coverage,
+    _cre,
+    _feasible_average,
+    _full_search,
+    _stage2,
+    _three_stage,
+)
 from helpers import (
     estimator_for,
     reference_cre,
@@ -136,13 +144,13 @@ class TestStages:
             user_count=60, trials=2,
         )
         estimator = estimator_for(config)
-        result = run_scheme(Scheme.THREE_STAGE, estimator, SMALL_GRID)
-        assert result.bias.stationary_bias == 1.0
+        bias, _ = run_scheme(Scheme.THREE_STAGE, estimator, SMALL_GRID)
+        assert bias.stationary_bias == 1.0
 
     def test_stage1_matches_brute_force(self, estimator):
         expected = reference_stage1(estimator, SMALL_GRID)
-        result = run_scheme(Scheme.THREE_STAGE, estimator, SMALL_GRID)
-        assert result.bias.stationary_bias == expected
+        bias, _ = run_scheme(Scheme.THREE_STAGE, estimator, SMALL_GRID)
+        assert bias.stationary_bias == expected
 
     def test_stage3_matches_brute_force(self, estimator):
         expected_bias, _, expected_report = reference_stage3(
@@ -163,69 +171,65 @@ class TestStages:
     def test_stage2_matches_scan_rule(self, estimator):
         b_s = reference_stage1(estimator, SMALL_GRID)
         expected_w, expected_v, _ = reference_stage2(estimator, SMALL_GRID, b_s)
-        result = run_scheme(Scheme.THREE_STAGE, estimator, SMALL_GRID)
-        assert result.bias.walking_bias == expected_w
-        assert result.bias.vehicular_bias == expected_v
+        bias, _ = run_scheme(Scheme.THREE_STAGE, estimator, SMALL_GRID)
+        assert bias.walking_bias == expected_w
+        assert bias.vehicular_bias == expected_v
 
 
 class TestThreeStage:
     def test_singleton_grid(self, estimator):
-        result = run_scheme(Scheme.THREE_STAGE, estimator, BiasGrid((1.0,)))
-        assert result.bias == BiasVector(1.0, 1.0, 1.0)
-        assert result.scheme is Scheme.THREE_STAGE
+        bias, _ = run_scheme(Scheme.THREE_STAGE, estimator, BiasGrid((1.0,)))
+        assert bias == BiasVector(1.0, 1.0, 1.0)
 
     def test_zero_demand_ties_to_unbiased(self, tiny_config):
         config = tiny_config.with_volumes([0.0, 0.0, 0.0])
         estimator = estimator_for(config)
-        result = run_scheme(Scheme.THREE_STAGE, estimator, SMALL_GRID)
-        assert result.bias == BiasVector(1.0, 1.0, 1.0)
-        assert result.report.average_coverage == 1.0
-        assert result.report.feasible
+        bias, report = run_scheme(Scheme.THREE_STAGE, estimator, SMALL_GRID)
+        assert bias == BiasVector(1.0, 1.0, 1.0)
+        assert report.average_coverage == 1.0
+        assert report.feasible
 
     def test_report_matches_returned_bias(self, tiny_config, estimator):
-        result = run_scheme(Scheme.THREE_STAGE, estimator, SMALL_GRID)
-        fresh = estimator_for(tiny_config).evaluate(result.bias)
-        assert result.report == fresh
+        bias, report = run_scheme(Scheme.THREE_STAGE, estimator, SMALL_GRID)
+        fresh = estimator_for(tiny_config).evaluate(bias)
+        assert report == fresh
 
 
 class TestCre:
     def test_singleton_grid(self, estimator):
-        result = run_scheme(Scheme.CRE, estimator, BiasGrid((1.0,)))
-        assert result.bias == BiasVector(1.0, 1.0, 1.0)
-        assert result.scheme is Scheme.CRE
+        bias, _ = run_scheme(Scheme.CRE, estimator, BiasGrid((1.0,)))
+        assert bias == BiasVector(1.0, 1.0, 1.0)
 
     def test_common_bias_by_construction(self, estimator):
-        result = run_scheme(Scheme.CRE, estimator, SMALL_GRID)
-        bias = result.bias
+        bias, _ = run_scheme(Scheme.CRE, estimator, SMALL_GRID)
         assert bias.stationary_bias == bias.walking_bias == bias.vehicular_bias
 
     def test_matches_selection_reference(self, estimator):
         expected_bias, expected_report = reference_cre(estimator, SMALL_GRID)
-        result = run_scheme(Scheme.CRE, estimator, SMALL_GRID)
-        assert result.bias == BiasVector.uniform(expected_bias)
-        assert result.report == expected_report
+        bias, report = run_scheme(Scheme.CRE, estimator, SMALL_GRID)
+        assert bias == BiasVector.uniform(expected_bias)
+        assert report == expected_report
 
 
 class TestFullSearch:
     def test_singleton_grid(self, estimator):
-        result = run_scheme(Scheme.FULL_SEARCH, estimator, BiasGrid((1.0,)))
-        assert result.bias == BiasVector(1.0, 1.0, 1.0)
-        assert result.scheme is Scheme.FULL_SEARCH
+        bias, _ = run_scheme(Scheme.FULL_SEARCH, estimator, BiasGrid((1.0,)))
+        assert bias == BiasVector(1.0, 1.0, 1.0)
 
     def test_matches_enumeration_reference(self, estimator):
         expected_triple, expected_report = reference_full_search(
             estimator, SMALL_GRID
         )
-        result = run_scheme(Scheme.FULL_SEARCH, estimator, SMALL_GRID)
-        assert result.bias == BiasVector(*expected_triple)
-        assert result.report == expected_report
+        bias, report = run_scheme(Scheme.FULL_SEARCH, estimator, SMALL_GRID)
+        assert bias == BiasVector(*expected_triple)
+        assert report == expected_report
 
     def test_dominates_both_schemes(self, estimator):
-        oracle = run_scheme(Scheme.FULL_SEARCH, estimator, SMALL_GRID)
-        heuristic = run_scheme(Scheme.THREE_STAGE, estimator, SMALL_GRID)
-        baseline = run_scheme(Scheme.CRE, estimator, SMALL_GRID)
-        assert oracle.report.average_coverage >= heuristic.report.average_coverage
-        assert oracle.report.average_coverage >= baseline.report.average_coverage
+        _, oracle = run_scheme(Scheme.FULL_SEARCH, estimator, SMALL_GRID)
+        _, heuristic = run_scheme(Scheme.THREE_STAGE, estimator, SMALL_GRID)
+        _, baseline = run_scheme(Scheme.CRE, estimator, SMALL_GRID)
+        assert oracle.average_coverage >= heuristic.average_coverage
+        assert oracle.average_coverage >= baseline.average_coverage
 
 
 class StubEstimator:
@@ -337,9 +341,14 @@ def test_stage2_stops_at_the_first_qualifying_walking_value():
 
 
 def test_run_scheme_dispatch(estimator):
-    for scheme in Scheme:
-        result = run_scheme(scheme, estimator, SMALL_GRID)
-        assert result.scheme is scheme
+    selectors = {
+        Scheme.THREE_STAGE: _three_stage,
+        Scheme.CRE: _cre,
+        Scheme.FULL_SEARCH: _full_search,
+    }
+    for scheme, selector in selectors.items():
+        expected = selector(estimator, SMALL_GRID)
+        assert run_scheme(scheme, estimator, SMALL_GRID) == expected
 
 
 def bound_at(config, bandwidth):
@@ -377,7 +386,7 @@ class TestRequiredBandwidth:
                 required_bandwidth(
                     bound_at(config, 2e6), SMALL_GRID, Scheme.CRE, 1e6, 1e5
                 )
-            top = run_scheme(Scheme.CRE, bound_at(config, 2e6), SMALL_GRID).report
+            _, top = run_scheme(Scheme.CRE, bound_at(config, 2e6), SMALL_GRID)
             failing = ", ".join(
                 cls.label
                 for cls in UserClass
@@ -396,21 +405,21 @@ class TestRequiredBandwidth:
         base = bound_at(config, 1e9)
         width = required_bandwidth(base, SMALL_GRID, scheme, 1e6, tolerance)
         assert width > 1e6 + 2 * tolerance  # interior solution, not the edge
-        at = run_scheme(scheme, base.with_bandwidth(width), SMALL_GRID)
-        below = run_scheme(
+        _, at = run_scheme(scheme, base.with_bandwidth(width), SMALL_GRID)
+        _, below = run_scheme(
             scheme, base.with_bandwidth(width - 2 * tolerance), SMALL_GRID
         )
-        assert at.report.feasible
-        assert not below.report.feasible
+        assert at.feasible
+        assert not below.feasible
         # a tolerance below the float spacing near the threshold ends the
         # bisection at two adjacent floats
         width = required_bandwidth(base, SMALL_GRID, scheme, 1e6, 1e-12)
-        at = run_scheme(scheme, base.with_bandwidth(width), SMALL_GRID)
-        below = run_scheme(
+        _, at = run_scheme(scheme, base.with_bandwidth(width), SMALL_GRID)
+        _, below = run_scheme(
             scheme, base.with_bandwidth(math.nextafter(width, 0.0)), SMALL_GRID
         )
-        assert at.report.feasible
-        assert not below.report.feasible
+        assert at.feasible
+        assert not below.feasible
 
     def test_monotone_in_total_volume(self, tiny_config):
         lighter = tiny_config.with_volumes([120.0, 30.0, 80.0])
@@ -431,8 +440,8 @@ class TestConvexitySweep:
             DemandScenario.measured_2015(), values, tiny_config, SMALL_GRID
         )
         assert len(rows) == len(values) * len(tuple(Scheme))
-        assert [convexity for convexity, _ in rows] == [1.0] * 3 + [3.04] * 3
-        assert [result.scheme for _, result in rows] == list(Scheme) * 2
+        assert [convexity for convexity, _, _, _ in rows] == [1.0] * 3 + [3.04] * 3
+        assert [scheme for _, scheme, _, _ in rows] == list(Scheme) * 2
 
     def test_scheme_subset(self, tiny_config):
         rows = convexity_sweep(
@@ -441,7 +450,7 @@ class TestConvexitySweep:
         )
         assert len(rows) == 1
         assert rows[0][0] == 2.0
-        assert rows[0][1].scheme is Scheme.CRE
+        assert rows[0][1] is Scheme.CRE
 
     def test_deterministic(self, tiny_config):
         args = (DemandScenario.measured_2015(), (1.0, 4.0), tiny_config, SMALL_GRID)
