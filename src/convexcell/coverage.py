@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, replace
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -522,6 +522,22 @@ class CoverageEstimator:
             feasible=feasible,
             trials_used=self.geometry.trials,
         )
+
+    def coverage_bounds(self, values: Sequence[float]) -> np.ndarray:
+        """Each class's highest coverage under each bias value, a (3, n) array.
+
+        Row k, column i bounds class k's coverage when its bias is
+        ``values[i]``, whatever the other classes' biases: its always-covered
+        users plus its undecided users, over its users. ``evaluate`` counts
+        at most those users and divides by the same count, so no per-class
+        coverage it reports exceeds the bound of its value.
+        """
+        bounds = np.empty((3, len(values)))
+        for cls, users in enumerate(self.geometry.class_slices):
+            for i, value in enumerate(values):
+                _, always, gid, _ = self._part(cls, value)
+                bounds[cls, i] = (always + gid.size) / (users.stop - users.start)
+        return bounds
 
     def _part(self, cls: int, bias: float) -> tuple:
         """Station loads, always-covered count and undecided users of a class.

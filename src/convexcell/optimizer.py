@@ -5,8 +5,10 @@ stationary users get the bias maximizing their own coverage, walking users
 get the smallest bias that makes the vehicular constraint attainable
 (vacating macro resources), and vehicular users get the bias maximizing
 their own coverage given the first two. CRE applies one common bias to all
-classes; full search enumerates the whole grid cube and is the optimality
-oracle. All candidates under one config share common random numbers.
+classes; full search is the optimality oracle: it returns the best triple of
+the whole grid cube, evaluating triples in descending order of an exact
+upper bound on their key until no triple left can reach the best one
+found. All candidates under one config share common random numbers.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
+import numpy as np
+
 from .coverage import (
     BiasVector,
     CoverageEstimator,
@@ -25,6 +29,12 @@ from .coverage import (
     linear_from_db,
 )
 from .model import NetworkConfig, UserClass
+
+# relative margin on a triple's upper average coverage: full search sums the
+# weighted bounds in another order than evaluate's np.dot, and two 3-term
+# sums of the same non-negative products differ by a few ulps, far below
+# it; a bound raised too far only costs evaluations
+_UPPER_MARGIN = 1e-12
 
 DEFAULT_GRID_DB = tuple(float(db) for db in range(0, 21, 2))
 DEFAULT_CONVEXITY_VALUES = (1.0, 2.0, 3.04, 4.0, 5.0, 6.0, 7.0, 8.0)
@@ -117,9 +127,11 @@ def _best(
 ) -> tuple[BiasVector, CoverageReport]:
     """The candidate whose report has the highest key, with that report.
 
-    The one selection rule of every scheme and stage. Candidates are
-    evaluated in order, and ``max`` keeps the first of equal keys, so ties
-    break to the earliest candidate: the smallest bias.
+    The one selection rule of every scheme and stage: the highest key, and
+    of equal keys the earliest candidate, the smallest bias. Candidates are
+    evaluated in order, and ``max`` keeps the first of equal keys.
+    ``_full_search`` applies this rule to the grid cube in product order
+    but skips the triples that its upper bound shows cannot win.
     """
     return max(
         ((bias, estimator.evaluate(bias)) for bias in biases),
@@ -188,16 +200,69 @@ def _cre(
     return _best(estimator, biases, _feasible_average)
 
 
+def _upper_keys(
+    estimator: CoverageEstimator, grid: BiasGrid
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each triple's upper key, as (feasible, average) arrays over the cube.
+
+    Flat in ``itertools.product`` order, stationary slowest. Whatever the
+    other classes' biases, a class's coverage under a grid value is at most
+    its bound (``CoverageEstimator.coverage_bounds``), so no triple's report
+    key exceeds its upper key: every bound meeting its class's threshold,
+    and the density-weighted sum of the three bounds raised by
+    ``_UPPER_MARGIN``.
+    """
+    config = estimator.config
+    bounds = estimator.coverage_bounds(grid.values)
+    thresholds = np.array([p.min_coverage for p in config.profiles])
+    meets = bounds >= thresholds[:, None]
+    weighted = config.density_fractions()[:, None] * bounds
+    feasible = (meets[0][:, None, None] & meets[1][:, None] & meets[2]).ravel()
+    average = (weighted[0][:, None, None] + weighted[1][:, None] + weighted[2]).ravel()
+    average *= 1.0 + _UPPER_MARGIN
+    return feasible, average
+
+
 def _full_search(
     estimator: CoverageEstimator, grid: BiasGrid
 ) -> tuple[BiasVector, CoverageReport]:
-    """Exhaustive search over the grid cube; the optimality oracle.
+    """Best triple of the grid cube, feasible first; the optimality oracle.
 
-    Feasible candidates are preferred; among equals the lexicographically
-    smallest (stationary, walking, vehicular) triple wins.
+    Returns what ``_best`` returns over the whole cube in
+    ``itertools.product`` order with ``_feasible_average``, without
+    evaluating every triple. Triples are evaluated in descending upper key
+    (``_upper_keys``), equal upper keys in product order, and the scan stops
+    at the first triple whose upper key is below the best key found: no
+    triple left can reach that key. Among the evaluated triples with the
+    best key the first in product order wins, ``_best``'s rule.
     """
-    biases = (BiasVector(*triple) for triple in itertools.product(grid, repeat=3))
-    return _best(estimator, biases, _feasible_average)
+    values = grid.values
+    n = len(values)
+    feasible, average = _upper_keys(estimator, grid)
+    # descending upper key: the feasible triples, then the rest, each in
+    # the stable order of the negated upper averages, so equal keys keep
+    # product order; filtering one order twice, instead of sorting by
+    # feasibility too, and iterating it without a list of it, keep the cube
+    # at 17 bytes per triple (upper average, feasible, order)
+    np.negative(average, out=average)
+    order = np.argsort(average, kind="stable")
+    visits = itertools.chain(
+        (index for index in order if feasible[index]),
+        (index for index in order if not feasible[index]),
+    )
+    best = None  # (key, product index, bias, report)
+    for index in visits:
+        upper = (bool(feasible[index]), -float(average[index]))
+        if best is not None and upper < best[0]:
+            break
+        stationary, rest = divmod(index, n * n)
+        walking, vehicular = divmod(rest, n)
+        bias = BiasVector(values[stationary], values[walking], values[vehicular])
+        report = estimator.evaluate(bias)
+        key = _feasible_average(report)
+        if best is None or key > best[0] or (key == best[0] and index < best[1]):
+            best = (key, index, bias, report)
+    return best[2], best[3]
 
 
 _SCHEME_RUNNERS = {

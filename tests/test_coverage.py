@@ -835,7 +835,8 @@ PART_CONFIGS = {
 def test_parts_match_gathered_slack_and_bound(tiny_config, case):
     """Each part's always-covered count, undecided ids and caps are those of
     the per-user slack (cap minus the class's own station load) against the
-    bound (the station's other-class candidates), gathered by station id.
+    bound (the station's other-class candidates), gathered by station id,
+    and each coverage bound is the share of users with no negative slack.
     The volumes leave some users of every case undecided."""
     config = tiny_config.with_volumes([3000.0, 1000.0, 2000.0])
     estimator = estimator_for(dataclasses.replace(config, **PART_CONFIGS[case]))
@@ -843,9 +844,11 @@ def test_parts_match_gathered_slack_and_bound(tiny_config, case):
     scaled_macro, scaled_small, requirements = reference_rate_factors(
         geo, estimator.config
     )
+    values = BiasGrid.from_db([0.0, 4.0, 8.0, 12.0]).values
+    bounds = estimator.coverage_bounds(values)
     undecided_users = 0
     for cls, users in enumerate(geo.class_slices):
-        for value in BiasGrid.from_db([0.0, 4.0, 8.0, 12.0]).values:
+        for i, value in enumerate(values):
             on_small = value * geo.pw_small[users] > geo.pw_macro[users]
             gid = geo.gid_macro[users] + on_small * geo.gid_step[users]
             loads = np.bincount(gid, minlength=geo.n_station_ids)
@@ -861,8 +864,25 @@ def test_parts_match_gathered_slack_and_bound(tiny_config, case):
             assert part_gid.dtype == part_cap.dtype == np.int32
             assert np.array_equal(part_gid, gid[undecided])
             assert np.array_equal(part_cap, cap[undecided])
+            # always covered or undecided: the cap admits the class's own load
+            n_users = users.stop - users.start
+            assert bounds[cls, i] == np.count_nonzero(slack >= 0) / n_users
             undecided_users += undecided.size
     assert undecided_users > 0
+
+
+@pytest.mark.parametrize("case", PART_CONFIGS)
+def test_coverage_bounds_hold_for_every_triple(tiny_config, case):
+    """No triple's coverage of a class exceeds the bound of its value."""
+    config = tiny_config.with_volumes([3000.0, 1000.0, 2000.0])
+    estimator = estimator_for(dataclasses.replace(config, **PART_CONFIGS[case]))
+    values = BiasGrid.from_db(DEFAULT_GRID_DB).values
+    bounds = estimator.coverage_bounds(values)
+    assert bounds.shape == (3, len(values))
+    for triple in itertools.product(range(len(values)), repeat=3):
+        report = estimator.evaluate(BiasVector(*(values[i] for i in triple)))
+        for cls, i in enumerate(triple):
+            assert report.per_class_coverage[cls] <= bounds[cls, i]
 
 
 def test_association_holds_nine_bytes_per_user(tiny_config):

@@ -1,8 +1,10 @@
 """Bias selection schemes, bandwidth dimensioning, convexity sweep."""
 
+import itertools
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -31,6 +33,7 @@ from convexcell.optimizer import (
     _full_search,
     _stage2,
     _three_stage,
+    _upper_keys,
 )
 from helpers import (
     estimator_for,
@@ -42,6 +45,7 @@ from helpers import (
 )
 
 SMALL_GRID = BiasGrid.from_db([0.0, 4.0, 8.0, 12.0])
+DEFAULT_GRID = BiasGrid.from_db(DEFAULT_GRID_DB)
 
 
 @pytest.fixture
@@ -211,18 +215,63 @@ class TestCre:
         assert report == expected_report
 
 
+def assert_full_search_is_brute_force(estimator, grid=DEFAULT_GRID):
+    """Full search returns the enumeration oracle's (bias, report); returns it."""
+    expected_triple, expected_report = reference_full_search(estimator, grid)
+    bias, report = run_scheme(Scheme.FULL_SEARCH, estimator, grid)
+    assert bias == BiasVector(*expected_triple)
+    assert report == expected_report
+    return bias, report
+
+
+def with_min_coverage(config, value):
+    profiles = tuple(replace(p, min_coverage=value) for p in config.profiles)
+    return replace(config, profiles=profiles)
+
+
+# variants of the tiny config, each searched over the default 11-value grid
+FULL_SEARCH_CONFIGS = {
+    "tiny": lambda config: config,
+    "no-small-tier": lambda config: replace(config, small_density=0.0),
+    "noise-free": lambda config: replace(config, noise_power=0.0),
+    "moderate-demand": lambda config: config.with_volumes([400.0, 60.0, 200.0]),
+}
+
+# variants at which no triple is feasible
+INFEASIBLE_CONFIGS = {
+    "thresholds-of-one": lambda config: with_min_coverage(config, 1.0),
+    "volumes-past-every-cap": lambda config: config.with_volumes([1e7, 1e7, 1e7]),
+}
+
+
 class TestFullSearch:
     def test_singleton_grid(self, estimator):
-        bias, _ = run_scheme(Scheme.FULL_SEARCH, estimator, BiasGrid((1.0,)))
+        grid = BiasGrid((1.0,))
+        bias, _ = assert_full_search_is_brute_force(estimator, grid)
         assert bias == BiasVector(1.0, 1.0, 1.0)
 
     def test_matches_enumeration_reference(self, estimator):
-        expected_triple, expected_report = reference_full_search(
-            estimator, SMALL_GRID
-        )
-        bias, report = run_scheme(Scheme.FULL_SEARCH, estimator, SMALL_GRID)
-        assert bias == BiasVector(*expected_triple)
-        assert report == expected_report
+        assert_full_search_is_brute_force(estimator, SMALL_GRID)
+
+    @pytest.mark.parametrize(
+        "variant", FULL_SEARCH_CONFIGS.values(), ids=FULL_SEARCH_CONFIGS.keys()
+    )
+    def test_matches_brute_force_on_the_default_grid(self, tiny_config, variant):
+        assert_full_search_is_brute_force(estimator_for(variant(tiny_config)))
+
+    @pytest.mark.parametrize(
+        "variant", INFEASIBLE_CONFIGS.values(), ids=INFEASIBLE_CONFIGS.keys()
+    )
+    def test_matches_brute_force_when_nothing_is_feasible(self, tiny_config, variant):
+        estimator = estimator_for(variant(tiny_config))
+        _, report = assert_full_search_is_brute_force(estimator)
+        assert not report.feasible
+
+    def test_every_triple_tied_gives_the_unbiased_triple(self, tiny_config):
+        estimator = estimator_for(tiny_config.with_volumes([0.0, 0.0, 0.0]))
+        bias, report = assert_full_search_is_brute_force(estimator)
+        assert bias == BiasVector(1.0, 1.0, 1.0)
+        assert report.per_class_coverage == (1.0, 1.0, 1.0)
 
     def test_dominates_both_schemes(self, estimator):
         _, oracle = run_scheme(Scheme.FULL_SEARCH, estimator, SMALL_GRID)
@@ -230,6 +279,38 @@ class TestFullSearch:
         _, baseline = run_scheme(Scheme.CRE, estimator, SMALL_GRID)
         assert oracle.average_coverage >= heuristic.average_coverage
         assert oracle.average_coverage >= baseline.average_coverage
+
+
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    volume=st.floats(10.0, 2000.0),
+    convexity=st.floats(0.1, 10.0),
+    trials=st.integers(1, 2),
+)
+def test_full_search_matches_brute_force_across_demand(seed, volume, convexity, trials):
+    config = NetworkConfig(trials=trials, seed=seed)
+    volumes = DemandScenario(volume, 0.6107, convexity).class_volumes()
+    assert_full_search_is_brute_force(estimator_for(config.with_volumes(volumes)))
+
+
+def test_full_search_skips_only_triples_that_cannot_win(estimator, monkeypatch):
+    evaluated = []
+    evaluate = estimator.evaluate
+
+    def recording(bias):
+        evaluated.append((bias.stationary_bias, bias.walking_bias, bias.vehicular_bias))
+        return evaluate(bias)
+
+    monkeypatch.setattr(estimator, "evaluate", recording)
+    _, report = run_scheme(Scheme.FULL_SEARCH, estimator, DEFAULT_GRID)
+    cube = list(itertools.product(DEFAULT_GRID, repeat=3))
+    seen = set(evaluated)
+    assert len(evaluated) == len(seen) < len(cube) == 1331
+    winner = _feasible_average(report)
+    feasible, average = _upper_keys(estimator, DEFAULT_GRID)
+    for index, triple in enumerate(cube):
+        if triple not in seen:
+            assert (bool(feasible[index]), float(average[index])) < winner
 
 
 class StubEstimator:
@@ -289,6 +370,23 @@ def test_argmax_rule_on_fixed_reports(coverages, winner):
     got = _best(stub, completions, _class_coverage(UserClass.VEHICULAR))
     assert got == (BiasVector(1.0, 1.0, grid.values[winner]), reports[winner])
     assert stub.calls == [(1.0, 1.0, b) for b in grid]
+
+
+def test_full_search_keeps_the_first_of_equal_keys_evaluated_last():
+    # (2, 2, 2) has the highest upper key and is evaluated first; (1, 1, 1)
+    # has the lowest, is evaluated last, ties it and is first in product order
+    grid = BiasGrid((1.0, 2.0))
+    cube = itertools.product(grid, repeat=3)
+    reports = {triple: stub_report(0.5, True) for triple in cube}
+    reports[(1.0, 1.0, 1.0)] = reports[(2.0, 2.0, 2.0)] = stub_report(0.9, True)
+    stub = StubEstimator(reports)
+    stub.config = NetworkConfig()
+    stub.coverage_bounds = lambda values: np.array([[0.9, 1.0]] * 3)
+    bias, report = _full_search(stub, grid)
+    assert bias == BiasVector(1.0, 1.0, 1.0)
+    assert report is reports[(1.0, 1.0, 1.0)]
+    assert stub.calls[0] == (2.0, 2.0, 2.0)
+    assert stub.calls[-1] == (1.0, 1.0, 1.0)
 
 
 def stage2_stub(vehicular_coverages):
