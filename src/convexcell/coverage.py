@@ -48,17 +48,14 @@ def handover_efficiency(
 ) -> float:
     """Fraction of time a user moving at the given speed is not in handover.
 
-    Handover rate is the Poisson-Voronoi boundary-crossing rate
-    c * v * sqrt(density) with v in m/s and density in stations/m^2; each
-    crossing costs handover_delay seconds, floored at zero efficiency.
+    Each of the ``config.crossing_rate`` cell crossings per second costs
+    handover_delay seconds; the efficiency is floored at zero.
     """
     if velocity_kmh < 0.0:
         raise ValueError("velocity must be >= 0")
     if tier_density_per_km2 < 0.0:
         raise ValueError("tier density must be >= 0")
-    v_ms = velocity_kmh / 3.6
-    density_m2 = tier_density_per_km2 * 1e-6
-    rate = config.crossing_coefficient * v_ms * math.sqrt(density_m2)
+    rate = config.crossing_rate(velocity_kmh, tier_density_per_km2)
     return max(0.0, 1.0 - rate * config.handover_delay)
 
 
@@ -366,7 +363,7 @@ def _rate_factors(
     """
     bandwidth = config.bandwidth
     factor = np.subtract(geo.total_inst[users], signal[users])
-    factor += config.noise_power * bandwidth
+    factor += config.noise
     with np.errstate(divide="ignore", invalid="ignore"):
         np.divide(signal[users], factor, out=factor)
     np.log1p(factor, out=factor)

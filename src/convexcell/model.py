@@ -168,24 +168,10 @@ class NetworkConfig:
                 )
         if self.area_side <= 0.0:
             raise ConfigError("area_side must be > 0")
-        try:
-            self.area_km2
-        except OverflowError:
-            raise ConfigError(
-                f"area_side is too large: its area overflows (got {self.area_side!r})"
-            ) from None
         if self.macro_density <= 0.0:
             raise ConfigError("macro_density must be > 0")
         if self.small_density < 0.0:
             raise ConfigError("small_density must be >= 0")
-        for name in ("macro_density", "small_density"):
-            # the station count's Poisson mean, as sample_deployment computes it
-            mean = getattr(self, name) * self.area_km2
-            if not mean <= POISSON_MEAN_MAX:
-                raise ConfigError(
-                    f"{name} is too large: {name} * area_km2 = {mean!r} exceeds "
-                    f"the largest Poisson mean, {POISSON_MEAN_MAX!r}"
-                )
         if self.macro_power <= 0.0 or self.small_power <= 0.0:
             raise ConfigError("macro_power and small_power must be > 0")
         if self.macro_power <= self.small_power:
@@ -194,39 +180,10 @@ class NetworkConfig:
             raise ConfigError("path_loss_exponent must be > 2")
         if self.reference_loss <= 0.0:
             raise ConfigError("reference_loss must be > 0")
-        # the largest mean power a link can receive, at the 1 m distance floor
-        if not math.isfinite(float(self.macro_power) * float(self.reference_loss)):
-            raise ConfigError(
-                "reference_loss is too large: macro_power * reference_loss overflows "
-                f"(got {self.reference_loss!r})"
-            )
-        # the smallest mean power a link can receive, across the window's
-        # diagonal; below the least normal float far powers lose precision or
-        # round to 0, and a user whose powers are all 0 is served by the first
-        # station of each tier
-        weaker = "small_power" if self.small_density > 0.0 else "macro_power"
-        power = getattr(self, weaker)
-        farthest = max(self.area_side * math.sqrt(2.0), MIN_PATH_DISTANCE_M)
-        weakest = power * self.reference_loss * farthest**-self.path_loss_exponent
-        if not weakest >= sys.float_info.min:
-            raise ConfigError(
-                f"the mean power across the window's diagonal, {weaker} * "
-                "reference_loss * max(area_side * sqrt(2), 1 m) ** "
-                f"-path_loss_exponent, underflows to {weakest!r} (got {weaker} "
-                f"{power!r}, reference_loss {self.reference_loss!r}, "
-                f"path_loss_exponent {self.path_loss_exponent!r}, "
-                f"area_side {self.area_side!r})"
-            )
         if self.noise_power < 0.0:
             raise ConfigError("noise_power must be >= 0")
         if self.bandwidth <= 0.0:
             raise ConfigError("bandwidth must be > 0")
-        # the noise term of every SINR
-        if not math.isfinite(float(self.noise_power) * float(self.bandwidth)):
-            raise ConfigError(
-                "noise_power is too large: noise_power * bandwidth overflows "
-                f"(got noise_power {self.noise_power!r}, bandwidth {self.bandwidth!r})"
-            )
         if self.user_count <= 0:
             raise ConfigError("user_count must be > 0")
         if self.handover_delay < 0.0:
@@ -237,13 +194,6 @@ class NetworkConfig:
             raise ConfigError("demand_peak_factor must be >= 1")
         if self.trials <= 0:
             raise ConfigError("trials must be > 0")
-        for name in ("user_count", "trials"):
-            count = getattr(self, name)
-            if count > sys.maxsize:
-                raise ConfigError(
-                    f"{name} must be at most {sys.maxsize}, the largest range "
-                    f"length or array dimension (got {count!r})"
-                )
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must be an unsigned 64-bit integer")
         if len(self.profiles) != 3:
@@ -258,22 +208,72 @@ class NetworkConfig:
             raise ConfigError(
                 f"profiles density_fraction must sum to 1 (got {total!r})"
             )
-        # the bits/s each user of a class must get, as the estimator computes it
-        peak = self.demand_peak_factor
-        for profile in self.profiles:
-            volume = profile.traffic_volume
-            if not math.isfinite(rate_requirement(volume, peak)):
-                raise ConfigError(
-                    f"profiles.{profile.user_class.label}.traffic_volume and "
-                    "demand_peak_factor overflow the rate requirement "
-                    f"(got {volume!r} and {peak!r})"
-                )
+        # each quantity the simulator derives, by the code it runs, with its
+        # bounds; one row per monotone quantity, at its largest value. A user
+        # whose far powers underflow to 0 is served by each tier's first station
+        denser = max(("macro_density", "small_density"), key=lambda n: getattr(self, n))
+        weaker = "small_power" if self.small_density > 0.0 else "macro_power"
+        busiest = max(self.profiles, key=lambda p: p.traffic_volume)
+        fastest = max(self.profiles, key=lambda p: p.velocity)
+        volume = f"profiles.{busiest.user_class.label}.traffic_volume"
+        velocity = f"profiles.{fastest.user_class.label}.velocity"
+        given = {**vars(self), volume: busiest.traffic_volume, velocity: fastest.velocity}
+        for names, quantity, value, least, most in (
+            (("user_count",), "the user count, a range length and array dimension,",
+             lambda: self.user_count, 1, sys.maxsize),
+            (("trials",), "the trial count, a range length and array dimension,",
+             lambda: self.trials, 1, sys.maxsize),
+            ((denser, "area_side"), "the station count's Poisson mean",
+             lambda: max(self.station_means()), 0.0, POISSON_MEAN_MAX),
+            (("macro_power", "reference_loss"), "the mean power at 1 m",
+             lambda: self.mean_power(self.macro_power, 1.0), 0.0, math.inf),
+            ((weaker, "reference_loss", "path_loss_exponent", "area_side"),
+             "the mean power across the window's diagonal",
+             lambda: self.mean_power(given[weaker], self.area_side * math.sqrt(2.0)),
+             sys.float_info.min, math.inf),
+            (("noise_power", "bandwidth"), "the noise term of every SINR",
+             lambda: self.noise, 0.0, math.inf),
+            ((volume, "demand_peak_factor"), "the rate requirement",
+             lambda: rate_requirement(busiest.traffic_volume, self.demand_peak_factor),
+             0.0, math.inf),
+            (("crossing_coefficient", velocity, denser), "the handover crossing rate",
+             lambda: self.crossing_rate(fastest.velocity, given[denser]), 0.0, math.inf),
+        ):
+            try:
+                got = value()
+                valid = math.isfinite(got) and least <= got <= most
+            except OverflowError:
+                got, valid = "too large for a float", False
+            if not valid:
+                fields_given = ", ".join(f"{name} {given[name]!r}" for name in names)
+                raise ConfigError(f"{quantity} is {got}; it must be finite and in "
+                                  f"[{least!r}, {most!r}] (got {fields_given})")
 
     # -- derived quantities -------------------------------------------------
 
     @property
     def area_km2(self) -> float:
         return (self.area_side / 1000.0) ** 2
+
+    def station_means(self) -> tuple[float, float]:
+        """Poisson means of a trial's macro and small station counts."""
+        return self.macro_density * self.area_km2, self.small_density * self.area_km2
+
+    def mean_power(self, power: float, distance: float) -> float:
+        """One link's mean power in the numpy operations of mean_power_matrix
+        (numpy's power can differ from Python's ``**`` in the last bit)."""
+        loss = np.array([max(distance, MIN_PATH_DISTANCE_M)], dtype=float)
+        loss **= -self.path_loss_exponent
+        return float(loss[0] * (float(power) * self.reference_loss))
+
+    @property
+    def noise(self) -> float:
+        return self.noise_power * self.bandwidth
+
+    def crossing_rate(self, velocity_kmh: float, tier_density_per_km2: float) -> float:
+        """Poisson-Voronoi cell crossings per second: c * v(m/s) * sqrt(density/m^2)."""
+        v_ms, density_m2 = velocity_kmh / 3.6, tier_density_per_km2 * 1e-6
+        return self.crossing_coefficient * v_ms * math.sqrt(density_m2)
 
     def density_fractions(self) -> np.ndarray:
         return np.array([p.density_fraction for p in self.profiles])
@@ -464,8 +464,9 @@ def sample_deployment(config: NetworkConfig, trial_index: int) -> Deployment:
         raise ValueError("trial_index must be >= 0")
     rng = np.random.default_rng((config.seed, trial_index))
 
-    n_macro = max(1, int(rng.poisson(config.macro_density * config.area_km2)))
-    n_small = int(rng.poisson(config.small_density * config.area_km2))
+    macro_mean, small_mean = config.station_means()
+    n_macro = max(1, int(rng.poisson(macro_mean)))
+    n_small = int(rng.poisson(small_mean))
     macro_positions = rng.uniform(0.0, config.area_side, size=(n_macro, 2))
     small_positions = rng.uniform(0.0, config.area_side, size=(n_small, 2))
     user_positions = rng.uniform(0.0, config.area_side, size=(config.user_count, 2))

@@ -1,11 +1,17 @@
 """End-to-end command tests driving cli.main with a small config."""
 
+import contextlib
 import csv
+import io
 import json
 import math
+import tempfile
 import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from convexcell import (
     EARTH_RADIUS_M,
@@ -376,6 +382,7 @@ def test_out_of_memory_is_one_line_and_writes_nothing(
         ["evaluate", "--bias", "0", "0", "0", "--config", "TINY_SMALL_POWER"],
         ["evaluate", "--bias", "0", "0", "0", "--trials", str(10**30)],
         ["evaluate", "--bias", "0", "0", "0", "--config", "HUGE_USER_COUNT"],
+        ["evaluate", "--bias", "0", "0", "0", "--config", "HUGE_CROSSING"],
     ],
     ids=[
         "sweep-nan-volume", "sweep-negative-convexity", "bandwidth-share-above-1",
@@ -387,7 +394,7 @@ def test_out_of_memory_is_one_line_and_writes_nothing(
         "large-exponent-underflows", "sparse-window-underflows",
         "far-window-underflows", "sweep-rate-overflows", "tiny-loss-underflows",
         "tiny-small-power-underflows", "trials-beyond-maxsize",
-        "user-count-beyond-maxsize",
+        "user-count-beyond-maxsize", "crossing-rate-overflows",
     ],
 )
 def test_failed_command_is_one_line_and_writes_nothing(
@@ -424,6 +431,12 @@ def test_failed_command_is_one_line_and_writes_nothing(
         "TINY_SMALL_POWER": {"small_power": 1e-300},
         # counts beyond the largest range length or array dimension
         "HUGE_USER_COUNT": {"user_count": 10**30, "trials": 1},
+        # refused even when a crossing costs nothing: inf * 0 zeroed the
+        # vehicular coverage
+        "HUGE_CROSSING": {
+            "crossing_coefficient": 1e308, "handover_delay": 0,
+            "profiles": {"vehicular": {"velocity": 1e308}}, "trials": 2,
+        },
     }
     underflows = {
         "HUGE_EXPONENT", "LARGE_EXPONENT", "FAR_SPARSE", "FAR_WINDOW", "TINY_LOSS",
@@ -478,6 +491,82 @@ def test_geometry_overflow_is_one_line_and_writes_nothing(tmp_path, capsys, conf
     for name in ("area_side", "macro_power", "reference_loss"):
         assert name in err
     assert not out.exists()
+
+
+# every real config and profile field, each drawn over the whole float range
+# (NaN, infinities, subnormals and both signs included)
+GUARD_FIELDS = [
+    *(name for name, value in NetworkConfig().to_dict().items()
+      if name != "profiles" and isinstance(value, float)),
+    *(("profiles", label, name)
+      for label, profile in NetworkConfig().to_dict()["profiles"].items()
+      for name in profile),
+]
+GUARD_STATIONS = 500  # largest mean station count of a drawn window
+
+
+@settings(max_examples=250)
+@given(
+    st.dictionaries(
+        st.sampled_from(GUARD_FIELDS), st.floats(), min_size=1, max_size=3
+    )
+)
+def test_any_drawn_config_runs_clean_or_is_refused_in_one_line(drawn):
+    """Property guard over the derived quantities the simulator computes.
+
+    Whatever 1-3 fields are drawn, a command either exits 0 with finite
+    outputs and no warning, or exits 1 with one ``error:`` line and no
+    output directory. ``bandwidth`` has one more documented ending: a
+    scheme infeasible at ``--wmax`` gets its own ``error:`` line and an
+    ``unsatisfiable`` row, and the command exits 1 after writing its table.
+    """
+    data = {**TINY_CONFIG, "trials": 1}
+    for key, value in drawn.items():
+        if isinstance(key, tuple):
+            _, label, name = key
+            data.setdefault("profiles", {}).setdefault(label, {})[name] = value
+        else:
+            data[key] = value
+    try:
+        config = NetworkConfig.from_dict(data)
+    except ValueError:
+        config = None
+    if config is not None:  # keep the geometry small
+        assume(
+            (config.macro_density + config.small_density) * config.area_km2
+            <= GUARD_STATIONS
+        )
+    commands = {"evaluate": ["--bias", "0", "0", "0"], "bandwidth": ["--grid-db", "0", "6"]}
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch, "config.json")
+        path.write_text(json.dumps(data))
+        for command, options in commands.items():
+            out = Path(scratch, command)
+            err = io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, \
+                    contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                warnings.simplefilter("always")
+                code = run([command, "--config", str(path), "--out", str(out), *options])
+            assert [str(w.message) for w in caught] == []
+            lines = err.getvalue().splitlines()
+            assert all(line.startswith("error: ") for line in lines)
+            if not out.exists():
+                assert code == 1 and len(lines) == 1
+                continue
+            assert config is not None
+            if command == "evaluate":
+                assert code == 0 and lines == []
+                report = json.loads((out / "evaluate_report.json").read_text())
+                values = [report["average_coverage"], *report["per_class_coverage"].values()]
+            else:
+                widths = [row[2] for row in read_rows(out / "bandwidth.csv")[1:]]
+                values = [w for w in widths if w != cli.UNSATISFIABLE]
+                unsatisfiable = len(widths) - len(values)
+                assert code == (1 if unsatisfiable else 0)
+                assert len(lines) == unsatisfiable
+                assert all("infeasible even at" in line for line in lines)
+            assert all(math.isfinite(float(v)) for v in values)
 
 
 @pytest.mark.parametrize(

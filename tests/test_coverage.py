@@ -7,7 +7,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from convexcell import (
@@ -76,6 +76,16 @@ class TestHandoverEfficiency:
     def test_zero_delay_lose_nothing(self):
         config = NetworkConfig(handover_delay=0.0)
         assert handover_efficiency(200.0, 1000.0, config) == 1.0
+
+    @given(
+        st.floats(0.0, 1e300), st.floats(0.0, 1.7e308), st.floats(0.0, 1.7e308)
+    )
+    def test_zero_delay_lose_nothing_at_any_finite_crossing_rate(
+        self, coefficient, velocity, density
+    ):
+        config = NetworkConfig(handover_delay=0.0, crossing_coefficient=coefficient)
+        assume(math.isfinite(config.crossing_rate(velocity, density)))
+        assert handover_efficiency(velocity, density, config) == 1.0
 
     def test_vehicular_crossing_arithmetic(self):
         # (4/pi) * (31.9/3.6) m/s * sqrt(1e-5 /m^2) * 2 s = 0.0713556 lost

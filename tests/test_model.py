@@ -228,6 +228,37 @@ class TestConfig:
                 {"profiles": {"vehicular": {"traffic_volume": 1e305}}, "trials": 2},
                 "vehicular.traffic_volume",
             ),
+            # a crossing rate that overflows would zero the efficiency even
+            # when a crossing costs nothing (inf * 0)
+            (
+                {"crossing_coefficient": 1e308, "handover_delay": 0,
+                 "profiles": {"vehicular": {"velocity": 1e308}}, "trials": 2},
+                "crossing_coefficient 1e.308, profiles.vehicular.velocity 1e.308, "
+                "small_density 40.0",
+            ),
+            # each derived quantity's refusal names every field it is made of
+            ({"user_count": 2**63}, r"\(got user_count 9223372036854775808\)"),
+            ({"trials": 2**63}, r"\(got trials 9223372036854775808\)"),
+            ({"macro_density": 1e300, "small_density": 0.0},
+             r"got macro_density 1e\+300, area_side 2000.0\)"),
+            ({"area_side": 1e200}, r"got small_density 40.0, area_side 1e\+200\)"),
+            ({"reference_loss": 1e308}, r"got macro_power 40.0, reference_loss 1e\+308\)"),
+            (
+                {"path_loss_exponent": 90, "small_density": 0},
+                r"got macro_power 40.0, reference_loss 1.0, path_loss_exponent 90, "
+                r"area_side 2000.0\)",
+            ),
+            ({"noise_power": 1e300, "bandwidth": 1e10},
+             r"got noise_power 1e\+300, bandwidth 10000000000.0\)"),
+            (
+                {"profiles": {"walking": {"traffic_volume": 1e306}}},
+                r"got profiles.walking.traffic_volume 1e\+306, demand_peak_factor 5.4\)",
+            ),
+            (
+                {"crossing_coefficient": 1e308, "macro_density": 50.0},
+                r"got crossing_coefficient 1e\+308, profiles.vehicular.velocity 31.9, "
+                r"macro_density 50.0\)",
+            ),
         ],
     )
     def test_from_dict_rejects_bad_values(self, data, field):
@@ -424,6 +455,31 @@ class TestReceivedPower:
         at_floor = received_power(7.0, 1.0, config)
         assert received_power(7.0, 0.5, config) == at_floor
         assert received_power(7.0, 0.0, config) == at_floor
+
+    # at exponent 3.07 and the 2 km window's diagonal, numpy's SIMD power
+    # (AVX-512 builds) and Python's ** differ in the last bit
+    @pytest.mark.parametrize("exponent", [3.1, 3.07])
+    @pytest.mark.parametrize("small_density", [40.0, 0.0], ids=["small-tier", "macro-only"])
+    @pytest.mark.parametrize("corner", [1.0, 2000.0], ids=["1m", "diagonal"])
+    def test_config_mean_power_is_the_matrix_bit_for_bit(
+        self, exponent, small_density, corner
+    ):
+        """The one-link helper the config checks equals mean_power_matrix on
+        a one-link deployment: the weaker tier's station at (corner, 0) for
+        1 m, or at (corner, corner) across the window's diagonal."""
+        config = NetworkConfig(path_loss_exponent=exponent, small_density=small_density)
+        power = config.small_power if small_density else config.macro_power
+        station = [[corner, 0.0 if corner == 1.0 else corner]]
+        none = np.empty((0, 2))
+        deployment = make_deployment(
+            none if small_density else station, station if small_density else none,
+            [[0.0, 0.0]], [0], [[1.0]],
+        )
+        distance = float(link_distances(deployment)[0, 0])
+        if corner != 1.0:
+            assert distance == config.area_side * math.sqrt(2.0)
+        matrix = mean_power_matrix(deployment, config)[0, 0]
+        assert config.mean_power(power, distance).hex() == float(matrix).hex()
 
     @given(st.floats(1e-3, 1e3), st.floats(1.0, 1e4))
     def test_linear_in_transmit_power(self, power, distance):
