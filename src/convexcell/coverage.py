@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, replace
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -160,8 +160,7 @@ class TrialGeometry:
     convexity points and a bandwidth run's (volume, scheme) pairs each bind
     their own :class:`CoverageEstimator` to it. Its arrays cost 49 bytes
     per user-trial, about 5 MB at the defaults (500 users, 200 trials), and
-    are read-only. ``deployments`` replaces the sampled trials, for example
-    with hand-built ones; the key is still taken from ``config``.
+    are read-only.
 
     ``other_candidates[cls]`` counts, per station id, the users of the
     other two classes that have the station as their best macro or best
@@ -184,28 +183,17 @@ class TrialGeometry:
     EstimationError instead of carrying infinities into the rates.
     """
 
-    def __init__(
-        self,
-        config: NetworkConfig,
-        deployments: Iterable[Deployment] | None = None,
-    ) -> None:
+    def __init__(self, config: NetworkConfig) -> None:
         self.key = _geometry_key(config)
-        jobs = range(config.trials) if deployments is None else list(deployments)
-        if not jobs:
-            raise EstimationError("at least one trial is required")
-        if deployments is None:
-            counts = config.class_counts()
-        else:
-            counts = sum(np.bincount(d.user_classes, minlength=3) for d in jobs)
-        for cls, count in zip(UserClass, counts):
+        for cls, count in zip(UserClass, config.class_counts()):
             if count == 0:
                 raise EstimationError(
                     f"class {cls.label} has zero users in every trial; "
                     "increase user_count or its density_fraction"
                 )
 
-        def reduce_trial(job: int | Deployment) -> tuple[dict[str, np.ndarray], int]:
-            deployment = sample_deployment(config, job) if deployments is None else job
+        def reduce_trial(trial: int) -> tuple[dict[str, np.ndarray], int]:
+            deployment = sample_deployment(config, trial)
             # numpy's error state is per thread, so each worker sets its own
             try:
                 with np.errstate(over="raise"):
@@ -222,8 +210,8 @@ class TrialGeometry:
 
         # numpy's ufuncs and fading draws release the GIL; map yields in
         # trial order and cancels the trials not yet started if one raises
-        with ThreadPoolExecutor(_worker_count(len(jobs))) as pool:
-            reduced = list(pool.map(reduce_trial, jobs))
+        with ThreadPoolExecutor(_worker_count(config.trials)) as pool:
+            reduced = list(pool.map(reduce_trial, range(config.trials)))
 
         parts = []
         station_offset = 0
@@ -322,12 +310,10 @@ class TrialGeometry:
         starts = range(0, n_users, step)
         for start, fading in zip(starts, deployment.fading_blocks(step)):
             users = slice(start, start + step)
-            block = Deployment(
-                macro_positions=deployment.macro_positions,
-                small_positions=deployment.small_positions,
+            block = replace(
+                deployment,
                 user_positions=deployment.user_positions[users],
                 user_classes=deployment.user_classes[users],
-                fading=fading,
             )
             mean_power = mean_power_matrix(block, config)
             rows = np.arange(block.n_users)

@@ -363,47 +363,33 @@ class Deployment:
     Stations carry global ids: macros are 0..n_macro-1, smalls follow.
     Row u, column s of the (n_users, n_stations) gain matrix is the
     unit-mean exponential channel power gain of the (user u, station s)
-    link. A hand-built deployment gives that matrix as ``fading``. A
-    sampled one gives ``fading_state`` instead, the state of its bit
-    generator right after the positions were drawn, and never holds the
-    matrix: :meth:`fading_blocks` draws its rows a block at a time. Exactly
-    one of the two is given.
+    link. The deployment never holds that matrix: ``fading_state`` is the
+    state of its bit generator right after the positions were drawn, and
+    :meth:`fading_blocks` draws the rows from it a block at a time.
     """
 
     macro_positions: np.ndarray
     small_positions: np.ndarray
     user_positions: np.ndarray
     user_classes: np.ndarray
-    fading: np.ndarray | None = None
-    fading_state: Mapping[str, Any] | None = None
+    fading_state: Mapping[str, Any]
 
     def __post_init__(self) -> None:
-        n_users = self.user_positions.shape[0]
-        n_stations = self.macro_positions.shape[0] + self.small_positions.shape[0]
-        if self.user_classes.shape != (n_users,):
+        if self.user_classes.shape != (self.n_users,):
             raise ValueError("user_classes must have one entry per user")
-        if (self.fading is None) == (self.fading_state is None):
-            raise ValueError("give exactly one of fading and fading_state")
-        if self.fading is not None and self.fading.shape != (n_users, n_stations):
-            raise ValueError("fading must have shape (n_users, n_stations)")
 
     def fading_blocks(self, rows: int) -> Iterator[np.ndarray]:
         """The gain matrix as consecutive blocks of ``rows`` rows, in order.
 
-        The last block may be shorter. A given matrix is sliced; a sampled
-        deployment draws each block from a new generator set to
-        ``fading_state``, which gives the bits of one whole-matrix draw, so
-        every call yields the same gains and at most one block is held.
+        The last block may be shorter. Each call draws the blocks from a new
+        generator set to ``fading_state``, which gives the bits of one
+        whole-matrix draw, so every call yields the same gains and at most
+        one block is held.
         """
-        starts = range(0, self.n_users, rows)
-        if self.fading is not None:
-            for start in starts:
-                yield self.fading[start : start + rows]
-            return
         bit_generator = np.random.PCG64()
         bit_generator.state = self.fading_state
         rng = np.random.Generator(bit_generator)
-        for start in starts:
+        for start in range(0, self.n_users, rows):
             count = min(rows, self.n_users - start)
             yield rng.standard_exponential((count, self.n_stations))
 

@@ -1,5 +1,13 @@
 """Hand-built deployments and slow reference implementations.
 
+``GivenDeployment`` is a deployment with a hand-built gain matrix, its
+``fading``, which ``fading_blocks`` slices instead of drawing; every
+``make_deployment`` returns one. ``given_geometry`` builds a TrialGeometry
+from given deployments, one per trial of the config: it patches
+``coverage.sample_deployment``, the name the build looks up for each
+trial and the one the benchmark's tracer wraps, so given trials take the
+package's own path through the build.
+
 The loop oracle here (``associate``, ``sinr``, ``user_rate`` and
 ``reference_rate_coverage``) recomputes association, loads, SINR and rate
 per user over full link rows, independently of the per-user best-of-tier
@@ -37,6 +45,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from datetime import datetime
+from unittest import mock
 
 import numpy as np
 
@@ -61,6 +70,7 @@ from convexcell import (
     mean_power_matrix,
     rate_requirement,
 )
+from convexcell import coverage
 from convexcell.traces import BYTES_PER_MB, _parse_timestamp, check_stationary_cutoff
 
 
@@ -69,15 +79,36 @@ def estimator_for(config):
     return CoverageEstimator(config, TrialGeometry(config))
 
 
+@dataclass(frozen=True)
+class GivenDeployment(Deployment):
+    """A deployment whose (n_users, n_stations) gain matrix is given."""
+
+    fading: np.ndarray
+
+    def fading_blocks(self, rows):
+        for start in range(0, self.n_users, rows):
+            yield self.fading[start : start + rows]
+
+
 def make_deployment(macro_xy, small_xy, user_xy, classes, fading):
     """Deployment from plain lists; fading is (n_users, n_stations)."""
-    return Deployment(
+    return GivenDeployment(
         macro_positions=np.asarray(macro_xy, dtype=float).reshape(-1, 2),
         small_positions=np.asarray(small_xy, dtype=float).reshape(-1, 2),
         user_positions=np.asarray(user_xy, dtype=float).reshape(-1, 2),
         user_classes=np.asarray(classes, dtype=np.int8),
+        fading_state=None,
         fading=np.asarray(fading, dtype=float),
     )
+
+
+def given_geometry(config, deployments):
+    """TrialGeometry(config) whose trial t is deployments[t]."""
+    assert config.trials == len(deployments)
+    with mock.patch.object(
+        coverage, "sample_deployment", lambda _, trial: deployments[trial]
+    ):
+        return TrialGeometry(config)
 
 
 def associate(deployment, bias, config):
@@ -228,7 +259,7 @@ def reference_fading(deployment):
     ``exponential(1.0, (n_users, n_stations))`` call from a generator set
     to its saved state.
     """
-    if deployment.fading is not None:
+    if isinstance(deployment, GivenDeployment):
         return deployment.fading
     bit_generator = np.random.PCG64()
     bit_generator.state = deployment.fading_state

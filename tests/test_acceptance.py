@@ -38,6 +38,7 @@ from convexcell import (
 from helpers import (
     associate,
     estimator_for,
+    given_geometry,
     make_deployment,
     reference_cre,
     reference_full_search,
@@ -415,7 +416,7 @@ def test_criterion_7_hand_enumerated_optimum():
         [0, 0, 0, 1, 2],
         np.ones((5, 3)),
     )
-    estimator = CoverageEstimator(config, TrialGeometry(config, [deployment]))
+    estimator = CoverageEstimator(config, given_geometry(config, [deployment]))
     grid = BiasGrid((1.0, 2.0, 4.0))
 
     # Exhaustive enumeration, cross-checked against the loop reference.

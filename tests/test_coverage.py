@@ -29,8 +29,10 @@ from convexcell import (
 from convexcell import coverage
 from convexcell.optimizer import Scheme, required_bandwidth
 from helpers import (
+    GivenDeployment,
     associate,
     estimator_for,
+    given_geometry,
     hypot_link_distances,
     make_deployment,
     reference_fading,
@@ -226,7 +228,7 @@ class TestEstimator:
             [0, 1, 2],
             np.ones((3, 2)),
         )
-        estimator = CoverageEstimator(config, TrialGeometry(config, [deployment]))
+        estimator = CoverageEstimator(config, given_geometry(config, [deployment]))
         report = estimator.evaluate(BiasVector.uniform(1.0))
 
         # association by mean power: u0 macro (2 vs 1/343), u1 small
@@ -262,10 +264,7 @@ class TestEstimator:
         deployments = [
             sample_deployment(tiny_config, t) for t in range(tiny_config.trials)
         ]
-        estimator = CoverageEstimator(
-            tiny_config, TrialGeometry(tiny_config, deployments)
-        )
-        report = estimator.evaluate(bias)
+        report = estimator_for(tiny_config).evaluate(bias)
         per_class, average, feasible = reference_rate_coverage(
             tiny_config, deployments, bias
         )
@@ -336,15 +335,6 @@ class TestEstimator:
         with pytest.raises(EstimationError, match="walking"):
             estimator_for(NetworkConfig(user_count=5, trials=1))
 
-    def test_hand_built_trials_missing_a_class_rejected(self, tiny_config):
-        # the config counts every class ([54, 3, 3]), the given trials do not
-        deployment = sample_deployment(tiny_config, 0)
-        no_vehicular = dataclasses.replace(
-            deployment, user_classes=np.minimum(deployment.user_classes, 1)
-        )
-        with pytest.raises(EstimationError, match="vehicular"):
-            TrialGeometry(tiny_config, [no_vehicular])
-
     def test_with_bandwidth_validation_and_isolation(self, tiny_config):
         estimator = estimator_for(tiny_config)
         bias = BiasVector.uniform(1.0)
@@ -366,10 +356,6 @@ class TestEstimator:
         assert after == [fresh.evaluate(bias) for bias in biases]
         assert after != before  # the bandwidth matters for these biases
         assert [narrow.evaluate(bias) for bias in biases] == before
-
-    def test_at_least_one_trial_required(self, tiny_config):
-        with pytest.raises(EstimationError, match="trial"):
-            TrialGeometry(tiny_config, [])
 
 
 class TestTrialGeometry:
@@ -495,14 +481,16 @@ class TestTrialGeometry:
         """Given deployments, one without a small tier, build like the oracle."""
         monkeypatch.setattr(coverage, "BLOCK_LINKS", 97)
         first, second = (sample_deployment(tiny_config, t) for t in range(2))
-        macros_only = dataclasses.replace(
-            second,
+        macros_only = GivenDeployment(
+            macro_positions=second.macro_positions,
             small_positions=np.empty((0, 2)),
-            fading=reference_fading(second)[:, : second.n_macro],
+            user_positions=second.user_positions,
+            user_classes=second.user_classes,
             fading_state=None,
+            fading=reference_fading(second)[:, : second.n_macro],
         )
         deployments = [first, macros_only, second]
-        geometry = TrialGeometry(tiny_config, iter(deployments))
+        geometry = given_geometry(tiny_config, deployments)
         expected = reference_trial_geometry(tiny_config, deployments)
         assert_geometry_equal(geometry, expected)
         assert geometry.trials == 3
@@ -601,7 +589,7 @@ def test_ties_break_alike_in_estimator_and_oracle(case):
     powers = mean_power_matrix(deployment, config)[tied]
     assert powers[0] == factor * powers[1]  # scenario sanity: an exact tie
 
-    estimator = CoverageEstimator(config, TrialGeometry(config, [deployment]))
+    estimator = CoverageEstimator(config, given_geometry(config, [deployment]))
     oracle, _, _ = reference_rate_coverage(config, [deployment], bias)
     assert estimator.evaluate(bias).per_class_coverage == oracle
 
@@ -785,7 +773,7 @@ def test_tight_bound_matches_oracles():
         demand_peak_factor=1.0, user_count=4, trials=1,
         profiles=_uniform_profiles([27e6 * 86400.0 / 8e6, 100.0, 0.0]),
     )
-    geometry = TrialGeometry(config, [deployment])
+    geometry = given_geometry(config, [deployment])
     estimator = CoverageEstimator(config, geometry)
 
     stationary = geometry.association(UserClass.STATIONARY, 1.0)

@@ -413,24 +413,6 @@ class TestFadingBlocks:
         third = np.concatenate(list(deployment.fading_blocks(5)))
         assert third.tobytes() == reference_fading(deployment).tobytes()
 
-    def test_given_matrix_is_sliced(self):
-        fading = np.arange(10.0).reshape(5, 2)
-        deployment = make_deployment(
-            [[0.0, 0.0]], [[1.0, 1.0]], np.zeros((5, 2)), [0] * 5, fading
-        )
-        blocks = list(deployment.fading_blocks(2))
-        assert [b.tolist() for b in blocks] == [
-            fading[0:2].tolist(), fading[2:4].tolist(), fading[4:].tolist()
-        ]
-        assert all(np.shares_memory(b, deployment.fading) for b in blocks)
-
-    def test_exactly_one_gain_source(self, tiny_config):
-        sampled = sample_deployment(tiny_config, 0)
-        with pytest.raises(ValueError, match="exactly one"):
-            dataclasses.replace(sampled, fading=reference_fading(sampled))
-        with pytest.raises(ValueError, match="exactly one"):
-            dataclasses.replace(sampled, fading_state=None)
-
 
 def received_power(power, distance, config):
     """Mean power of a single link: one macro of the given power, one user."""
@@ -567,10 +549,6 @@ class TestGeometryHelpers:
         assert mean_power.shape == (deployment.n_users, deployment.n_stations)
 
     def test_deployment_shape_validation(self):
-        with pytest.raises(ValueError, match="fading"):
-            make_deployment(
-                [[0.0, 0.0]], np.empty((0, 2)), [[1.0, 1.0]], [0], np.ones((2, 1))
-            )
         with pytest.raises(ValueError, match="user_classes"):
             make_deployment(
                 [[0.0, 0.0]], np.empty((0, 2)), [[1.0, 1.0]], [0, 1], np.ones((1, 1))
