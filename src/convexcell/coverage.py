@@ -152,13 +152,14 @@ class TrialGeometry:
     Samples each trial and keeps, per user, the best macro and best small
     station by mean power with their instantaneous signal terms and the
     total instantaneous power, with users grouped by mobility class so each
-    class is one contiguous slice. It depends only on the deployment fields
-    of the config (``GEOMETRY_FIELDS`` and each profile's
+    class is one contiguous slice; users take their classes by index from
+    ``config.class_counts()``. It depends only on the deployment fields of
+    the config (``GEOMETRY_FIELDS`` and each profile's
     ``density_fraction``), not on bandwidth, noise, velocities, handover
     parameters, volumes, ``min_coverage`` or ``demand_peak_factor``. So one
     geometry serves every demand mix and bandwidth of a command: a sweep's
     convexity points and a bandwidth run's (volume, scheme) pairs each bind
-    their own :class:`CoverageEstimator` to it. Its arrays cost 49 bytes
+    their own :class:`CoverageEstimator` to it. Its arrays cost 48 bytes
     per user-trial, about 5 MB at the defaults (500 users, 200 trials), and
     are read-only.
 
@@ -176,33 +177,61 @@ class TrialGeometry:
     Trials are sampled and reduced on one thread per usable CPU, each trial
     in blocks of about ``BLOCK_LINKS`` links whose fading is drawn per
     block, so the build holds about workers x one block of link data at a
-    time, whatever the user count. Each
-    trial is a pure function of ``(seed, trial)`` and is collected in trial
-    order, so the arrays do not depend on the number of threads. A trial
-    whose squared distances or instantaneous powers overflow a float raises
-    EstimationError instead of carrying infinities into the rates.
+    time, whatever the user count. Each trial is a pure function of
+    ``(seed, trial)`` and writes its users to slots fixed by their class,
+    trial and index, so the arrays do not depend on the number of threads
+    or the order trials finish in. A trial whose squared distances or
+    instantaneous powers overflow a float raises EstimationError instead of
+    carrying infinities into the rates.
     """
 
     def __init__(self, config: NetworkConfig) -> None:
         self.key = _geometry_key(config)
-        for cls, count in zip(UserClass, config.class_counts()):
+        counts = config.class_counts()
+        for cls, count in zip(UserClass, counts):
             if count == 0:
                 raise EstimationError(
                     f"class {cls.label} has zero users in every trial; "
                     "increase user_count or its density_fraction"
                 )
+        self.trials = trials = config.trials
+        # each class is one contiguous slice, its users in trial order: the
+        # r-th user of class c in trial t is at class_slices[c].start +
+        # t * counts[c] + r, so trial t's users go to firsts + t * strides
+        ends = np.cumsum(counts * trials)
+        starts = ends - counts * trials
+        self.class_slices = [slice(int(a), int(b)) for a, b in zip(starts, ends)]
+        firsts = np.arange(config.user_count)
+        firsts += np.repeat(starts - (np.cumsum(counts) - counts), counts)
+        strides = np.repeat(counts, counts)
+        size = config.user_count * trials
+        arrays = {
+            "pw_macro": np.empty(size),
+            # no small tier: zero power is never selected by the bias compare
+            "pw_small": np.zeros(size),
+            # int32 ids halve the part memo; the step turns the per-user
+            # choice of serving id into arithmetic instead of a much slower
+            # np.where
+            "gid_macro": np.empty(size, dtype=np.int32),
+            "gid_step": np.zeros(size, dtype=np.int32),
+            "sig_macro": np.empty(size),
+            "sig_small": np.zeros(size),
+            "total_inst": np.empty(size),
+        }
+        vars(self).update(arrays)
 
-        def reduce_trial(trial: int) -> tuple[dict[str, np.ndarray], int]:
+        def reduce_trial(trial: int) -> int:
             deployment = sample_deployment(config, trial)
             # numpy's error state is per thread, so each worker sets its own
             try:
                 with np.errstate(over="raise"):
-                    return self._reduce(config, deployment)
+                    self._reduce(config, deployment, firsts + trial * strides)
             except FloatingPointError:
                 raise EstimationError(
                     "link distances or received powers overflow a float: "
                     "area_side, macro_power or reference_loss is too large"
                 ) from None
+            return deployment.n_stations
 
         # imported here, not at module level: the import takes about 8 ms,
         # which commands that build no geometry (analyze) need not pay
@@ -210,28 +239,17 @@ class TrialGeometry:
 
         # numpy's ufuncs and fading draws release the GIL; map yields in
         # trial order and cancels the trials not yet started if one raises
-        with ThreadPoolExecutor(_worker_count(config.trials)) as pool:
-            reduced = list(pool.map(reduce_trial, range(config.trials)))
+        with ThreadPoolExecutor(_worker_count(trials)) as pool:
+            n_stations = list(pool.map(reduce_trial, range(trials)))
 
-        parts = []
-        station_offset = 0
-        for arrays, n_stations in reduced:
-            arrays["gid_macro"] += station_offset
-            station_offset += n_stations
-            parts.append(arrays)
-        self.trials = len(parts)
-        self.n_station_ids = station_offset
-        # users grouped by class, so each class is one contiguous slice
-        order = np.argsort(np.concatenate([p["cls"] for p in parts]), kind="stable")
-        for name in list(parts[0]):
-            # pop frees each name's per-trial arrays early
-            array = np.concatenate([p.pop(name) for p in parts])[order]
+        # each trial's station ids follow those of the trials before it
+        offsets = np.cumsum([0, *n_stations[:-1]])
+        for users, count in zip(self.class_slices, counts):
+            ids = self.gid_macro[users].reshape(trials, count)
+            ids += offsets[:, None]
+        self.n_station_ids = sum(n_stations)
+        for array in arrays.values():
             array.flags.writeable = False
-            setattr(self, name, array)
-        ends = np.cumsum(np.bincount(self.cls, minlength=3))
-        self.class_slices = [
-            slice(int(start), int(end)) for start, end in zip((0, *ends), ends)
-        ]
         # a user is served by its best macro or its best small station
         # whatever its bias, so the users of the other classes that have a
         # station among those two bound the load they can put on it
@@ -277,61 +295,41 @@ class TrialGeometry:
             self._associations[key] = found
         return found
 
-    @staticmethod
     def _reduce(
-        config: NetworkConfig, deployment: Deployment
-    ) -> tuple[dict[str, np.ndarray], int]:
-        """Collapse one trial to per-user best-of-tier link quantities.
+        self, config: NetworkConfig, deployment: Deployment, slots: np.ndarray
+    ) -> None:
+        """Write one trial's per-user best-of-tier link quantities.
 
-        Returns the arrays, each keyed by the geometry attribute it is
-        concatenated into, with trial-local station ids in ``gid_macro``,
-        and the trial's station count. Users are reduced in row blocks of
-        about ``BLOCK_LINKS`` links (at least one user), each with its rows
-        of the deployment's fading.
+        User u of the deployment goes to position ``slots[u]`` of each
+        array, with its trial-local station ids in ``gid_macro``. Users are
+        reduced in row blocks of about ``BLOCK_LINKS`` links (at least one
+        user), each with its rows of the deployment's fading.
         """
-        n_users = deployment.n_users
         n_macro = deployment.n_macro
         has_small = deployment.n_small > 0
-        out = {
-            "cls": deployment.user_classes.astype(np.int8),
-            "pw_macro": np.empty(n_users),
-            # no small tier: zero power is never selected by the bias compare
-            "pw_small": np.zeros(n_users),
-            # int32 ids halve the part memo; the step turns the per-user
-            # choice of serving id into arithmetic instead of a much slower
-            # np.where
-            "gid_macro": np.empty(n_users, dtype=np.int32),
-            "gid_step": np.zeros(n_users, dtype=np.int32),
-            "sig_macro": np.empty(n_users),
-            "sig_small": np.zeros(n_users),
-            "total_inst": np.empty(n_users),
-        }
         step = max(1, BLOCK_LINKS // deployment.n_stations)
-        starts = range(0, n_users, step)
+        starts = range(0, deployment.n_users, step)
         for start, fading in zip(starts, deployment.fading_blocks(step)):
-            users = slice(start, start + step)
+            users = slots[start : start + step]
             block = replace(
-                deployment,
-                user_positions=deployment.user_positions[users],
-                user_classes=deployment.user_classes[users],
+                deployment, user_positions=deployment.user_positions[start : start + step]
             )
             mean_power = mean_power_matrix(block, config)
             rows = np.arange(block.n_users)
             best_macro = np.argmax(mean_power[:, :n_macro], axis=1)
-            out["pw_macro"][users] = mean_power[rows, best_macro]
-            out["gid_macro"][users] = best_macro
+            self.pw_macro[users] = mean_power[rows, best_macro]
+            self.gid_macro[users] = best_macro
             if has_small:
                 best_small = np.argmax(mean_power[:, n_macro:], axis=1) + n_macro
-                out["pw_small"][users] = mean_power[rows, best_small]
-                out["gid_step"][users] = best_small - best_macro
+                self.pw_small[users] = mean_power[rows, best_small]
+                self.gid_step[users] = best_small - best_macro
             # the instantaneous powers overwrite the mean powers, so the
             # block's links stay in one buffer while they are in cache
             inst_power = np.multiply(mean_power, fading, out=mean_power)
-            out["sig_macro"][users] = inst_power[rows, best_macro]
+            self.sig_macro[users] = inst_power[rows, best_macro]
             if has_small:
-                out["sig_small"][users] = inst_power[rows, best_small]
-            inst_power.sum(axis=1, out=out["total_inst"][users])
-        return out, deployment.n_stations
+                self.sig_small[users] = inst_power[rows, best_small]
+            self.total_inst[users] = inst_power.sum(axis=1)
 
 
 def _rate_factors(
@@ -453,7 +451,7 @@ class CoverageEstimator:
         # each class's rate caps at its users' best macro station, and the
         # step to their caps at their best small station; a user without a
         # small station never takes the step, as its small power is zero
-        max_load = geo.cls.size  # no station serves more users than that
+        max_load = config.user_count  # no station serves more than its trial's users
         self._user_caps = []
         for cls, users in zip(UserClass, geo.class_slices):
             profile = config.profiles[cls]

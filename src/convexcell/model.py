@@ -184,16 +184,12 @@ class NetworkConfig:
             raise ConfigError("noise_power must be >= 0")
         if self.bandwidth <= 0.0:
             raise ConfigError("bandwidth must be > 0")
-        if self.user_count <= 0:
-            raise ConfigError("user_count must be > 0")
         if self.handover_delay < 0.0:
             raise ConfigError("handover_delay must be >= 0")
         if self.crossing_coefficient < 0.0:
             raise ConfigError("crossing_coefficient must be >= 0")
         if self.demand_peak_factor < 1.0:
             raise ConfigError("demand_peak_factor must be >= 1")
-        if self.trials <= 0:
-            raise ConfigError("trials must be > 0")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must be an unsigned 64-bit integer")
         if len(self.profiles) != 3:
@@ -371,12 +367,7 @@ class Deployment:
     macro_positions: np.ndarray
     small_positions: np.ndarray
     user_positions: np.ndarray
-    user_classes: np.ndarray
     fading_state: Mapping[str, Any]
-
-    def __post_init__(self) -> None:
-        if self.user_classes.shape != (self.n_users,):
-            raise ValueError("user_classes must have one entry per user")
 
     def fading_blocks(self, rows: int) -> Iterator[np.ndarray]:
         """The gain matrix as consecutive blocks of ``rows`` rows, in order.
@@ -445,6 +436,8 @@ def sample_deployment(config: NetworkConfig, trial_index: int) -> Deployment:
     i.i.d. unit-mean exponential per (user, station) link. The gains are not
     drawn here: the deployment keeps the generator state that follows the
     positions, and :meth:`Deployment.fading_blocks` draws them from it.
+    Users carry no class: by index, the first ``config.class_counts()[0]``
+    are stationary, the next walking, the rest vehicular.
     """
     if trial_index < 0:
         raise ValueError("trial_index must be >= 0")
@@ -456,15 +449,10 @@ def sample_deployment(config: NetworkConfig, trial_index: int) -> Deployment:
     macro_positions = rng.uniform(0.0, config.area_side, size=(n_macro, 2))
     small_positions = rng.uniform(0.0, config.area_side, size=(n_small, 2))
     user_positions = rng.uniform(0.0, config.area_side, size=(config.user_count, 2))
-
-    counts = config.class_counts()
-    user_classes = np.repeat(np.arange(3, dtype=np.int8), counts)
-
     return Deployment(
         macro_positions=macro_positions,
         small_positions=small_positions,
         user_positions=user_positions,
-        user_classes=user_classes,
         fading_state=rng.bit_generator.state,
     )
 

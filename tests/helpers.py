@@ -15,6 +15,12 @@ reductions of TrialGeometry and the CoverageEstimator fast path. The
 ``reference_*`` optimizer functions rerun the selection rules with plain
 loops, so tests can cross-check the package against both.
 
+Deployments carry no classes. ``user_classes(config)`` gives the classes
+of every trial's users from ``config.class_counts()``, by index, as the
+package assigns them, so a hand-built deployment's classes are set by its
+config's ``density_fraction`` values. ``geometry_classes`` gives the
+classes of a geometry's users as its ``class_slices`` lay them out.
+
 ``reference_float_coverage`` is the estimator's earlier kernel: it
 associates every class from the geometry's best-of-tier arrays, sums the
 station loads and compares each user's rate, its rate factor divided by
@@ -24,11 +30,13 @@ estimator's integer caps and decided users must give the same reports.
 
 ``reference_trial_geometry`` is the serial whole-trial assembly that
 TrialGeometry's threaded, user-blocked build replaced, with the broadcast
-distance and mean-power arithmetic it used; the geometry must match it
-bit for bit. Its distances are ``sqrt(dx*dx + dy*dy)``, the package's
-formula; ``hypot_link_distances`` keeps the ``np.hypot`` distances the
-package used before, which differ in the last bit for some links, so
-tests can check that the integer geometry does not depend on the formula.
+distance and mean-power arithmetic it used: it concatenates the trials
+and stable-sorts their users by class, where the build writes each user
+to its slot. The geometry must match it bit for bit. Its distances are
+``sqrt(dx*dx + dy*dy)``, the package's formula; ``hypot_link_distances``
+keeps the ``np.hypot`` distances the package used before, which differ in
+the last bit for some links, so tests can check that the integer geometry
+does not depend on the formula.
 ``reference_fading`` draws a sampled deployment's whole gain matrix in
 one call, as sampling once did, where the package draws it per block.
 
@@ -90,21 +98,33 @@ class GivenDeployment(Deployment):
             yield self.fading[start : start + rows]
 
 
-def make_deployment(macro_xy, small_xy, user_xy, classes, fading):
+def make_deployment(macro_xy, small_xy, user_xy, fading):
     """Deployment from plain lists; fading is (n_users, n_stations)."""
     return GivenDeployment(
         macro_positions=np.asarray(macro_xy, dtype=float).reshape(-1, 2),
         small_positions=np.asarray(small_xy, dtype=float).reshape(-1, 2),
         user_positions=np.asarray(user_xy, dtype=float).reshape(-1, 2),
-        user_classes=np.asarray(classes, dtype=np.int8),
         fading_state=None,
         fading=np.asarray(fading, dtype=float),
     )
 
 
+def user_classes(config):
+    """Each user's class in every trial of config: by index, as counted by
+    ``config.class_counts()``."""
+    return np.repeat(np.arange(3, dtype=np.int8), config.class_counts())
+
+
+def geometry_classes(geo):
+    """Each geometry user's class, as the geometry's class_slices give it."""
+    sizes = [users.stop - users.start for users in geo.class_slices]
+    return np.repeat(np.arange(3, dtype=np.int8), sizes)
+
+
 def given_geometry(config, deployments):
     """TrialGeometry(config) whose trial t is deployments[t]."""
     assert config.trials == len(deployments)
+    assert all(d.n_users == config.user_count for d in deployments)
     with mock.patch.object(
         coverage, "sample_deployment", lambda _, trial: deployments[trial]
     ):
@@ -119,7 +139,7 @@ def associate(deployment, bias, config):
     """
     biases = np.array([bias.stationary_bias, bias.walking_bias, bias.vehicular_bias])
     effective = mean_power_matrix(deployment, config)
-    effective[:, deployment.n_macro:] *= biases[deployment.user_classes][:, None]
+    effective[:, deployment.n_macro:] *= biases[user_classes(config)][:, None]
     return np.argmax(effective, axis=1)
 
 
@@ -144,7 +164,7 @@ def user_rate(user, serving, loads, deployment, config, bandwidth=None):
     station = int(serving[user])
     on_small = station >= deployment.n_macro
     density = config.small_density if on_small else config.macro_density
-    velocity = config.profiles[deployment.user_classes[user]].velocity
+    velocity = config.profiles[user_classes(config)[user]].velocity
     efficiency = handover_efficiency(velocity, density, config)
     snr = sinr(user, station, deployment, config, bandwidth=width)
     return efficiency * (width / loads[station]) * math.log2(1.0 + snr)
@@ -165,8 +185,7 @@ def reference_rate_coverage(config, deployments, bias):
     for deployment in deployments:
         serving = associate(deployment, bias, config)
         loads = np.bincount(serving, minlength=deployment.n_stations)
-        for u in range(deployment.n_users):
-            cls = int(deployment.user_classes[u])
+        for u, cls in enumerate(user_classes(config)):
             rate = user_rate(u, serving, loads, deployment, config)
             totals[cls] += 1
             if rate >= requirements[cls]:
@@ -200,12 +219,12 @@ def reference_rate_factors(geo, config):
     ):
         eff = np.array(
             [handover_efficiency(p.velocity, density, config) for p in config.profiles]
-        )
+        )[geometry_classes(geo)]
         # an infinite SINR times zero efficiency is NaN, and a factor may
         # overflow to +inf, as in the estimator
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             sinr = signal / (geo.total_inst - signal + config.noise_power * width)
-            factors.append(np.log1p(sinr) * eff[geo.cls] / math.log(2.0) * width)
+            factors.append(np.log1p(sinr) * eff / math.log(2.0) * width)
     return factors[0], factors[1], requirements
 
 
@@ -290,8 +309,8 @@ def reference_trial_geometry(config, deployments, distances=reference_link_dista
     """TrialGeometry's arrays, one whole trial at a time on one thread.
 
     Returns a name -> array mapping with the geometry's attribute names,
-    plus ``n_station_ids``. ``distances`` maps a deployment to its link
-    distances.
+    plus ``n_station_ids`` and ``cls``, each user's class. ``distances``
+    maps a deployment to its link distances.
     """
     parts = {}
     station_offset = 0
@@ -313,7 +332,7 @@ def reference_trial_geometry(config, deployments, distances=reference_link_dista
             pw_small = np.zeros(deployment.n_users)
             sig_small = np.zeros(deployment.n_users)
         trial = {
-            "cls": deployment.user_classes.astype(np.int8),
+            "cls": user_classes(config),
             "pw_macro": mean_power[rows, best_macro],
             "pw_small": pw_small,
             "gid_macro": (best_macro + station_offset).astype(np.int32),

@@ -300,16 +300,18 @@ def test_criterion_6_invariants(headline, tmp_path):
         ),
     ))
 
-    # A uniform bias vector ignores user classes entirely (CRE equivalence).
-    declassed = replace(
-        deployment, user_classes=np.zeros_like(deployment.user_classes)
-    )
+    # A uniform bias vector ignores user classes entirely (CRE equivalence):
+    # the same users all stationary are served alike.
+    declassed = replace(config, profiles=tuple(
+        replace(p, density_fraction=float(p.user_class is UserClass.STATIONARY))
+        for p in config.profiles
+    ))
     uniform = BiasVector.uniform(3.3)
     checks.append((
         "uniform bias ignores classes",
         np.array_equal(
             associate(deployment, uniform, config),
-            associate(declassed, uniform, config),
+            associate(deployment, uniform, declassed),
         ),
     ))
 
@@ -413,7 +415,6 @@ def test_criterion_7_hand_enumerated_optimum():
         [[950.0, 1000.0], [1050.0, 1000.0]],
         [[1002.0, 1000.0], [949.0, 1000.0], [1030.0, 1000.0],
          [967.0, 1000.0], [970.0, 1000.0]],
-        [0, 0, 0, 1, 2],
         np.ones((5, 3)),
     )
     estimator = CoverageEstimator(config, given_geometry(config, [deployment]))

@@ -16,7 +16,7 @@ from convexcell import (
     mean_power_matrix,
     sample_deployment,
 )
-from helpers import associate, make_deployment, reference_fading
+from helpers import associate, make_deployment, reference_fading, user_classes
 
 
 @given(st.floats(0.0, 40.0))
@@ -76,13 +76,22 @@ class TestAssociate:
 
     def test_per_class_bias_moves_only_that_class(self):
         # macro mean power 4, small mean power 1 at both users (1 m links);
-        # walking bias 5 flips the walking user only: 5 * 1 > 4.
-        config = NetworkConfig(macro_power=4.0, small_power=1.0, user_count=2)
+        # walking bias 5 flips the walking user only: 5 * 1 > 4. Half the
+        # users are stationary and half walking, so user 0 is stationary
+        # and user 1 walking.
+        config = NetworkConfig.from_dict({
+            "macro_power": 4.0, "small_power": 1.0, "user_count": 2,
+            "profiles": {
+                "stationary": {"density_fraction": 0.5},
+                "walking": {"density_fraction": 0.5},
+                "vehicular": {"density_fraction": 0.0},
+            },
+        })
+        assert list(user_classes(config)) == [UserClass.STATIONARY, UserClass.WALKING]
         deployment = make_deployment(
             [[101.0, 100.0]],
             [[100.0, 101.0]],
             [[100.0, 100.0], [100.0, 100.0]],
-            [UserClass.STATIONARY, UserClass.WALKING],
             np.ones((2, 2)),
         )
         serving = associate(deployment, BiasVector(1.0, 5.0, 1.0), config)
@@ -94,7 +103,6 @@ class TestAssociate:
             [[97.0, 100.0], [103.0, 100.0]],
             np.empty((0, 2)),
             [[100.0, 100.0]],
-            [0],
             np.ones((1, 2)),
         )
         serving = associate(deployment, BiasVector.uniform(1.0), config)
@@ -146,7 +154,7 @@ class TestAssociate:
         before = associate(deployment, BiasVector(*biases), config)
         biases[cls] = high
         after = associate(deployment, BiasVector(*biases), config)
-        of_class = deployment.user_classes == cls
+        of_class = user_classes(config) == cls
         was_small = (before >= deployment.n_macro) & of_class
         assert (after[was_small] >= deployment.n_macro).all()
 
@@ -167,7 +175,6 @@ class TestCellLoads:
                 deployment.macro_positions[:1],
                 np.empty((0, 2)),
                 deployment.user_positions,
-                deployment.user_classes,
                 reference_fading(deployment)[:, :1],
             )
         serving = associate(deployment, BiasVector.uniform(1.0), config)
@@ -182,7 +189,6 @@ class TestCellLoads:
             [[100.0, 100.0]],
             [[120.0, 100.0]],
             [[101.0, 100.0], [119.0, 100.0], [110.0, 100.0]],
-            [0, 0, 0],
             np.ones((3, 2)),
         )
         serving = associate(deployment, BiasVector.uniform(1.0), config)

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import sys
 import threading
 
 import numpy as np
@@ -20,6 +21,7 @@ from convexcell import (
     NetworkConfig,
     TrialGeometry,
     UserClass,
+    default_profiles,
     estimate_rate_coverage,
     handover_efficiency,
     mean_power_matrix,
@@ -32,6 +34,7 @@ from helpers import (
     GivenDeployment,
     associate,
     estimator_for,
+    geometry_classes,
     given_geometry,
     hypot_link_distances,
     make_deployment,
@@ -136,16 +139,21 @@ class TestHandoverEfficiency:
             handover_efficiency(1.0, -10.0, config)
 
 
-def _sole_station_deployment(n_users, user_class):
+def _sole_station_deployment(n_users):
     # one macro 1 m from every user, fading 1: S = macro_power exactly
     users = [[100.0, 101.0]] * n_users
     return make_deployment(
-        [[100.0, 100.0]],
-        np.empty((0, 2)),
-        users,
-        [user_class] * n_users,
-        np.ones((n_users, 1)),
+        [[100.0, 100.0]], np.empty((0, 2)), users, np.ones((n_users, 1))
     )
+
+
+def _one_class_config(user_class, **fields):
+    """NetworkConfig whose users are all of user_class."""
+    profiles = tuple(
+        dataclasses.replace(p, density_fraction=float(p.user_class is user_class))
+        for p in default_profiles()
+    )
+    return NetworkConfig(profiles=profiles, **fields)
 
 
 def _rate(user, deployment, config, bandwidth=None):
@@ -158,27 +166,28 @@ def _rate(user, deployment, config, bandwidth=None):
 class TestUserRate:
     def test_sole_user_unit_sinr(self):
         # S = 40 W, N*W = 4e-6 * 1e7 = 40 -> SINR 1, log2(2) = 1
-        config = NetworkConfig(noise_power=4e-6, user_count=1)
-        deployment = _sole_station_deployment(1, UserClass.STATIONARY)
+        config = _one_class_config(UserClass.STATIONARY, noise_power=4e-6, user_count=1)
+        deployment = _sole_station_deployment(1)
         assert _rate(0, deployment, config) == pytest.approx(1e7, rel=1e-12)
 
     def test_equal_sharing_splits_bandwidth(self):
-        config = NetworkConfig(noise_power=4e-6, user_count=10)
-        deployment = _sole_station_deployment(10, UserClass.STATIONARY)
+        config = _one_class_config(UserClass.STATIONARY, noise_power=4e-6, user_count=10)
+        deployment = _sole_station_deployment(10)
         for u in range(10):
             assert _rate(u, deployment, config) == pytest.approx(1e6, rel=1e-12)
 
     def test_vehicular_handover_scaling(self):
-        config = NetworkConfig(
-            noise_power=4e-6, macro_density=10.0, handover_delay=2.0, user_count=1
+        config = _one_class_config(
+            UserClass.VEHICULAR,
+            noise_power=4e-6, macro_density=10.0, handover_delay=2.0, user_count=1,
         )
-        deployment = _sole_station_deployment(1, UserClass.VEHICULAR)
+        deployment = _sole_station_deployment(1)
         rate = _rate(0, deployment, config)
         assert rate == pytest.approx(0.9286443615051939e7, rel=1e-12)
 
     def test_bandwidth_override(self):
-        config = NetworkConfig(noise_power=4e-7, user_count=1)
-        deployment = _sole_station_deployment(1, UserClass.STATIONARY)
+        config = _one_class_config(UserClass.STATIONARY, noise_power=4e-7, user_count=1)
+        deployment = _sole_station_deployment(1)
         # S = 40, N*W = 4e-7 * 1e8 = 40: same unit SINR at ten times the width
         rate = _rate(0, deployment, config, bandwidth=1e8)
         assert rate == pytest.approx(1e8, rel=1e-12)
@@ -225,7 +234,6 @@ class TestEstimator:
             [[100.0, 100.0]],
             [[100.0, 108.0]],
             [[100.0, 101.0], [100.0, 107.0], [100.0, 104.0]],
-            [0, 1, 2],
             np.ones((3, 2)),
         )
         estimator = CoverageEstimator(config, given_geometry(config, [deployment]))
@@ -404,13 +412,39 @@ class TestTrialGeometry:
         with pytest.raises(ValueError):
             geometry.pw_macro[0] = 0.0
 
+    def test_per_user_arrays_hold_48_bytes_per_user_trial(self, tiny_config):
+        """Seven read-only arrays of one entry per user-trial: five float64
+        and two int32."""
+        geometry = TrialGeometry(tiny_config)
+        size = tiny_config.user_count * tiny_config.trials
+        per_user = {
+            name: array
+            for name, array in vars(geometry).items()
+            if isinstance(array, np.ndarray) and array.shape == (size,)
+        }
+        assert sorted(per_user) == sorted([
+            "pw_macro", "pw_small", "gid_macro", "gid_step",
+            "sig_macro", "sig_small", "total_inst",
+        ])
+        assert sum(array.nbytes for array in per_user.values()) == 48 * size
+        assert not any(array.flags.writeable for array in per_user.values())
+
     # (config, links per block): blocks of 97 links hold 6 users of the tiny
-    # config's ~15 stations, blocks of 1 link hold one user, and 3000 users
-    # of the default window span several blocks at the module's size
+    # config's ~15 stations, blocks of 1 link hold one user, 3000 users of
+    # the default window span several blocks at the module's size, and 333
+    # users in the tiny config's window give uneven class counts (299, 16,
+    # 18), with blocks of 5 to 12 users that straddle class boundaries
     BLOCKED = {
         "97-link-blocks": (None, 97),
         "one-user-blocks": (None, 1),
         "default-blocks": (NetworkConfig(user_count=3000, trials=3, seed=5), None),
+        "uneven-counts": (
+            NetworkConfig(
+                area_side=1000.0, macro_density=3.0, small_density=12.0,
+                user_count=333, trials=7, seed=3,
+            ),
+            97,
+        ),
     }
 
     @pytest.mark.parametrize("workers", [1, 4])
@@ -428,14 +462,23 @@ class TestTrialGeometry:
             coverage, "mean_power_matrix",
             lambda *args: blocks.append(1) or mean_power_matrix(*args),
         )
-        geometry = TrialGeometry(config)
+        # the workers write disjoint slots of the same arrays; frequent
+        # thread switches interleave their blocks' writes
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            geometry = TrialGeometry(config)
+        finally:
+            sys.setswitchinterval(interval)
         assert len(blocks) >= 3 * config.trials  # every trial spans blocks
+        sizes = [users.stop - users.start for users in geometry.class_slices]
+        assert sizes == list(config.class_counts() * config.trials)
         deployments = [sample_deployment(config, t) for t in range(config.trials)]
         assert_geometry_equal(geometry, reference_trial_geometry(config, deployments))
 
     @pytest.mark.parametrize("case", ["tiny", "default-blocks"])
     def test_integer_geometry_matches_hypot_distances(self, tiny_config, case):
-        """Classes and best stations are those of the hypot distances.
+        """Best stations are those of the hypot distances.
 
         sqrt(dx*dx + dy*dy) differs from hypot in the last bit of some
         distances; no best macro or best small station may move with it.
@@ -444,7 +487,7 @@ class TestTrialGeometry:
         geometry = TrialGeometry(config)
         deployments = [sample_deployment(config, t) for t in range(config.trials)]
         expected = reference_trial_geometry(config, deployments, hypot_link_distances)
-        for name in ("cls", "gid_macro", "gid_step"):
+        for name in ("gid_macro", "gid_step"):
             assert getattr(geometry, name).tobytes() == expected[name].tobytes(), name
 
     def test_blocks_bound_link_memory(self, monkeypatch):
@@ -485,7 +528,6 @@ class TestTrialGeometry:
             macro_positions=second.macro_positions,
             small_positions=np.empty((0, 2)),
             user_positions=second.user_positions,
-            user_classes=second.user_classes,
             fading_state=None,
             fading=reference_fading(second)[:, : second.n_macro],
         )
@@ -544,9 +586,11 @@ class TestTrialGeometry:
 
 
 def assert_geometry_equal(geometry, expected):
-    """Every array of the geometry is bitwise the expected one."""
+    """Every array of the geometry is bitwise the expected one, and so is
+    each user's class as the geometry's class slices give it."""
     expected = dict(expected)
     assert geometry.n_station_ids == expected.pop("n_station_ids")
+    assert geometry_classes(geometry).tobytes() == expected.pop("cls").tobytes()
     for name, array in expected.items():
         actual = getattr(geometry, name)
         assert actual.dtype == array.dtype, name
@@ -578,7 +622,7 @@ TIE_CASES = {
 def test_ties_break_alike_in_estimator_and_oracle(case):
     """Equal biased mean powers go to the lowest station id on both paths."""
     positions, bias, tied, factor = TIE_CASES[case]
-    deployment = make_deployment(*positions, [0, 1, 2], np.ones((3, 2)))
+    deployment = make_deployment(*positions, np.ones((3, 2)))
     volumes = [0.0, 0.0, 0.0]
     volumes[tied] = HALF_WIDTH_MB
     config = NetworkConfig(
@@ -763,7 +807,6 @@ def test_tight_bound_matches_oracles():
         [[100.0, 100.0]],
         [[100.0, 140.0]],
         [[100.0, 104.0], [100.0, 106.0], [100.0, 110.0], [100.0, 112.0]],
-        [0, 0, 1, 2],
         np.ones((4, 2)),
     )
     # 27e6 bit/s at peak factor 1 lies between a's rate at 5 and 4 loads and
@@ -781,7 +824,7 @@ def test_tight_bound_matches_oracles():
     for cls in (UserClass.WALKING, UserClass.VEHICULAR):
         assert geometry.association(cls, 1.0).loads[0] == 1  # the bound is met
     scaled_macro, _, requirements = reference_rate_factors(geometry, config)
-    caps = coverage._rate_caps(scaled_macro[:2], requirements[0], geometry.cls.size)
+    caps = coverage._rate_caps(scaled_macro[:2], requirements[0], config.user_count)
     slack = caps - stationary.loads[0]
     assert slack.tolist() == [2, 1]
 
@@ -851,7 +894,7 @@ def test_parts_match_gathered_slack_and_bound(tiny_config, case):
             gid = geo.gid_macro[users] + on_small * geo.gid_step[users]
             loads = np.bincount(gid, minlength=geo.n_station_ids)
             scaled = np.where(on_small, scaled_small[users], scaled_macro[users])
-            cap = coverage._rate_caps(scaled, requirements[cls], geo.cls.size)
+            cap = coverage._rate_caps(scaled, requirements[cls], config.user_count)
             slack = cap - loads[gid]
             bound = geo.other_candidates[cls][gid]
             undecided = np.flatnonzero((slack >= 0) & (slack < bound))

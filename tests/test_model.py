@@ -361,11 +361,6 @@ class TestSampleDeployment:
             assert (positions <= tiny_config.area_side).all()
         assert (reference_fading(deployment) > 0.0).all()
 
-    def test_class_counts_match_config(self, tiny_config):
-        deployment = sample_deployment(tiny_config, 0)
-        counts = np.bincount(deployment.user_classes, minlength=3)
-        assert list(counts) == list(tiny_config.class_counts())
-
     def test_negative_trial_rejected(self):
         with pytest.raises(ValueError, match="trial_index"):
             sample_deployment(NetworkConfig(), -1)
@@ -418,7 +413,7 @@ def received_power(power, distance, config):
     """Mean power of a single link: one macro of the given power, one user."""
     config = dataclasses.replace(config, macro_power=power, small_power=power / 2.0)
     deployment = make_deployment(
-        [[0.0, 0.0]], np.empty((0, 2)), [[distance, 0.0]], [0], [[1.0]]
+        [[0.0, 0.0]], np.empty((0, 2)), [[distance, 0.0]], [[1.0]]
     )
     return float(mean_power_matrix(deployment, config)[0, 0])
 
@@ -455,7 +450,7 @@ class TestReceivedPower:
         none = np.empty((0, 2))
         deployment = make_deployment(
             none if small_density else station, station if small_density else none,
-            [[0.0, 0.0]], [0], [[1.0]],
+            [[0.0, 0.0]], [[1.0]],
         )
         distance = float(link_distances(deployment)[0, 0])
         if corner != 1.0:
@@ -475,7 +470,7 @@ class TestSinr:
     def test_single_station_is_signal_over_noise(self):
         config = NetworkConfig(user_count=1, noise_power=1e-15)
         deployment = make_deployment(
-            [[100.0, 100.0]], np.empty((0, 2)), [[100.0, 103.0]], [0], [[2.0]]
+            [[100.0, 100.0]], np.empty((0, 2)), [[100.0, 103.0]], [[2.0]]
         )
         # d = 3 m, fading 2: S = 40 * 2 * 3^-alpha, N*W = 1e-15 * 1e7
         signal = 40.0 * 2.0 * 3.0 ** (-config.path_loss_exponent)
@@ -488,7 +483,7 @@ class TestSinr:
             small_power=1.0, noise_power=1e-6, bandwidth=1e6, user_count=1
         )
         deployment = make_deployment(
-            [[10.0, 10.0]], [[10.0, 12.0]], [[10.0, 11.0]], [0], [[0.05, 1.0]]
+            [[10.0, 10.0]], [[10.0, 12.0]], [[10.0, 11.0]], [[0.05, 1.0]]
         )
         assert sinr(0, 0, deployment, config) == pytest.approx(1.0, rel=1e-12)
         # serving the small cell instead: 1 / (2 + 1)
@@ -502,7 +497,7 @@ class TestSinr:
     def test_bandwidth_override_scales_noise(self):
         config = NetworkConfig(user_count=1, noise_power=1e-12)
         deployment = make_deployment(
-            [[0.0, 0.0]], np.empty((0, 2)), [[30.0, 40.0]], [0], [[1.0]]
+            [[0.0, 0.0]], np.empty((0, 2)), [[30.0, 40.0]], [[1.0]]
         )
         wide = sinr(0, 0, deployment, config, bandwidth=1e8)
         narrow = sinr(0, 0, deployment, config, bandwidth=1e6)
@@ -519,9 +514,7 @@ class TestSinr:
 class TestGeometryHelpers:
     def test_link_distances_hand_values(self):
         deployment = make_deployment(
-            [[0.0, 0.0]], [[3.0, 4.0]], [[0.0, 0.0], [3.0, 0.0]],
-            [0, 0],
-            np.ones((2, 2)),
+            [[0.0, 0.0]], [[3.0, 4.0]], [[0.0, 0.0], [3.0, 0.0]], np.ones((2, 2))
         )
         distances = link_distances(deployment)
         assert distances.shape == (2, 2)
@@ -547,12 +540,6 @@ class TestGeometryHelpers:
         expected = powers[None, :] * tiny_config.reference_loss * path_loss
         assert mean_power.tobytes() == expected.tobytes()
         assert mean_power.shape == (deployment.n_users, deployment.n_stations)
-
-    def test_deployment_shape_validation(self):
-        with pytest.raises(ValueError, match="user_classes"):
-            make_deployment(
-                [[0.0, 0.0]], np.empty((0, 2)), [[1.0, 1.0]], [0, 1], np.ones((1, 1))
-            )
 
     def test_immutability(self):
         config = NetworkConfig()
