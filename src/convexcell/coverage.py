@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
@@ -62,6 +63,17 @@ def handover_efficiency(
 # links per user block of a trial's reduction: a block's distance, power and
 # instantaneous-power matrices (8 bytes per link each) then fit in L2
 BLOCK_LINKS = 1 << 16
+
+
+def _load_dtype(user_count: int) -> type:
+    """Integer type of every count of a trial's users at a station.
+
+    Station loads, their sums over classes, other-class candidates and rate
+    caps all lie in 0..user_count, and cap steps in -user_count..user_count,
+    so the narrowest of int16 and int32 that holds user_count holds them all.
+    """
+    return np.int16 if user_count <= np.iinfo(np.int16).max else np.int32
+
 
 # NetworkConfig fields a trial's deployment and mean powers depend on; the
 # profiles' density_fraction values are part of the key as well
@@ -141,9 +153,10 @@ class Association(NamedTuple):
     """Serving stations of one class under one bias value (read-only arrays)."""
 
     on_small: np.ndarray  # bool per user of the class, True where a small cell serves it
-    loads: np.ndarray  # int32 users of the class per station id
-    own: np.ndarray  # int32 per user: its serving station's load from its own class
-    full: np.ndarray  # int32 per user: own plus the station's other_candidates
+    # the rest are of the geometry's load dtype, int16 up to 32767 users per trial
+    loads: np.ndarray  # users of the class per station id
+    own: np.ndarray  # per user: its serving station's load from its own class
+    full: np.ndarray  # per user: own plus the station's other_candidates
 
 
 class TrialGeometry:
@@ -170,14 +183,19 @@ class TrialGeometry:
     value and for the life of the geometry, which users a small cell
     serves, the class's load per station id, and each user's serving
     station load from its own class alone and with those other-class
-    candidates added: 9 bytes per user of the class plus 4 per
-    station-trial. A grid value used by all three classes costs about
-    1.3 MB at the defaults, the 11-value grid about 14 MB.
+    candidates added. Every count of users at a station is stored as
+    ``load_dtype``, int16 unless a trial has more than 32767 users (then
+    int32); no count or sum of them exceeds ``user_count``. So an
+    association costs 5 bytes per user of the class plus 2 per
+    station-trial; a grid value used by all three classes costs about
+    0.7 MB at the defaults, the 11-value grid about 7.7 MB.
 
     Trials are sampled and reduced on one thread per usable CPU, each trial
     in blocks of about ``BLOCK_LINKS`` links whose fading is drawn per
-    block, so the build holds about workers x one block of link data at a
-    time, whatever the user count. Each trial is a pure function of
+    block. Each worker draws, computes and fades every block in three
+    float64 buffers of its own, reused from block to block and trial to
+    trial, so the build holds workers x three blocks of link data, whatever
+    the user count. Each trial is a pure function of
     ``(seed, trial)`` and writes its users to slots fixed by their class,
     trial and index, so the arrays do not depend on the number of threads
     or the order trials finish in. A trial whose squared distances or
@@ -195,6 +213,7 @@ class TrialGeometry:
                     "increase user_count or its density_fraction"
                 )
         self.trials = trials = config.trials
+        self.load_dtype = _load_dtype(config.user_count)
         # each class is one contiguous slice, its users in trial order: the
         # r-th user of class c in trial t is at class_slices[c].start +
         # t * counts[c] + r, so trial t's users go to firsts + t * strides
@@ -220,12 +239,20 @@ class TrialGeometry:
         }
         vars(self).update(arrays)
 
+        # each worker's block buffers, grown when a trial has more stations
+        # than one buffer's links
+        local = threading.local()
+
         def reduce_trial(trial: int) -> int:
             deployment = sample_deployment(config, trial)
+            links = max(BLOCK_LINKS, deployment.n_stations)
+            buffers = getattr(local, "buffers", None)
+            if buffers is None or buffers[0].size < links:
+                buffers = local.buffers = [np.empty(links) for _ in range(3)]
             # numpy's error state is per thread, so each worker sets its own
             try:
                 with np.errstate(over="raise"):
-                    self._reduce(config, deployment, firsts + trial * strides)
+                    self._reduce(config, deployment, firsts + trial * strides, buffers)
             except FloatingPointError:
                 raise EstimationError(
                     "link distances or received powers overflow a float: "
@@ -253,14 +280,15 @@ class TrialGeometry:
         # a user is served by its best macro or its best small station
         # whatever its bias, so the users of the other classes that have a
         # station among those two bound the load they can put on it
-        candidates = np.empty((3, self.n_station_ids), dtype=np.int32)
+        candidates = np.empty((3, self.n_station_ids), dtype=self.load_dtype)
         has_small = self.gid_step != 0
         for cls, users in enumerate(self.class_slices):
             macro = self.gid_macro[users]
             small = (macro + self.gid_step[users])[has_small[users]]
             candidates[cls] = np.bincount(macro, minlength=self.n_station_ids)
             candidates[cls] += np.bincount(small, minlength=self.n_station_ids)
-        self.other_candidates = candidates.sum(axis=0, dtype=np.int32) - candidates
+        total = candidates.sum(axis=0, dtype=self.load_dtype)
+        self.other_candidates = total - candidates
         self.other_candidates.flags.writeable = False
         self._associations: dict[tuple[int, float], Association] = {}
 
@@ -286,7 +314,8 @@ class TrialGeometry:
             on_small = bias * self.pw_small[users] > self.pw_macro[users]
             # the int32 step keeps the ids int32 and avoids a slower np.where
             gid = self.gid_macro[users] + on_small * self.gid_step[users]
-            loads = np.bincount(gid, minlength=self.n_station_ids).astype(np.int32)
+            loads = np.bincount(gid, minlength=self.n_station_ids)
+            loads = loads.astype(self.load_dtype)
             own = loads.take(gid)
             full = own + self.other_candidates[cls].take(gid)
             found = Association(on_small, loads, own, full)
@@ -296,26 +325,41 @@ class TrialGeometry:
         return found
 
     def _reduce(
-        self, config: NetworkConfig, deployment: Deployment, slots: np.ndarray
+        self,
+        config: NetworkConfig,
+        deployment: Deployment,
+        slots: np.ndarray,
+        buffers: Sequence[np.ndarray],
     ) -> None:
         """Write one trial's per-user best-of-tier link quantities.
 
         User u of the deployment goes to position ``slots[u]`` of each
         array, with its trial-local station ids in ``gid_macro``. Users are
         reduced in row blocks of about ``BLOCK_LINKS`` links (at least one
-        user), each with its rows of the deployment's fading.
+        user), each with its rows of the deployment's fading. A block's
+        powers, y offsets and fading go to the leading links of the three
+        float64 ``buffers``, each of at least one block's links.
         """
         n_macro = deployment.n_macro
+        n_stations = deployment.n_stations
         has_small = deployment.n_small > 0
-        step = max(1, BLOCK_LINKS // deployment.n_stations)
+        step = max(1, BLOCK_LINKS // n_stations)
+        power_rows, offset_rows, fading_rows = (
+            buffer[: step * n_stations].reshape(step, n_stations) for buffer in buffers
+        )
         starts = range(0, deployment.n_users, step)
-        for start, fading in zip(starts, deployment.fading_blocks(step)):
+        fading_blocks = deployment.fading_blocks(step, out=fading_rows)
+        for start, fading in zip(starts, fading_blocks):
             users = slots[start : start + step]
             block = replace(
                 deployment, user_positions=deployment.user_positions[start : start + step]
             )
-            mean_power = mean_power_matrix(block, config)
-            rows = np.arange(block.n_users)
+            count = block.n_users
+            # looked up per block, as a module global, so a patch reaches it
+            mean_power = mean_power_matrix(
+                block, config, out=power_rows[:count], scratch=offset_rows[:count]
+            )
+            rows = np.arange(count)
             best_macro = np.argmax(mean_power[:, :n_macro], axis=1)
             self.pw_macro[users] = mean_power[rows, best_macro]
             self.gid_macro[users] = best_macro
@@ -367,15 +411,16 @@ def _rate_caps(
 ) -> np.ndarray:
     """Largest station load at which each user still meets the requirement.
 
-    Returns int32 caps in 0..max_load such that, for every integer L in
-    1..max_load, ``L <= cap`` exactly when ``scaled / L >= requirement``
-    holds in float arithmetic. IEEE division is monotone in the divisor, so
-    for a non-negative or NaN ``scaled`` and ``requirement >= 0`` the loads
-    that pass are a prefix of 1..max_load. The floor of
-    ``scaled / requirement`` lands within a step or two of its end; each
-    cap then steps to it with that same float test. (A negative subnormal
-    ``scaled`` with a zero requirement passes once ``scaled / L`` rounds to
-    -0.0, which no cap can express; rate factors are never negative.)
+    Returns caps of ``_load_dtype(max_load)`` in 0..max_load such that,
+    for every integer L in 1..max_load, ``L <= cap`` exactly when
+    ``scaled / L >= requirement`` holds in float arithmetic. IEEE division
+    is monotone in the divisor, so for a non-negative or NaN ``scaled``
+    and ``requirement >= 0`` the loads that pass are a prefix of
+    1..max_load. The floor of ``scaled / requirement`` lands within a step
+    or two of its end; each cap then steps to it with that same float
+    test. (A negative subnormal ``scaled`` with a zero requirement passes
+    once ``scaled / L`` rounds to -0.0, which no cap can express; rate
+    factors are never negative.)
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         cap = np.divide(scaled, requirement)
@@ -401,7 +446,7 @@ def _rate_caps(
             cap[users] += 1
             above = scaled[users] / (cap[users] + 1) >= requirement
             users = users[(cap[users] < max_load) & above]
-    return cap.astype(np.int32)
+    return cap.astype(_load_dtype(max_load))
 
 
 class CoverageEstimator:
@@ -417,21 +462,22 @@ class CoverageEstimator:
 
     A user's serving station depends only on its own class's bias, and
     station loads add up across classes. The geometry keeps each (class,
-    bias value) association; the estimator reduces it, once per binding,
-    to a part. At binding, each user's rate factor and requirement give
-    an exact integer cap, the largest load of its station at which it is
-    still covered; the estimator keeps only these caps, 8 bytes per
-    user-trial. Users whose own class alone already loads the station past
-    the cap (the association's ``own``) are never covered; users whose cap
-    also holds when every other-class user that could be served there is
-    (its ``full``) are always covered. The association gathers both loads
-    once, so a part is two integer compares per user against its caps. A
-    part keeps the count of the always-covered users and the station ids
-    and caps of the rest, the undecided users, so a bias triple costs the
-    sum of three load vectors and one gather and integer compare per
-    undecided user. Grid searches over n values per class build 3n parts
-    instead of n^3 associations. Every request is computed; identical
-    inputs give identical reports regardless of evaluation order.
+    bias value) association; the estimator reduces it, once per binding, to
+    a part. At binding, each user's rate factor and requirement give an
+    exact integer cap, the largest load of its station at which it is still
+    covered; the estimator keeps only these caps, in the geometry's
+    ``load_dtype``: 4 bytes per user-trial at int16. Users whose own class
+    alone already loads the station past the cap (the association's ``own``)
+    are never covered; users whose cap also holds when every other-class
+    user that could be served there is (its ``full``) are always covered.
+    The association gathers both loads once, so a part is two integer
+    compares per user against its caps. A part keeps the count of the
+    always-covered users and the station ids and caps of the rest, the
+    undecided users, so a bias triple costs the sum of three load vectors
+    and one gather and integer compare per undecided user. Grid searches
+    over n values per class build 3n parts instead of n^3 associations.
+    Every request is computed; identical inputs give identical reports
+    regardless of evaluation order.
     """
 
     def __init__(self, config: NetworkConfig, geometry: TrialGeometry) -> None:
@@ -470,8 +516,9 @@ class CoverageEstimator:
             step -= macro
             self._user_caps.append((macro, step))
         self._parts: dict[tuple[int, float], tuple] = {}
-        # evaluate's station loads
-        self._loads = np.empty(geo.n_station_ids, dtype=np.int32)
+        # evaluate's station loads; the three classes' loads sum to at most
+        # user_count, so they fit the load dtype
+        self._loads = np.empty(geo.n_station_ids, dtype=geo.load_dtype)
 
     def with_bandwidth(self, bandwidth: float) -> "CoverageEstimator":
         """Estimator bound to the same geometry and demand at another bandwidth.

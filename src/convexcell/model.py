@@ -369,20 +369,27 @@ class Deployment:
     user_positions: np.ndarray
     fading_state: Mapping[str, Any]
 
-    def fading_blocks(self, rows: int) -> Iterator[np.ndarray]:
+    def fading_blocks(
+        self, rows: int, out: np.ndarray | None = None
+    ) -> Iterator[np.ndarray]:
         """The gain matrix as consecutive blocks of ``rows`` rows, in order.
 
         The last block may be shorter. Each call draws the blocks from a new
         generator set to ``fading_state``, which gives the bits of one
         whole-matrix draw, so every call yields the same gains and at most
-        one block is held.
+        one block is held. Given ``out``, a C-contiguous float64 array of
+        shape ``(rows, n_stations)``, each block is drawn into its leading
+        rows, which the next block overwrites.
         """
         bit_generator = np.random.PCG64()
         bit_generator.state = self.fading_state
         rng = np.random.Generator(bit_generator)
         for start in range(0, self.n_users, rows):
             count = min(rows, self.n_users - start)
-            yield rng.standard_exponential((count, self.n_stations))
+            if out is None:
+                yield rng.standard_exponential((count, self.n_stations))
+            else:
+                yield rng.standard_exponential(out=out[:count])
 
     @property
     def n_macro(self) -> int:
@@ -457,32 +464,44 @@ def sample_deployment(config: NetworkConfig, trial_index: int) -> Deployment:
     )
 
 
-def link_distances(deployment: Deployment) -> np.ndarray:
+def link_distances(
+    deployment: Deployment,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+) -> np.ndarray:
     """(n_users, n_stations) matrix of user-to-station distances in meters.
 
     ``sqrt(dx*dx + dy*dy)``, computed in place in the contiguous x-offset
     matrix with SIMD ufuncs. ``np.hypot`` is a libm call per element and
     several times slower; it differs in the last bit for some links, as it
-    does not round the squares and their sum.
+    does not round the squares and their sum. Given float64 arrays of the
+    result's shape, the x offsets and result go to ``out`` and the y
+    offsets to ``scratch``; either left out is allocated.
     """
     users = deployment.user_positions
     stations = deployment.station_positions()
-    dx = np.subtract.outer(users[:, 0], stations[:, 0])
-    dy = np.subtract.outer(users[:, 1], stations[:, 1])
+    dx = np.subtract.outer(users[:, 0], stations[:, 0], out=out)
+    dy = np.subtract.outer(users[:, 1], stations[:, 1], out=scratch)
     dx *= dx
     dy *= dy
     dx += dy
     return np.sqrt(dx, out=dx)
 
 
-def mean_power_matrix(deployment: Deployment, config: NetworkConfig) -> np.ndarray:
+def mean_power_matrix(
+    deployment: Deployment,
+    config: NetworkConfig,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+) -> np.ndarray:
     """Fading-averaged received power of every (user, station) link.
 
     station_power * reference_loss * d**(-alpha), with d floored at
-    MIN_PATH_DISTANCE_M. Computed in place in the distance matrix.
+    MIN_PATH_DISTANCE_M. Computed in place in the distance matrix, which
+    :func:`link_distances` writes to ``out`` with ``scratch``.
     """
     scale = deployment.station_powers(config)[None, :] * config.reference_loss
-    power = link_distances(deployment)
+    power = link_distances(deployment, out, scratch)
     np.maximum(power, MIN_PATH_DISTANCE_M, out=power)
     power **= -config.path_loss_exponent
     power *= scale

@@ -1,12 +1,12 @@
 """Hand-built deployments and slow reference implementations.
 
 ``GivenDeployment`` is a deployment with a hand-built gain matrix, its
-``fading``, which ``fading_blocks`` slices instead of drawing; every
-``make_deployment`` returns one. ``given_geometry`` builds a TrialGeometry
-from given deployments, one per trial of the config: it patches
-``coverage.sample_deployment``, the name the build looks up for each
-trial and the one the benchmark's tracer wraps, so given trials take the
-package's own path through the build.
+``fading``, which ``fading_blocks`` slices (or copies into ``out``)
+instead of drawing; every ``make_deployment`` returns one.
+``given_geometry`` builds a TrialGeometry from given deployments, one per
+trial of the config: it patches ``coverage.sample_deployment``, the name
+the build looks up for each trial and the one the benchmark's tracer
+wraps, so given trials take the package's own path through the build.
 
 The loop oracle here (``associate``, ``sinr``, ``user_rate`` and
 ``reference_rate_coverage``) recomputes association, loads, SINR and rate
@@ -93,9 +93,13 @@ class GivenDeployment(Deployment):
 
     fading: np.ndarray
 
-    def fading_blocks(self, rows):
+    def fading_blocks(self, rows, out=None):
         for start in range(0, self.n_users, rows):
-            yield self.fading[start : start + rows]
+            block = self.fading[start : start + rows]
+            if out is not None:
+                out[: len(block)] = block
+                block = out[: len(block)]
+            yield block
 
 
 def make_deployment(macro_xy, small_xy, user_xy, fading):

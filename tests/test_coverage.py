@@ -460,7 +460,7 @@ class TestTrialGeometry:
         blocks = []
         monkeypatch.setattr(
             coverage, "mean_power_matrix",
-            lambda *args: blocks.append(1) or mean_power_matrix(*args),
+            lambda *args, **kw: blocks.append(1) or mean_power_matrix(*args, **kw),
         )
         # the workers write disjoint slots of the same arrays; frequent
         # thread switches interleave their blocks' writes
@@ -502,9 +502,9 @@ class TestTrialGeometry:
             trials.append(sample(config, trial))
             return trials[-1]
 
-        def measured(block, config):
+        def measured(block, config, **buffers):
             blocks.append((block.n_users * block.n_stations, block.n_stations))
-            return mean_power_matrix(block, config)
+            return mean_power_matrix(block, config, **buffers)
 
         monkeypatch.setattr(coverage, "sample_deployment", sampled)
         monkeypatch.setattr(coverage, "mean_power_matrix", measured)
@@ -769,10 +769,12 @@ CAP_SCALED = st.one_of(
     st.one_of(st.integers(1, 300), st.just(100_000)),
 )
 def test_rate_caps_match_float_test(scaled, requirement, max_load):
-    """For every load L in 1..max_load: L <= cap iff scaled / L >= req."""
+    """For every load L in 1..max_load: L <= cap iff scaled / L >= req.
+
+    Caps are int16 up to 32767 users per trial and int32 above."""
     scaled = np.array(scaled)
     caps = coverage._rate_caps(scaled, requirement, max_load)
-    assert caps.dtype == np.int32
+    assert caps.dtype == (np.int32 if max_load == 100_000 else np.int16)
     loads = np.arange(1, max_load + 1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for value, cap in zip(scaled, caps):
@@ -902,7 +904,8 @@ def test_parts_match_gathered_slack_and_bound(tiny_config, case):
             part_loads, always, part_gid, part_cap = estimator._part(cls, value)
             assert np.array_equal(part_loads, loads)
             assert always == np.count_nonzero(slack >= bound)
-            assert part_gid.dtype == part_cap.dtype == np.int32
+            assert part_gid.dtype == np.int32
+            assert part_cap.dtype == part_loads.dtype == geo.load_dtype == np.int16
             assert np.array_equal(part_gid, gid[undecided])
             assert np.array_equal(part_cap, cap[undecided])
             # always covered or undecided: the cap admits the class's own load
@@ -926,19 +929,61 @@ def test_coverage_bounds_hold_for_every_triple(tiny_config, case):
             assert report.per_class_coverage[cls] <= bounds[cls, i]
 
 
-def test_association_holds_nine_bytes_per_user(tiny_config):
-    """An association keeps a bool and two int32 loads per user of its
-    class, and one int32 load per station id, all read-only."""
+def test_association_holds_five_bytes_per_user(tiny_config):
+    """An association keeps a bool and two int16 loads per user of its
+    class, and one int16 load per station id, all read-only."""
     geo = TrialGeometry(tiny_config)
     for cls, users in enumerate(geo.class_slices):
         for value in (1.0, 10.0):
             association = geo.association(cls, value)
             on_small, loads, own, full = association
             assert [array.dtype for array in association] == [
-                np.bool_, np.int32, np.int32, np.int32
+                np.bool_, np.int16, np.int16, np.int16
             ]
             assert loads.shape == (geo.n_station_ids,)
+            assert loads.nbytes == 2 * geo.n_station_ids
             n_users = users.stop - users.start
-            assert on_small.nbytes + own.nbytes + full.nbytes == 9 * n_users
+            assert on_small.nbytes + own.nbytes + full.nbytes == 5 * n_users
             for array in association:
                 assert not array.flags.writeable
+
+
+def test_caps_hold_four_bytes_per_user_trial(default_geometry):
+    """At the defaults a binding keeps two int16 caps per user-trial."""
+    config = NetworkConfig()
+    estimator = CoverageEstimator(config, default_geometry)
+    caps = [array for pair in estimator._user_caps for array in pair]
+    assert all(array.dtype == np.int16 for array in caps)
+    assert sum(array.nbytes for array in caps) == 4 * config.user_count * config.trials
+
+
+@pytest.mark.parametrize("users, dtype", [(32767, np.int16), (32768, np.int32)])
+def test_one_station_serving_every_user_at_the_dtype_boundary(users, dtype):
+    """The largest loads of each dtype give the float kernel's reports.
+
+    One trial without a small tier at a macro density whose Poisson mean is
+    far below one: the one forced macro serves every user, so every
+    ``full`` load, the summed load of ``evaluate`` and the zero-volume
+    walking class's caps all equal the user count.
+    """
+    config = NetworkConfig(
+        user_count=users, trials=1, small_density=0.0, macro_density=1e-9
+    ).with_volumes([12.0, 0.0, 14.0])
+    estimator = estimator_for(config)
+    geo = estimator.geometry
+    assert geo.n_station_ids == 1
+    assert geo.load_dtype is dtype
+    for cls, count in enumerate(config.class_counts()):
+        association = geo.association(cls, 1.0)
+        assert [array.dtype for array in association[1:]] == [dtype] * 3
+        assert association.loads.tolist() == [count]
+        assert np.all(association.own == count)
+        assert np.all(association.full == users)
+    assert np.all(estimator._user_caps[UserClass.WALKING][0] == users)
+    biases = [BiasVector.uniform(1.0), BiasVector.from_db(12.0, 6.0, 0.0)]
+    reports = [estimator.evaluate(bias) for bias in biases]
+    assert estimator._loads.dtype == dtype
+    assert estimator._loads.tolist() == [users]
+    assert reports == reference_float_coverage(estimator, biases)
+    stationary, walking, vehicular = reports[0].per_class_coverage
+    assert 0.0 < stationary < 1.0 and walking == 1.0 and 0.0 < vehicular < 1.0

@@ -409,6 +409,60 @@ class TestFadingBlocks:
         assert third.tobytes() == reference_fading(deployment).tobytes()
 
 
+class TestBlockBuffers:
+    """Blocks computed into caller buffers equal fresh arrays bit for bit."""
+
+    # (config, rows per block given the station count): 7 users of the tiny
+    # config, which leave a last block of 4; more stations than BLOCK_LINKS,
+    # so each block is one user's row
+    CASES = {
+        "short-last-block": (None, lambda stations: 7),
+        "one-user-blocks": (
+            NetworkConfig(small_density=20000.0, user_count=3, trials=1),
+            lambda stations: max(1, BLOCK_LINKS // stations),
+        ),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_out_matches_fresh_arrays(self, tiny_config, case):
+        config, rows_of = self.CASES[case]
+        config = config or tiny_config
+        deployment = sample_deployment(config, 0)
+        n_stations = deployment.n_stations
+        rows = rows_of(n_stations)
+        links = max(BLOCK_LINKS, n_stations)
+        assert (n_stations > BLOCK_LINKS) == (case == "one-user-blocks")
+        # stale values in every buffer: each result must overwrite them
+        out, scratch, fading_out = (np.full(links, np.nan) for _ in range(3))
+        fading_rows = fading_out[: rows * n_stations].reshape(rows, n_stations)
+        blocks = zip(
+            range(0, deployment.n_users, rows),
+            deployment.fading_blocks(rows),
+            deployment.fading_blocks(rows, out=fading_rows),
+        )
+        sizes = []
+        for start, fresh_fading, fading in blocks:
+            assert np.shares_memory(fading, fading_out)
+            assert fading.tobytes() == fresh_fading.tobytes()
+            positions = deployment.user_positions[start : start + rows]
+            block = dataclasses.replace(deployment, user_positions=positions)
+            count = block.n_users
+            sizes.append(count)
+            out_rows, scratch_rows = (
+                buffer[: count * n_stations].reshape(count, n_stations)
+                for buffer in (out, scratch)
+            )
+            distances = link_distances(block, out=out_rows, scratch=scratch_rows)
+            assert distances is out_rows
+            assert distances.tobytes() == link_distances(block).tobytes()
+            power = mean_power_matrix(block, config, out=out_rows, scratch=scratch_rows)
+            assert power is out_rows
+            assert power.tobytes() == mean_power_matrix(block, config).tobytes()
+        assert sum(sizes) == deployment.n_users
+        if case == "short-last-block":
+            assert 0 < sizes[-1] < rows
+
+
 def received_power(power, distance, config):
     """Mean power of a single link: one macro of the given power, one user."""
     config = dataclasses.replace(config, macro_power=power, small_power=power / 2.0)
