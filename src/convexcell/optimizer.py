@@ -6,9 +6,10 @@ get the smallest bias that makes the vehicular constraint attainable
 (vacating macro resources), and vehicular users get the bias maximizing
 their own coverage given the first two. CRE applies one common bias to all
 classes; full search is the optimality oracle: it returns the best triple of
-the whole grid cube, evaluating triples in descending order of an exact
-upper bound on their key until no triple left can reach the best one
-found. All candidates under one config share common random numbers.
+the whole grid cube, walking each class's values in descending order of an
+exact upper bound on their coverage and evaluating only the triples whose
+upper key can still reach the best one found. All candidates under one
+config share common random numbers.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
-
-import numpy as np
 
 from .coverage import (
     BiasVector,
@@ -200,29 +199,6 @@ def _cre(
     return _best(estimator, biases, _feasible_average)
 
 
-def _upper_keys(
-    estimator: CoverageEstimator, grid: BiasGrid
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each triple's upper key, as (feasible, average) arrays over the cube.
-
-    Flat in ``itertools.product`` order, stationary slowest. Whatever the
-    other classes' biases, a class's coverage under a grid value is at most
-    its bound (``CoverageEstimator.coverage_bounds``), so no triple's report
-    key exceeds its upper key: every bound meeting its class's threshold,
-    and the density-weighted sum of the three bounds raised by
-    ``_UPPER_MARGIN``.
-    """
-    config = estimator.config
-    bounds = estimator.coverage_bounds(grid.values)
-    thresholds = np.array([p.min_coverage for p in config.profiles])
-    meets = bounds >= thresholds[:, None]
-    weighted = config.density_fractions()[:, None] * bounds
-    feasible = (meets[0][:, None, None] & meets[1][:, None] & meets[2]).ravel()
-    average = (weighted[0][:, None, None] + weighted[1][:, None] + weighted[2]).ravel()
-    average *= 1.0 + _UPPER_MARGIN
-    return feasible, average
-
-
 def _full_search(
     estimator: CoverageEstimator, grid: BiasGrid
 ) -> tuple[BiasVector, CoverageReport]:
@@ -230,38 +206,41 @@ def _full_search(
 
     Returns what ``_best`` returns over the whole cube in
     ``itertools.product`` order with ``_feasible_average``, without
-    evaluating every triple. Triples are evaluated in descending upper key
-    (``_upper_keys``), equal upper keys in product order, and the scan stops
-    at the first triple whose upper key is below the best key found: no
-    triple left can reach that key. Among the evaluated triples with the
-    best key the first in product order wins, ``_best``'s rule.
+    evaluating every triple. Whatever the other classes' biases, a class's
+    coverage under a grid value is at most its bound
+    (``CoverageEstimator.coverage_bounds``), so no triple's report key
+    exceeds its upper key: every bound meeting its class's threshold, and
+    the density-weighted sum of the three bounds raised by
+    ``_UPPER_MARGIN``. Each class's values are walked in descending
+    (meets, weighted bound), so likely winners come early, and a triple
+    whose upper key is below the best key found is skipped. Of equal keys
+    the smallest index triple wins, ``_best``'s first-of-equals rule. The
+    walk holds per-class lists only.
     """
+    config = estimator.config
     values = grid.values
-    n = len(values)
-    feasible, average = _upper_keys(estimator, grid)
-    # descending upper key: the feasible triples, then the rest, each in
-    # the stable order of the negated upper averages, so equal keys keep
-    # product order; filtering one order twice, instead of sorting by
-    # feasibility too, and iterating it without a list of it, keep the cube
-    # at 17 bytes per triple (upper average, feasible, order)
-    np.negative(average, out=average)
-    order = np.argsort(average, kind="stable")
-    visits = itertools.chain(
-        (index for index in order if feasible[index]),
-        (index for index in order if not feasible[index]),
-    )
-    best = None  # (key, product index, bias, report)
-    for index in visits:
-        upper = (bool(feasible[index]), -float(average[index]))
-        if best is not None and upper < best[0]:
-            break
-        stationary, rest = divmod(index, n * n)
-        walking, vehicular = divmod(rest, n)
-        bias = BiasVector(values[stationary], values[walking], values[vehicular])
+    bounds = estimator.coverage_bounds(values)
+    meets = [
+        [bound >= profile.min_coverage for bound in row]
+        for row, profile in zip(bounds.tolist(), config.profiles)
+    ]
+    weighted = (config.density_fractions()[:, None] * bounds).tolist()
+    orders = [
+        sorted(range(len(values)), key=lambda i: (m[i], w[i]), reverse=True)
+        for m, w in zip(meets, weighted)
+    ]
+    (m0, m1, m2), (w0, w1, w2) = meets, weighted
+    best = None  # (key, index triple, bias, report)
+    for triple in itertools.product(*orders):
+        i, j, k = triple
+        upper_average = (w0[i] + w1[j] + w2[k]) * (1.0 + _UPPER_MARGIN)
+        if best is not None and (m0[i] and m1[j] and m2[k], upper_average) < best[0]:
+            continue
+        bias = BiasVector(values[i], values[j], values[k])
         report = estimator.evaluate(bias)
         key = _feasible_average(report)
-        if best is None or key > best[0] or (key == best[0] and index < best[1]):
-            best = (key, index, bias, report)
+        if best is None or key > best[0] or (key == best[0] and triple < best[1]):
+            best = (key, triple, bias, report)
     return best[2], best[3]
 
 

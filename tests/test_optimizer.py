@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import tracemalloc
+from collections import defaultdict
 from dataclasses import replace
 
 import numpy as np
@@ -26,6 +28,7 @@ from convexcell import (
 )
 from convexcell.coverage import CoverageReport
 from convexcell.optimizer import (
+    _UPPER_MARGIN,
     _best,
     _class_coverage,
     _cre,
@@ -33,7 +36,6 @@ from convexcell.optimizer import (
     _full_search,
     _stage2,
     _three_stage,
-    _upper_keys,
 )
 from helpers import (
     estimator_for,
@@ -46,6 +48,8 @@ from helpers import (
 
 SMALL_GRID = BiasGrid.from_db([0.0, 4.0, 8.0, 12.0])
 DEFAULT_GRID = BiasGrid.from_db(DEFAULT_GRID_DB)
+# 0 to 20 dB in 1 dB steps, twice the default grid's resolution
+FINE_GRID = BiasGrid.from_db([float(db) for db in range(21)])
 
 
 @pytest.fixture
@@ -259,6 +263,11 @@ class TestFullSearch:
     def test_matches_brute_force_on_the_default_grid(self, tiny_config, variant):
         assert_full_search_is_brute_force(estimator_for(variant(tiny_config)))
 
+    @pytest.mark.parametrize("name", ["tiny", "moderate-demand"])
+    def test_matches_brute_force_on_a_21_value_grid(self, tiny_config, name):
+        estimator = estimator_for(FULL_SEARCH_CONFIGS[name](tiny_config))
+        assert_full_search_is_brute_force(estimator, FINE_GRID)
+
     @pytest.mark.parametrize(
         "variant", INFEASIBLE_CONFIGS.values(), ids=INFEASIBLE_CONFIGS.keys()
     )
@@ -295,22 +304,38 @@ def test_full_search_matches_brute_force_across_demand(seed, volume, convexity, 
 
 def test_full_search_skips_only_triples_that_cannot_win(estimator, monkeypatch):
     evaluated = []
+    reports = {}
     evaluate = estimator.evaluate
 
     def recording(bias):
-        evaluated.append((bias.stationary_bias, bias.walking_bias, bias.vehicular_bias))
-        return evaluate(bias)
+        triple = (bias.stationary_bias, bias.walking_bias, bias.vehicular_bias)
+        evaluated.append(triple)
+        reports[triple] = evaluate(bias)
+        return reports[triple]
 
     monkeypatch.setattr(estimator, "evaluate", recording)
     _, report = run_scheme(Scheme.FULL_SEARCH, estimator, DEFAULT_GRID)
-    cube = list(itertools.product(DEFAULT_GRID, repeat=3))
     seen = set(evaluated)
-    assert len(evaluated) == len(seen) < len(cube) == 1331
+    assert len(evaluated) == len(seen) < 11**3
     winner = _feasible_average(report)
-    feasible, average = _upper_keys(estimator, DEFAULT_GRID)
-    for index, triple in enumerate(cube):
-        if triple not in seen:
-            assert (bool(feasible[index]), float(average[index])) < winner
+    # each triple's upper key, from the per-class bounds alone: every bound
+    # meets its class's threshold, and the density-weighted sum of the bounds
+    config = estimator.config
+    bounds = estimator.coverage_bounds(DEFAULT_GRID.values)
+    thresholds = [p.min_coverage for p in config.profiles]
+    fractions = config.density_fractions()
+    values = DEFAULT_GRID.values
+    for indices in itertools.product(range(len(values)), repeat=3):
+        column = [bounds[cls, i] for cls, i in enumerate(indices)]
+        upper = (
+            all(bound >= t for bound, t in zip(column, thresholds)),
+            sum(f * bound for f, bound in zip(fractions, column)) * (1 + _UPPER_MARGIN),
+        )
+        triple = tuple(values[i] for i in indices)
+        if triple in seen:
+            assert _feasible_average(reports[triple]) <= upper
+        else:
+            assert upper < winner
 
 
 class StubEstimator:
@@ -387,6 +412,25 @@ def test_full_search_keeps_the_first_of_equal_keys_evaluated_last():
     assert report is reports[(1.0, 1.0, 1.0)]
     assert stub.calls[0] == (2.0, 2.0, 2.0)
     assert stub.calls[-1] == (1.0, 1.0, 1.0)
+
+
+def test_full_search_holds_per_class_state_only():
+    # only the unbiased triple meets every threshold, so it is evaluated
+    # first and every other triple is skipped; state of even one byte per
+    # triple of the 61³ cube would pass the 1 MB bound
+    grid = BiasGrid.from_db([db / 3 for db in range(61)])
+    stub = StubEstimator(defaultdict(lambda: stub_report(0.5, True)))
+    stub.config = NetworkConfig()
+    stub.coverage_bounds = lambda values: np.array([[1.0] + [0.5] * 60] * 3)
+    tracemalloc.start()
+    try:
+        bias, _ = _full_search(stub, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert bias == BiasVector(1.0, 1.0, 1.0)
+    assert stub.calls == [(1.0, 1.0, 1.0)]
+    assert peak < 1 << 20
 
 
 def stage2_stub(vehicular_coverages):
