@@ -6,43 +6,16 @@ trace analytics deriving the user-convexity demand metric from
 mobility and data-usage logs.
 """
 
-from .coverage import (
-    BiasVector,
-    CoverageEstimator,
-    CoverageReport,
-    EstimationError,
-    TrialGeometry,
-    estimate_rate_coverage,
-    handover_efficiency,
-    linear_from_db,
-)
-from .model import (
+from .domain import (
     BITS_PER_MB,
-    MIN_PATH_DISTANCE_M,
-    SECONDS_PER_DAY,
-    THERMAL_NOISE_W_PER_HZ,
-    ClassProfile,
-    ConfigError,
-    Deployment,
-    NetworkConfig,
-    UserClass,
-    default_profiles,
-    largest_remainder_counts,
-    link_distances,
-    mean_power_matrix,
-    rate_requirement,
-    sample_deployment,
-)
-from .optimizer import (
     DEFAULT_CONVEXITY_VALUES,
     DEFAULT_GRID_DB,
-    BiasGrid,
+    SECONDS_PER_DAY,
     DemandScenario,
+    EstimationError,
     Scheme,
     UnsatisfiableRequirementError,
-    convexity_sweep,
-    required_bandwidth,
-    run_scheme,
+    UserClass,
 )
 from .traces import (
     DEFAULT_STATIONARY_CUTOFF_KMH,
@@ -108,3 +81,39 @@ __all__ = [
     "run_scheme",
     "sample_deployment",
 ]
+
+# the names backed by numpy, each imported from its module on first use
+# (PEP 562), so that the trace analytics and the argument parser run
+# without numpy
+_LAZY = {
+    **dict.fromkeys(
+        (
+            "BiasVector", "CoverageEstimator", "CoverageReport", "TrialGeometry",
+            "estimate_rate_coverage", "handover_efficiency", "linear_from_db",
+        ),
+        "coverage",
+    ),
+    **dict.fromkeys(
+        (
+            "MIN_PATH_DISTANCE_M", "THERMAL_NOISE_W_PER_HZ", "ClassProfile",
+            "ConfigError", "Deployment", "NetworkConfig", "default_profiles",
+            "largest_remainder_counts", "link_distances", "mean_power_matrix",
+            "rate_requirement", "sample_deployment",
+        ),
+        "model",
+    ),
+    **dict.fromkeys(
+        ("BiasGrid", "convexity_sweep", "required_bandwidth", "run_scheme"),
+        "optimizer",
+    ),
+}
+
+
+def __getattr__(name: str):
+    from importlib import import_module
+
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value

@@ -18,24 +18,14 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .coverage import (
-    BiasVector,
-    CoverageEstimator,
-    EstimationError,
-    TrialGeometry,
-    estimate_rate_coverage,
-)
-from .model import NetworkConfig, UserClass
-from .optimizer import (
+from .domain import (
     DEFAULT_CONVEXITY_VALUES,
     DEFAULT_GRID_DB,
-    BiasGrid,
     DemandScenario,
+    EstimationError,
     Scheme,
     UnsatisfiableRequirementError,
-    check_bracket,
-    convexity_sweep,
-    required_bandwidth,
+    UserClass,
 )
 from .traces import (
     DEFAULT_STATIONARY_CUTOFF_KMH,
@@ -44,6 +34,20 @@ from .traces import (
     check_stationary_cutoff,
     read_trace_csv,
 )
+
+# the simulator's names and their modules, bound as globals of this module
+# by _load_simulator; they import numpy, which analyze never needs
+_SIMULATOR_NAMES = {
+    **dict.fromkeys(
+        ("BiasVector", "CoverageEstimator", "TrialGeometry", "estimate_rate_coverage"),
+        "coverage",
+    ),
+    "NetworkConfig": "model",
+    **dict.fromkeys(
+        ("BiasGrid", "check_bracket", "convexity_sweep", "required_bandwidth"),
+        "optimizer",
+    ),
+}
 
 SWEEP_COLUMNS = (
     "convexity", "scheme", "avg_coverage", "cov_stationary", "cov_walking",
@@ -61,6 +65,26 @@ MANIFEST_DESTS = {
     "seed": "seed", "scheme": "scheme", "trials": "trials",
     "overwrite": "overwrite", "strict": "strict",
 }
+
+
+def _load_simulator() -> None:
+    """Bind the simulator's names as globals of this module.
+
+    A name already bound is kept, so a wrapper set on this module (a
+    tracer's span, a test's stub) is what the commands call.
+    """
+    from importlib import import_module
+
+    for name, module in _SIMULATOR_NAMES.items():
+        loaded = import_module(f".{module}", __package__)
+        globals().setdefault(name, getattr(loaded, name))
+
+
+def __getattr__(name: str):
+    if name not in _SIMULATOR_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load_simulator()
+    return globals()[name]
 
 
 def _load_config(args: argparse.Namespace) -> NetworkConfig:
@@ -133,6 +157,7 @@ def _meta(args: argparse.Namespace, config: NetworkConfig | None, **results) -> 
 
 
 def run_sweep(args: argparse.Namespace) -> int:
+    _load_simulator()
     config = _load_config(args)
     grid = BiasGrid.from_db(args.grid_db)
     schemes = [Scheme(args.scheme)] if args.scheme else list(Scheme)
@@ -167,6 +192,7 @@ def run_sweep(args: argparse.Namespace) -> int:
 
 
 def run_bandwidth(args: argparse.Namespace) -> int:
+    _load_simulator()
     config = _load_config(args)
     grid = BiasGrid.from_db(args.grid_db)
     schemes = [Scheme(args.scheme)] if args.scheme else [Scheme.THREE_STAGE, Scheme.CRE]
@@ -281,6 +307,7 @@ def run_analyze(args: argparse.Namespace) -> int:
 
 
 def run_evaluate(args: argparse.Namespace) -> int:
+    _load_simulator()
     if not all(0.0 <= value < math.inf for value in args.bias_db):
         raise ValueError("bias values are in dB and must be >= 0 and finite")
     bias = BiasVector.from_db(*args.bias_db)

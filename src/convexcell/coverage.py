@@ -16,6 +16,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .domain import EstimationError
 from .model import (
     Deployment,
     NetworkConfig,
@@ -24,10 +25,6 @@ from .model import (
     rate_requirement,
     sample_deployment,
 )
-
-
-class EstimationError(RuntimeError):
-    """Raised when a coverage estimate cannot be formed."""
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,6 @@ plus per-link Rayleigh fading; it is a pure function of (seed, trial_index).
 
 from __future__ import annotations
 
-import enum
 import hashlib
 import json
 import math
@@ -19,6 +18,8 @@ from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from .domain import BITS_PER_MB, SECONDS_PER_DAY, UserClass
+
 # Path-loss distance floor; avoids the singularity of d**-alpha at d=0.
 MIN_PATH_DISTANCE_M = 1.0
 
@@ -28,9 +29,6 @@ THERMAL_NOISE_W_PER_HZ = 3.981071705534985e-21
 # Largest Poisson mean numpy's generators accept; the next float up raises
 # "lam value too large".
 POISSON_MEAN_MAX = 9.223372006484771e18
-
-SECONDS_PER_DAY = 86400.0
-BITS_PER_MB = 8e6  # 1 MB = 1e6 bytes
 
 
 class ConfigError(ValueError):
@@ -50,18 +48,6 @@ def _check_number(name: str, value: Any, integer: bool = False) -> None:
         finite = False
     if not finite:
         raise ConfigError(f"{name} must be finite (got {value!r})")
-
-
-class UserClass(enum.IntEnum):
-    """Mobility state of a user. Values index per-class arrays."""
-
-    STATIONARY = 0
-    WALKING = 1
-    VEHICULAR = 2
-
-    @property
-    def label(self) -> str:
-        return self.name.lower()
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ config share common random numbers.
 
 from __future__ import annotations
 
-import enum
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -27,26 +26,21 @@ from .coverage import (
     TrialGeometry,
     linear_from_db,
 )
-from .model import NetworkConfig, UserClass
+from .domain import (
+    DEFAULT_CONVEXITY_VALUES,  # re-exported, as is DEFAULT_GRID_DB
+    DEFAULT_GRID_DB,
+    DemandScenario,
+    Scheme,
+    UnsatisfiableRequirementError,
+    UserClass,
+)
+from .model import NetworkConfig
 
 # relative margin on a triple's upper average coverage: full search sums the
 # weighted bounds in another order than evaluate's np.dot, and two 3-term
 # sums of the same non-negative products differ by a few ulps, far below
 # it; a bound raised too far only costs evaluations
 _UPPER_MARGIN = 1e-12
-
-DEFAULT_GRID_DB = tuple(float(db) for db in range(0, 21, 2))
-DEFAULT_CONVEXITY_VALUES = (1.0, 2.0, 3.04, 4.0, 5.0, 6.0, 7.0, 8.0)
-
-
-class UnsatisfiableRequirementError(RuntimeError):
-    """No bandwidth in the search interval satisfies every class threshold."""
-
-
-class Scheme(enum.Enum):
-    THREE_STAGE = "three-stage"
-    CRE = "cre"
-    FULL_SEARCH = "full"
 
 
 @dataclass(frozen=True)
@@ -81,42 +75,6 @@ class BiasGrid:
 
     def __iter__(self):
         return iter(self.values)
-
-
-@dataclass(frozen=True)
-class DemandScenario:
-    """Total daily traffic split into per-class volumes by user convexity.
-
-    The stationary share of the total is fixed; the rest, the moving share,
-    is split between walking and vehicular users in the ratio
-    1 : user_convexity.
-    """
-
-    total_volume: float
-    stationary_share: float
-    user_convexity: float
-
-    def __post_init__(self) -> None:
-        # each check is written so that NaN fails it too
-        if not 0.0 <= self.total_volume < math.inf:
-            raise ValueError("total_volume must be finite and >= 0")
-        if not 0.0 <= self.stationary_share <= 1.0:
-            raise ValueError("stationary_share must be in [0, 1]")
-        if not 0.0 < self.user_convexity < math.inf:
-            raise ValueError("user_convexity must be finite and > 0")
-
-    @classmethod
-    def measured_2015(cls) -> "DemandScenario":
-        """The 145.05 MB/day field-measurement mix."""
-        return cls(145.05, 0.6107, 3.04)
-
-    def class_volumes(self) -> tuple[float, float, float]:
-        """(stationary, walking, vehicular) volumes in MB/day."""
-        stationary = self.stationary_share * self.total_volume
-        moving_share = 1.0 - self.stationary_share
-        walking = moving_share * self.total_volume / (1.0 + self.user_convexity)
-        vehicular = self.user_convexity * walking
-        return (stationary, walking, vehicular)
 
 
 def _best(
@@ -213,9 +171,11 @@ def _full_search(
     the density-weighted sum of the three bounds raised by
     ``_UPPER_MARGIN``. Each class's values are walked in descending
     (meets, weighted bound), so likely winners come early, and a triple
-    whose upper key is below the best key found is skipped. Of equal keys
-    the smallest index triple wins, ``_best``'s first-of-equals rule. The
-    walk holds per-class lists only.
+    whose upper key is below the best key found is skipped, as is a whole
+    stationary value when even its best pairing with the other classes'
+    largest bounds falls below it. Of equal keys the smallest index triple
+    wins, ``_best``'s first-of-equals rule. The walk holds per-class lists
+    only.
     """
     config = estimator.config
     values = grid.values
@@ -230,17 +190,26 @@ def _full_search(
         for m, w in zip(meets, weighted)
     ]
     (m0, m1, m2), (w0, w1, w2) = meets, weighted
+    others_meet = any(m1) and any(m2)
+    top1, top2 = max(w1), max(w2)
     best = None  # (key, index triple, bias, report)
-    for triple in itertools.product(*orders):
-        i, j, k = triple
-        upper_average = (w0[i] + w1[j] + w2[k]) * (1.0 + _UPPER_MARGIN)
-        if best is not None and (m0[i] and m1[j] and m2[k], upper_average) < best[0]:
+    for i in orders[0]:
+        # no triple with this stationary value has a higher upper key; the
+        # outer order does not sort these keys when others_meet is False,
+        # so a stationary value is skipped, never the rest of the walk
+        reach = (m0[i] and others_meet, (w0[i] + top1 + top2) * (1.0 + _UPPER_MARGIN))
+        if best is not None and reach < best[0]:
             continue
-        bias = BiasVector(values[i], values[j], values[k])
-        report = estimator.evaluate(bias)
-        key = _feasible_average(report)
-        if best is None or key > best[0] or (key == best[0] and triple < best[1]):
-            best = (key, triple, bias, report)
+        for j, k in itertools.product(orders[1], orders[2]):
+            upper_average = (w0[i] + w1[j] + w2[k]) * (1.0 + _UPPER_MARGIN)
+            if best is not None and (m0[i] and m1[j] and m2[k], upper_average) < best[0]:
+                continue
+            triple = (i, j, k)
+            bias = BiasVector(values[i], values[j], values[k])
+            report = estimator.evaluate(bias)
+            key = _feasible_average(report)
+            if best is None or key > best[0] or (key == best[0] and triple < best[1]):
+                best = (key, triple, bias, report)
     return best[2], best[3]
 
 

@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .model import SECONDS_PER_DAY, UserClass
+from .domain import SECONDS_PER_DAY, UserClass
 
 EARTH_RADIUS_M = 6_371_000.0
 VEHICULAR_CUTOFF_KMH = 10.0
@@ -43,16 +44,18 @@ class InsufficientDataError(ValueError):
 
 @dataclass
 class UserTrace:
-    """One user's samples in time order, one list per column.
+    """One user's samples in time order, one sequence per column.
 
     ``rx_bytes[i]`` is what was downloaded between samples ``i - 1`` and
-    ``i``; ``len()`` is the sample count.
+    ``i``; ``len()`` is the sample count. The reader stores the float
+    columns as ``array('d')``, 8 B per value where a list of floats takes
+    32 B; any sequence of floats works.
     """
 
     timestamps: list[datetime] = field(default_factory=list)
-    latitudes: list[float] = field(default_factory=list)
-    longitudes: list[float] = field(default_factory=list)
-    rx_bytes: list[float] = field(default_factory=list)
+    latitudes: Sequence[float] = field(default_factory=lambda: array("d"))
+    longitudes: Sequence[float] = field(default_factory=lambda: array("d"))
+    rx_bytes: Sequence[float] = field(default_factory=lambda: array("d"))
 
     def __len__(self) -> int:
         return len(self.timestamps)

@@ -1,18 +1,89 @@
-"""The package's public names."""
+"""The package's public names, and what importing them loads."""
 
 import ast
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import convexcell
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+# prints the JSON list of the simulator modules the interpreter has loaded;
+# the trace analytics and the argument parser must load none of them
+SIMULATOR_MODULES = (
+    "numpy", "convexcell.coverage", "convexcell.model", "convexcell.optimizer",
+)
+PRINT_LOADED = f"print(json.dumps([m for m in {SIMULATOR_MODULES!r} if m in sys.modules]))\n"
+
+
+def run_fresh(code, *args):
+    """Run code in a new interpreter that imports the package from src/."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run(
+        [sys.executable, "-c", "import json, sys\n" + code, *args],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
 
 
 def test_every_export_exists_once():
     missing = [name for name in convexcell.__all__ if not hasattr(convexcell, name)]
     assert missing == []
     assert len(set(convexcell.__all__)) == len(convexcell.__all__)
+
+
+def test_package_and_parser_load_no_simulator():
+    """The numpy-backed names resolve on first use, so importing costs none."""
+    run = run_fresh(
+        "import convexcell\n"
+        "from convexcell import cli\n"
+        "cli.build_parser().parse_args(['analyze', '--trace', 'trace.csv'])\n"
+        + PRINT_LOADED
+        + "print(json.dumps([n for n in convexcell.__all__ if not hasattr(convexcell, n)]))\n"
+        + PRINT_LOADED
+    )
+    assert run.returncode == 0, run.stderr
+    loaded, missing, loaded_after = map(json.loads, run.stdout.splitlines())
+    assert loaded == []
+    assert missing == []
+    assert loaded_after == list(SIMULATOR_MODULES)
+
+
+@pytest.mark.parametrize(
+    "row, extra, code, errors",
+    [
+        ("u1,2015-06-01T00:05:00Z,0.0,0.0,1e6", [], 0, 0),
+        ("u1,not-a-time,0.0,0.0,1e6", ["--strict"], 1, 1),
+    ],
+    ids=["success", "strict-malformed-row"],
+)
+def test_analyze_loads_no_simulator(tmp_path, row, extra, code, errors):
+    """analyze runs without numpy, also when main catches an error.
+
+    main's except clause names the simulator's error types, so the refused
+    run checks that they resolve without it.
+    """
+    trace = tmp_path / "trace.csv"
+    trace.write_text(
+        "user_id,timestamp,lat,lon,rx_bytes\n"
+        "u1,2015-06-01T00:00:00Z,0.0,0.0,0\n"
+        f"{row}\n"
+        "u1,2015-06-01T00:10:00Z,0.002,0.0,1e6\n"
+    )
+    argv = ["analyze", "--trace", str(trace), "--out", str(tmp_path / "out"), *extra]
+    run = run_fresh(
+        "from convexcell.cli import main\n"
+        "code = main(sys.argv[1:])\n" + PRINT_LOADED + "sys.exit(code)\n",
+        *argv,
+    )
+    assert run.returncode == code, run.stderr
+    assert json.loads(run.stdout.splitlines()[-1]) == []
+    assert [line[:7] for line in run.stderr.splitlines()] == ["error: "] * errors
 
 
 def readme_blocks():

@@ -20,26 +20,50 @@ def test_every_workload_has_the_traced_seed():
     assert [w for w in workloads if "42" not in recorded.get(w, {})] == []
 
 
-@pytest.mark.parametrize(
-    "argv, builds",
-    [
-        (["evaluate", "--bias", "0", "0", "0", "--trials", "2"], 1),
-        (["sweep", "--convexity", "1", "3.04", "--trials", "2", "--grid-db", "0", "6"], 2),
-    ],
-    ids=["evaluate", "sweep"],
+TRACE_ROWS = (
+    "user_id,timestamp,lat,lon,rx_bytes\n"
+    "u1,2015-06-01T00:00:00Z,0.0,0.0,0\n"
+    "u1,2015-06-01T00:05:00Z,0.0,0.0,1e6\n"
+    "u1,2015-06-01T00:10:00Z,0.002,0.0,1e6\n"
 )
-def test_tracer_records_every_layer(tmp_path, argv, builds):
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (
+            ["evaluate", "--bias", "0", "0", "0", "--trials", "2"],
+            {"coverage.estimate_rate_coverage": 1, "model.sample_deployment": 2,
+             "coverage.build": 1},
+        ),
+        (
+            ["sweep", "--convexity", "1", "3.04", "--trials", "2", "--grid-db", "0", "6"],
+            {"optimizer.convexity_sweep": 1, "model.sample_deployment": 2,
+             "coverage.build": 2},
+        ),
+        (
+            ["analyze", "--trace", "{trace}"],
+            {"traces.read_trace_csv": 1, "traces.analyze_trace": 1,
+             "traces.build_segments": 1, "model.sample_deployment": 0},
+        ),
+    ],
+    ids=["evaluate", "sweep", "analyze"],
+)
+def test_tracer_records_every_layer(tmp_path, argv, expected):
     """The names the tracer wraps are the ones the commands call.
 
-    A sampled trial or an estimator build that no longer goes through the
-    wrapped name would leave its spans out of the benchmark's metrics.
+    A command, a sampled trial or an estimator build that no longer goes
+    through the wrapped name (say, a lazily bound name that replaced the
+    tracer's wrapper) would leave its spans out of the benchmark's metrics.
     """
+    trace = tmp_path / "trace.csv"
+    trace.write_text(TRACE_ROWS)
     spans_path = tmp_path / "spans.json"
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     command = [sys.executable, str(ROOT / "perfbench" / "tracer.py"), str(spans_path), "x"]
-    command += [*argv, "--out", str(tmp_path / "out")]
+    command += [arg.format(trace=trace) for arg in argv]
+    command += ["--out", str(tmp_path / "out")]
     run = subprocess.run(command, env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     names = Counter(span[0] for span in json.loads(spans_path.read_text())["spans"])
-    assert names["model.sample_deployment"] == 2
-    assert names["coverage.build"] == builds
+    assert {name: names[name] for name in expected} == expected

@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+from array import array
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -446,10 +447,13 @@ class TestReadTraceCsv:
         assert not bad
         assert set(traces) == {"u1", "u2"}
         assert traces["u1"] == UserTrace(
-            [T0, T0 + FIVE_MIN], [0.0, 0.001], [0.0, 0.0], [0.0, 1000.0]
+            [T0, T0 + FIVE_MIN],
+            array("d", [0.0, 0.001]),
+            array("d", [0.0, 0.0]),
+            array("d", [0.0, 1000.0]),
         )
         assert traces["u2"].timestamps == [T0]  # Z and naive both read as UTC
-        assert traces["u2"].rx_bytes == [500.0]
+        assert traces["u2"].rx_bytes == array("d", [500.0])
 
     def test_header_required(self, tmp_path):
         path = tmp_path / "trace.csv"
@@ -501,7 +505,7 @@ class TestReadTraceCsv:
         )
         traces, bad = read_trace_csv(path, strict=False)
         assert bad == [(3, "rx_bytes is not a number")]
-        assert traces["u1"].rx_bytes == [0.0, 10.0]
+        assert traces["u1"].rx_bytes == array("d", [0.0, 10.0])
 
     @pytest.mark.parametrize(
         "stamp", ["0001-01-01T00:00:00+01:00", "9999-12-31T23:30:00-01:00"]
@@ -552,7 +556,7 @@ class TestReadTraceCsv:
         traces, bad = read_trace_csv(path, strict=False)
         assert [line for line, _ in bad] == [3, 5]
         assert "field larger than field limit" in bad[0][1]
-        assert traces["u1"].rx_bytes == [0.0, 10.0, 20.0]
+        assert traces["u1"].rx_bytes == array("d", [0.0, 10.0, 20.0])
         with pytest.raises(TraceFormatError, match="line.s. 3, 5;"):
             read_trace_csv(path, strict=True)
 
@@ -568,7 +572,7 @@ class TestReadTraceCsv:
         assert [line for line, _ in bad] == [3]
         assert "not valid UTF-8" in bad[0][1]
         assert list(traces) == ["u1"]
-        assert traces["u1"].rx_bytes == [0.0, 20.0]
+        assert traces["u1"].rx_bytes == array("d", [0.0, 20.0])
         with pytest.raises(TraceFormatError, match="line 3: user_id .* UTF-8"):
             read_trace_csv(path, strict=True)
 
@@ -586,7 +590,7 @@ class TestReadTraceCsv:
         traces, bad = read_trace_csv(path, strict=False)
         assert bad == [(3, "user_id is empty")]
         assert list(traces) == ["u1"]
-        assert traces["u1"].rx_bytes == [0.0, 20.0]
+        assert traces["u1"].rx_bytes == array("d", [0.0, 20.0])
         with pytest.raises(TraceFormatError, match="line 3: user_id is empty"):
             read_trace_csv(path, strict=True)
 
