@@ -6,33 +6,6 @@ trace analytics deriving the user-convexity demand metric from
 mobility and data-usage logs.
 """
 
-from .domain import (
-    BITS_PER_MB,
-    DEFAULT_CONVEXITY_VALUES,
-    DEFAULT_GRID_DB,
-    SECONDS_PER_DAY,
-    DemandScenario,
-    EstimationError,
-    Scheme,
-    UnsatisfiableRequirementError,
-    UserClass,
-)
-from .traces import (
-    DEFAULT_STATIONARY_CUTOFF_KMH,
-    EARTH_RADIUS_M,
-    TRACE_CSV_HEADER,
-    VEHICULAR_CUTOFF_KMH,
-    ConvexityReport,
-    InsufficientDataError,
-    TraceFormatError,
-    UserTrace,
-    aggregate_population,
-    aggregate_user,
-    analyze_trace,
-    build_segments,
-    read_trace_csv,
-)
-
 __version__ = "0.1.0"
 
 __all__ = [
@@ -68,6 +41,7 @@ __all__ = [
     "aggregate_user",
     "analyze_trace",
     "build_segments",
+    "check_bracket",
     "convexity_sweep",
     "default_profiles",
     "estimate_rate_coverage",
@@ -76,44 +50,27 @@ __all__ = [
     "linear_from_db",
     "link_distances",
     "mean_power_matrix",
+    "rate_requirement",
     "read_trace_csv",
     "required_bandwidth",
     "run_scheme",
     "sample_deployment",
 ]
 
-# the names backed by numpy, each imported from its module on first use
-# (PEP 562), so that the trace analytics and the argument parser run
-# without numpy
-_LAZY = {
-    **dict.fromkeys(
-        (
-            "BiasVector", "CoverageEstimator", "CoverageReport", "TrialGeometry",
-            "estimate_rate_coverage", "handover_efficiency", "linear_from_db",
-        ),
-        "coverage",
-    ),
-    **dict.fromkeys(
-        (
-            "MIN_PATH_DISTANCE_M", "THERMAL_NOISE_W_PER_HZ", "ClassProfile",
-            "ConfigError", "Deployment", "NetworkConfig", "default_profiles",
-            "largest_remainder_counts", "link_distances", "mean_power_matrix",
-            "rate_requirement", "sample_deployment",
-        ),
-        "model",
-    ),
-    **dict.fromkeys(
-        ("BiasGrid", "convexity_sweep", "required_bandwidth", "run_scheme"),
-        "optimizer",
-    ),
-}
-
 
 def __getattr__(name: str):
-    from importlib import import_module
+    """A name of ``__all__``, imported on first use (PEP 562) from the first
+    module that holds it, and then kept here.
 
-    if name not in _LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f".{_LAZY[name]}", __name__), name)
-    globals()[name] = value
-    return value
+    ``domain`` and ``traces`` come first, so the trace analytics and the
+    argument parser load no numpy.
+    """
+    if name in __all__:
+        from importlib import import_module
+
+        for module in ("domain", "traces", "model", "coverage", "optimizer"):
+            namespace = vars(import_module(f".{module}", __name__))
+            if name in namespace:
+                value = globals()[name] = namespace[name]
+                return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

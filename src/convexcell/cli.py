@@ -35,19 +35,12 @@ from .traces import (
     read_trace_csv,
 )
 
-# the simulator's names and their modules, bound as globals of this module
-# by _load_simulator; they import numpy, which analyze never needs
-_SIMULATOR_NAMES = {
-    **dict.fromkeys(
-        ("BiasVector", "CoverageEstimator", "TrialGeometry", "estimate_rate_coverage"),
-        "coverage",
-    ),
-    "NetworkConfig": "model",
-    **dict.fromkeys(
-        ("BiasGrid", "check_bracket", "convexity_sweep", "required_bandwidth"),
-        "optimizer",
-    ),
-}
+# the simulator's names, bound as globals of this module by _load_simulator;
+# they import numpy, which analyze never needs
+_SIMULATOR_NAMES = (
+    "BiasGrid", "BiasVector", "CoverageEstimator", "NetworkConfig", "TrialGeometry",
+    "check_bracket", "convexity_sweep", "estimate_rate_coverage", "required_bandwidth",
+)
 
 SWEEP_COLUMNS = (
     "convexity", "scheme", "avg_coverage", "cov_stationary", "cov_walking",
@@ -68,16 +61,15 @@ MANIFEST_DESTS = {
 
 
 def _load_simulator() -> None:
-    """Bind the simulator's names as globals of this module.
+    """Bind the simulator's names, as the package resolves them, as globals
+    of this module.
 
     A name already bound is kept, so a wrapper set on this module (a
     tracer's span, a test's stub) is what the commands call.
     """
-    from importlib import import_module
-
-    for name, module in _SIMULATOR_NAMES.items():
-        loaded = import_module(f".{module}", __package__)
-        globals().setdefault(name, getattr(loaded, name))
+    package = sys.modules[__package__]
+    for name in _SIMULATOR_NAMES:
+        globals().setdefault(name, getattr(package, name))
 
 
 def __getattr__(name: str):

@@ -3,9 +3,7 @@
 User classes, units, demand scenarios, scheme names, the default grid and
 convexity values, and the errors the command line reports. The trace
 analytics and the argument parser need nothing else, so ``analyze`` runs
-without importing numpy. ``model``, ``coverage`` and ``optimizer``, which
-defined these names before, still import them, so their old import paths
-work.
+without importing numpy.
 """
 
 from __future__ import annotations

@@ -14,7 +14,6 @@ config share common random numbers.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
@@ -27,8 +26,6 @@ from .coverage import (
     linear_from_db,
 )
 from .domain import (
-    DEFAULT_CONVEXITY_VALUES,  # re-exported, as is DEFAULT_GRID_DB
-    DEFAULT_GRID_DB,
     DemandScenario,
     Scheme,
     UnsatisfiableRequirementError,
@@ -172,10 +169,10 @@ def _full_search(
     ``_UPPER_MARGIN``. Each class's values are walked in descending
     (meets, weighted bound), so likely winners come early, and a triple
     whose upper key is below the best key found is skipped, as is a whole
-    stationary value when even its best pairing with the other classes'
-    largest bounds falls below it. Of equal keys the smallest index triple
-    wins, ``_best``'s first-of-equals rule. The walk holds per-class lists
-    only.
+    stationary or walking value when even its best pairing with the later
+    classes' largest bounds falls below it. Of equal keys the smallest index
+    triple wins, ``_best``'s first-of-equals rule. The walk holds per-class
+    lists only.
     """
     config = estimator.config
     values = grid.values
@@ -190,26 +187,31 @@ def _full_search(
         for m, w in zip(meets, weighted)
     ]
     (m0, m1, m2), (w0, w1, w2) = meets, weighted
-    others_meet = any(m1) and any(m2)
+    any1, any2 = any(m1), any(m2)
     top1, top2 = max(w1), max(w2)
     best = None  # (key, index triple, bias, report)
     for i in orders[0]:
-        # no triple with this stationary value has a higher upper key; the
-        # outer order does not sort these keys when others_meet is False,
-        # so a stationary value is skipped, never the rest of the walk
-        reach = (m0[i] and others_meet, (w0[i] + top1 + top2) * (1.0 + _UPPER_MARGIN))
+        # the highest upper key of a triple with this stationary value (and
+        # below, with this walking value); the orders do not sort these keys
+        # when some class has no value that meets, so a value is skipped,
+        # never the rest of its walk
+        reach = (m0[i] and any1 and any2, (w0[i] + top1 + top2) * (1.0 + _UPPER_MARGIN))
         if best is not None and reach < best[0]:
             continue
-        for j, k in itertools.product(orders[1], orders[2]):
-            upper_average = (w0[i] + w1[j] + w2[k]) * (1.0 + _UPPER_MARGIN)
-            if best is not None and (m0[i] and m1[j] and m2[k], upper_average) < best[0]:
+        for j in orders[1]:
+            reach = (m0[i] and m1[j] and any2, (w0[i] + w1[j] + top2) * (1.0 + _UPPER_MARGIN))
+            if best is not None and reach < best[0]:
                 continue
-            triple = (i, j, k)
-            bias = BiasVector(values[i], values[j], values[k])
-            report = estimator.evaluate(bias)
-            key = _feasible_average(report)
-            if best is None or key > best[0] or (key == best[0] and triple < best[1]):
-                best = (key, triple, bias, report)
+            for k in orders[2]:
+                upper_average = (w0[i] + w1[j] + w2[k]) * (1.0 + _UPPER_MARGIN)
+                if best is not None and (m0[i] and m1[j] and m2[k], upper_average) < best[0]:
+                    continue
+                triple = (i, j, k)
+                bias = BiasVector(values[i], values[j], values[k])
+                report = estimator.evaluate(bias)
+                key = _feasible_average(report)
+                if best is None or key > best[0] or (key == best[0] and triple < best[1]):
+                    best = (key, triple, bias, report)
     return best[2], best[3]
 
 

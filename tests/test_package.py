@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import convexcell
+from convexcell import model
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -38,20 +39,43 @@ def test_every_export_exists_once():
 
 
 def test_package_and_parser_load_no_simulator():
-    """The numpy-backed names resolve on first use, so importing costs none."""
+    """Each name resolves on first use, so importing the package loads no
+    submodule, and the trace names and the parser load no simulator."""
     run = run_fresh(
         "import convexcell\n"
-        "from convexcell import cli\n"
+        "print(json.dumps([m for m in sys.modules if m.startswith('convexcell.')]))\n"
+        "from convexcell import (\n"
+        "    DemandScenario, Scheme, UserClass, analyze_trace, read_trace_csv,\n"
+        ")\n"
+        + PRINT_LOADED
+        + "from convexcell import cli\n"
         "cli.build_parser().parse_args(['analyze', '--trace', 'trace.csv'])\n"
         + PRINT_LOADED
         + "print(json.dumps([n for n in convexcell.__all__ if not hasattr(convexcell, n)]))\n"
         + PRINT_LOADED
     )
     assert run.returncode == 0, run.stderr
-    loaded, missing, loaded_after = map(json.loads, run.stdout.splitlines())
+    submodules, loaded_names, loaded, missing, loaded_after = map(
+        json.loads, run.stdout.splitlines()
+    )
+    assert submodules == []
+    assert loaded_names == []
     assert loaded == []
     assert missing == []
     assert loaded_after == list(SIMULATOR_MODULES)
+
+
+@pytest.mark.parametrize("name", ["np", "math", "replace"])
+def test_package_lookup_exposes_no_module_internals(name):
+    """Only the names of ``__all__`` are looked up in the modules."""
+    assert hasattr(model, name)
+    assert not hasattr(convexcell, name)
+
+
+def test_package_lookup_raises_for_a_name_no_module_holds(monkeypatch):
+    monkeypatch.setattr(convexcell, "__all__", [*convexcell.__all__, "no_such_name"])
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        convexcell.no_such_name
 
 
 @pytest.mark.parametrize(
