@@ -48,7 +48,6 @@ __all__ = [
     "handover_efficiency",
     "largest_remainder_counts",
     "linear_from_db",
-    "link_distances",
     "mean_power_matrix",
     "rate_requirement",
     "read_trace_csv",

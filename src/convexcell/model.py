@@ -200,6 +200,7 @@ class NetworkConfig:
         volume = f"profiles.{busiest.user_class.label}.traffic_volume"
         velocity = f"profiles.{fastest.user_class.label}.velocity"
         given = {**vars(self), volume: busiest.traffic_volume, velocity: fastest.velocity}
+        side = float(self.area_side)  # the matrix's corner-to-corner offsets
         for names, quantity, value, least, most in (
             (("user_count",), "the user count, a range length and array dimension,",
              lambda: self.user_count, 1, sys.maxsize),
@@ -211,7 +212,7 @@ class NetworkConfig:
              lambda: self.mean_power(self.macro_power, 1.0), 0.0, math.inf),
             ((weaker, "reference_loss", "path_loss_exponent", "area_side"),
              "the mean power across the window's diagonal",
-             lambda: self.mean_power(given[weaker], self.area_side * math.sqrt(2.0)),
+             lambda: self.mean_power(given[weaker], side * side + side * side),
              sys.float_info.min, math.inf),
             (("noise_power", "bandwidth"), "the noise term of every SINR",
              lambda: self.noise, 0.0, math.inf),
@@ -241,11 +242,12 @@ class NetworkConfig:
         """Poisson means of a trial's macro and small station counts."""
         return self.macro_density * self.area_km2, self.small_density * self.area_km2
 
-    def mean_power(self, power: float, distance: float) -> float:
-        """One link's mean power in the numpy operations of mean_power_matrix
-        (numpy's power can differ from Python's ``**`` in the last bit)."""
-        loss = np.array([max(distance, MIN_PATH_DISTANCE_M)], dtype=float)
-        loss **= -self.path_loss_exponent
+    def mean_power(self, power: float, squared_distance: float) -> float:
+        """Mean power of one link ``squared_distance`` m^2 long, in the numpy
+        operations of mean_power_matrix (numpy's power can differ from
+        Python's ``**`` in the last bit)."""
+        loss = np.array([max(squared_distance, MIN_PATH_DISTANCE_M ** 2)], dtype=float)
+        loss **= -0.5 * self.path_loss_exponent
         return float(loss[0] * (float(power) * self.reference_loss))
 
     @property
@@ -450,30 +452,6 @@ def sample_deployment(config: NetworkConfig, trial_index: int) -> Deployment:
     )
 
 
-def link_distances(
-    deployment: Deployment,
-    out: np.ndarray | None = None,
-    scratch: np.ndarray | None = None,
-) -> np.ndarray:
-    """(n_users, n_stations) matrix of user-to-station distances in meters.
-
-    ``sqrt(dx*dx + dy*dy)``, computed in place in the contiguous x-offset
-    matrix with SIMD ufuncs. ``np.hypot`` is a libm call per element and
-    several times slower; it differs in the last bit for some links, as it
-    does not round the squares and their sum. Given float64 arrays of the
-    result's shape, the x offsets and result go to ``out`` and the y
-    offsets to ``scratch``; either left out is allocated.
-    """
-    users = deployment.user_positions
-    stations = deployment.station_positions()
-    dx = np.subtract.outer(users[:, 0], stations[:, 0], out=out)
-    dy = np.subtract.outer(users[:, 1], stations[:, 1], out=scratch)
-    dx *= dx
-    dy *= dy
-    dx += dy
-    return np.sqrt(dx, out=dx)
-
-
 def mean_power_matrix(
     deployment: Deployment,
     config: NetworkConfig,
@@ -482,13 +460,21 @@ def mean_power_matrix(
 ) -> np.ndarray:
     """Fading-averaged received power of every (user, station) link.
 
-    station_power * reference_loss * d**(-alpha), with d floored at
-    MIN_PATH_DISTANCE_M. Computed in place in the distance matrix, which
-    :func:`link_distances` writes to ``out`` with ``scratch``.
+    station_power * reference_loss * (dx*dx + dy*dy) ** (-alpha / 2), with
+    the squared distance floored at MIN_PATH_DISTANCE_M ** 2, so no sqrt is
+    taken. Computed in place with SIMD ufuncs: given float64 arrays of the
+    result's shape, the x offsets and result go to ``out`` and the y
+    offsets to ``scratch``; either left out is allocated.
     """
+    users = deployment.user_positions
+    stations = deployment.station_positions()
     scale = deployment.station_powers(config)[None, :] * config.reference_loss
-    power = link_distances(deployment, out, scratch)
-    np.maximum(power, MIN_PATH_DISTANCE_M, out=power)
-    power **= -config.path_loss_exponent
+    power = np.subtract.outer(users[:, 0], stations[:, 0], out=out)
+    dy = np.subtract.outer(users[:, 1], stations[:, 1], out=scratch)
+    power *= power
+    dy *= dy
+    power += dy
+    np.maximum(power, MIN_PATH_DISTANCE_M ** 2, out=power)
+    power **= -0.5 * config.path_loss_exponent
     power *= scale
     return power

@@ -29,14 +29,16 @@ those rate factors and requirements from the geometry and the config. The
 estimator's integer caps and decided users must give the same reports.
 
 ``reference_trial_geometry`` is the serial whole-trial assembly that
-TrialGeometry's threaded, user-blocked build replaced, with the broadcast
-distance and mean-power arithmetic it used: it concatenates the trials
-and stable-sorts their users by class, where the build writes each user
-to its slot. The geometry must match it bit for bit. Its distances are
-``sqrt(dx*dx + dy*dy)``, the package's formula; ``hypot_link_distances``
-keeps the ``np.hypot`` distances the package used before, which differ in
-the last bit for some links, so tests can check that the integer geometry
-does not depend on the formula.
+TrialGeometry's threaded, user-blocked build replaced: it concatenates the
+trials and stable-sorts their users by class, where the build writes each
+user to its slot. Its mean powers come from ``reference_mean_power``, the
+package's formula ``max(dx*dx + dy*dy, 1) ** (-alpha/2)`` over broadcast
+offsets, and the geometry must match it bit for bit.
+``distance_mean_power`` keeps the formula the package used before,
+``max(d, 1) ** -alpha``, over ``reference_link_distances``
+(``sqrt(dx*dx + dy*dy)``) or ``hypot_link_distances`` (``np.hypot``). Its
+powers differ in the last bit for some links, so tests can check that the
+integer geometry does not depend on the formula.
 ``reference_fading`` draws a sampled deployment's whole gain matrix in
 one call, as sampling once did, where the package draws it per block.
 
@@ -74,7 +76,6 @@ from convexcell import (
     VEHICULAR_CUTOFF_KMH,
     aggregate_population,
     handover_efficiency,
-    link_distances,
     mean_power_matrix,
     rate_requirement,
 )
@@ -150,7 +151,7 @@ def associate(deployment, bias, config):
 def sinr(user, station, deployment, config, bandwidth=None):
     """Instantaneous SINR of one user against every other station's power."""
     width = config.bandwidth if bandwidth is None else bandwidth
-    distance = np.maximum(link_distances(deployment)[user], MIN_PATH_DISTANCE_M)
+    distance = np.maximum(reference_link_distances(deployment)[user], MIN_PATH_DISTANCE_M)
     inst = (
         deployment.station_powers(config)
         * config.reference_loss
@@ -296,11 +297,16 @@ def _broadcast_delta(deployment):
     return deployment.user_positions[:, None, :] - stations[None, :, :]
 
 
-def reference_link_distances(deployment):
-    """User-to-station distances, sqrt(dx*dx + dy*dy) over a broadcast delta."""
+def reference_squared_distances(deployment):
+    """Squared user-to-station distances, dx*dx + dy*dy over a broadcast delta."""
     delta = _broadcast_delta(deployment)
     dx, dy = delta[..., 0], delta[..., 1]
-    return np.sqrt(dx * dx + dy * dy)
+    return dx * dx + dy * dy
+
+
+def reference_link_distances(deployment):
+    """User-to-station distances, sqrt(dx*dx + dy*dy) over a broadcast delta."""
+    return np.sqrt(reference_squared_distances(deployment))
 
 
 def hypot_link_distances(deployment):
@@ -309,20 +315,40 @@ def hypot_link_distances(deployment):
     return np.hypot(delta[..., 0], delta[..., 1])
 
 
-def reference_trial_geometry(config, deployments, distances=reference_link_distances):
+def _scaled(path_loss, config, deployment):
+    """Mean link powers: station power * reference_loss * path_loss."""
+    return deployment.station_powers(config)[None, :] * config.reference_loss * path_loss
+
+
+def reference_mean_power(config, deployment):
+    """Mean power of every link with the package's path loss,
+    max(dx*dx + dy*dy, 1) ** (-alpha/2)."""
+    squared = np.maximum(reference_squared_distances(deployment), MIN_PATH_DISTANCE_M ** 2)
+    return _scaled(squared ** (-0.5 * config.path_loss_exponent), config, deployment)
+
+
+def distance_mean_power(distances):
+    """Mean link powers with the path loss the package computed before
+    squared distances: max(d, 1) ** -alpha, d = distances(deployment)."""
+
+    def mean_power(config, deployment):
+        floored = np.maximum(distances(deployment), MIN_PATH_DISTANCE_M)
+        return _scaled(floored ** (-config.path_loss_exponent), config, deployment)
+
+    return mean_power
+
+
+def reference_trial_geometry(config, deployments, mean_power_of=reference_mean_power):
     """TrialGeometry's arrays, one whole trial at a time on one thread.
 
     Returns a name -> array mapping with the geometry's attribute names,
-    plus ``n_station_ids`` and ``cls``, each user's class. ``distances``
-    maps a deployment to its link distances.
+    plus ``n_station_ids`` and ``cls``, each user's class.
+    ``mean_power_of(config, deployment)`` gives a trial's mean link powers.
     """
     parts = {}
     station_offset = 0
     for deployment in deployments:
-        powers = deployment.station_powers(config)
-        floored = np.maximum(distances(deployment), MIN_PATH_DISTANCE_M)
-        path_loss = floored ** (-config.path_loss_exponent)
-        mean_power = powers[None, :] * config.reference_loss * path_loss
+        mean_power = mean_power_of(config, deployment)
         inst_power = mean_power * reference_fading(deployment)
         rows = np.arange(deployment.n_users)
         n_macro = deployment.n_macro

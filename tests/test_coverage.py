@@ -33,6 +33,7 @@ from convexcell.optimizer import Scheme, required_bandwidth
 from helpers import (
     GivenDeployment,
     associate,
+    distance_mean_power,
     estimator_for,
     geometry_classes,
     given_geometry,
@@ -40,6 +41,7 @@ from helpers import (
     make_deployment,
     reference_fading,
     reference_float_coverage,
+    reference_link_distances,
     reference_rate_coverage,
     reference_rate_factors,
     reference_trial_geometry,
@@ -476,19 +478,35 @@ class TestTrialGeometry:
         deployments = [sample_deployment(config, t) for t in range(config.trials)]
         assert_geometry_equal(geometry, reference_trial_geometry(config, deployments))
 
-    @pytest.mark.parametrize("case", ["tiny", "default-blocks"])
-    def test_integer_geometry_matches_hypot_distances(self, tiny_config, case):
-        """Best stations are those of the hypot distances.
+    # without noise, and with 20 users: class counts (18, 1, 1), one walking
+    # and one vehicular user per trial
+    DISTANCE_CASES = {
+        "tiny": None,
+        "default-blocks": BLOCKED["default-blocks"][0],
+        "noise-free": NetworkConfig(noise_power=0.0, trials=3, seed=11),
+        "one-user-classes": NetworkConfig(user_count=20, trials=20, seed=13),
+    }
 
-        sqrt(dx*dx + dy*dy) differs from hypot in the last bit of some
-        distances; no best macro or best small station may move with it.
+    @pytest.mark.parametrize("case", DISTANCE_CASES)
+    def test_integer_geometry_matches_hypot_distances(self, tiny_config, case):
+        """Best stations are those of max(d, 1) ** -alpha over the sqrt and
+        the hypot distances.
+
+        The package's max(dx*dx + dy*dy, 1) ** (-alpha/2) differs from both
+        in the last bit of some powers, and sqrt from hypot in the last bit
+        of some distances; no best macro or best small station may move.
         """
-        config = tiny_config if case == "tiny" else self.BLOCKED[case][0]
+        config = self.DISTANCE_CASES[case] or tiny_config
         geometry = TrialGeometry(config)
         deployments = [sample_deployment(config, t) for t in range(config.trials)]
-        expected = reference_trial_geometry(config, deployments, hypot_link_distances)
-        for name in ("gid_macro", "gid_step"):
-            assert getattr(geometry, name).tobytes() == expected[name].tobytes(), name
+        for distances in (reference_link_distances, hypot_link_distances):
+            expected = reference_trial_geometry(
+                config, deployments, distance_mean_power(distances)
+            )
+            for name in ("gid_macro", "gid_step"):
+                assert getattr(geometry, name).tobytes() == expected[name].tobytes(), (
+                    distances.__name__, name,
+                )
 
     def test_blocks_bound_link_memory(self, monkeypatch):
         """No block has more links than BLOCK_LINKS or one user's row, and

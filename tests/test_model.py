@@ -16,13 +16,19 @@ from convexcell import (
     UserClass,
     default_profiles,
     largest_remainder_counts,
-    link_distances,
     mean_power_matrix,
     sample_deployment,
 )
 from convexcell.coverage import BLOCK_LINKS
 from convexcell.model import POISSON_MEAN_MAX
-from helpers import make_deployment, reference_fading, reference_link_distances, sinr
+from helpers import (
+    distance_mean_power,
+    make_deployment,
+    reference_fading,
+    reference_link_distances,
+    reference_squared_distances,
+    sinr,
+)
 
 # Config fuzz: each field is omitted, set near its default (the value
 # itself, as int or float, or scaled), or set to a JSON-style value of
@@ -152,6 +158,23 @@ class TestConfig:
             NetworkConfig(path_loss_exponent=90.0, small_density=0.0)
         with pytest.raises(ConfigError, match="path_loss_exponent .* area_side"):
             NetworkConfig(area_side=1e120, macro_density=1e-230, small_density=0.0)
+
+    def test_window_whose_squared_diagonal_overflows_is_refused(self):
+        """2 * area_side**2 beyond the float range: the squared distance of a
+        corner-to-corner link is inf and its power 0.0, refused in one line,
+        though the distance itself, and its power, are normal floats."""
+        fields = dict(
+            area_side=1e154, macro_density=1e-290, small_density=0.0,
+            path_loss_exponent=2.0001, reference_loss=1e10,
+        )
+        assert 40.0 * 1e10 * (1e154 * math.sqrt(2.0)) ** -2.0001 >= sys.float_info.min
+        with pytest.raises(ConfigError) as refused:
+            NetworkConfig(**fields)
+        assert str(refused.value) == (
+            "the mean power across the window's diagonal is 0.0; it must be finite "
+            "and in [2.2250738585072014e-308, inf] (got macro_power 40.0, "
+            "reference_loss 10000000000.0, path_loss_exponent 2.0001, area_side 1e+154)"
+        )
 
     def test_two_tier_power_ordering(self):
         with pytest.raises(ConfigError, match="macro_power must exceed"):
@@ -452,9 +475,6 @@ class TestBlockBuffers:
                 buffer[: count * n_stations].reshape(count, n_stations)
                 for buffer in (out, scratch)
             )
-            distances = link_distances(block, out=out_rows, scratch=scratch_rows)
-            assert distances is out_rows
-            assert distances.tobytes() == link_distances(block).tobytes()
             power = mean_power_matrix(block, config, out=out_rows, scratch=scratch_rows)
             assert power is out_rows
             assert power.tobytes() == mean_power_matrix(block, config).tobytes()
@@ -506,11 +526,38 @@ class TestReceivedPower:
             none if small_density else station, station if small_density else none,
             [[0.0, 0.0]], [[1.0]],
         )
-        distance = float(link_distances(deployment)[0, 0])
-        if corner != 1.0:
-            assert distance == config.area_side * math.sqrt(2.0)
+        side = config.area_side
+        squared = 1.0 if corner == 1.0 else side * side + side * side
+        assert reference_squared_distances(deployment)[0, 0] == squared
         matrix = mean_power_matrix(deployment, config)[0, 0]
-        assert config.mean_power(power, distance).hex() == float(matrix).hex()
+        assert config.mean_power(power, squared).hex() == float(matrix).hex()
+
+    @given(st.floats(0.01, 1e8), st.floats(2.0, 10.0, exclude_min=True))
+    def test_config_diagonal_power_is_the_matrix_at_any_window(self, side, exponent):
+        """The config's diagonal row is the matrix's corner-to-corner link,
+        bit for bit, at every window and exponent."""
+        config = NetworkConfig(area_side=side, path_loss_exponent=exponent)
+        deployment = make_deployment(
+            np.empty((0, 2)), [[side, side]], [[0.0, 0.0]], [[1.0]]
+        )
+        matrix = mean_power_matrix(deployment, config)[0, 0]
+        diagonal = config.mean_power(config.small_power, side * side + side * side)
+        assert diagonal.hex() == float(matrix).hex()
+
+    @pytest.mark.parametrize("exponent", [3.1, 3.07])
+    @pytest.mark.parametrize("trial", [0, 1])
+    def test_within_ulps_of_the_distance_formula(self, tiny_config, exponent, trial):
+        """max(dx*dx + dy*dy, 1) ** (-alpha/2) stays within a few ulps of
+        max(d, 1) ** -alpha over d = sqrt(dx*dx + dy*dy): the sqrt's half-ulp
+        rounding, raised to alpha, is up to 3.1 ulps, and each side rounds
+        its power and its product once more."""
+        for config in (tiny_config, NetworkConfig(user_count=200, seed=trial)):
+            config = dataclasses.replace(config, path_loss_exponent=exponent)
+            deployment = sample_deployment(config, trial)
+            power = mean_power_matrix(deployment, config)
+            before = distance_mean_power(reference_link_distances)(config, deployment)
+            assert before.min() >= sys.float_info.min
+            assert np.all(np.abs(power - before) <= 6 * np.spacing(before))
 
     @given(st.floats(1e-3, 1e3), st.floats(1.0, 1e4))
     def test_linear_in_transmit_power(self, power, distance):
@@ -566,34 +613,29 @@ class TestSinr:
 
 
 class TestGeometryHelpers:
-    def test_link_distances_hand_values(self):
+    def test_mean_power_matrix_hand_values(self):
+        """A 3-4-5 triangle at exponent 4: the 5 m link gives 25**-2, and a
+        user at a station gets the 1 m floor."""
+        config = NetworkConfig(macro_power=2.0, small_power=1.0, path_loss_exponent=4.0)
         deployment = make_deployment(
             [[0.0, 0.0]], [[3.0, 4.0]], [[0.0, 0.0], [3.0, 0.0]], np.ones((2, 2))
         )
-        distances = link_distances(deployment)
-        assert distances.shape == (2, 2)
-        assert distances[0] == pytest.approx([0.0, 5.0])
-        assert distances[1] == pytest.approx([3.0, 4.0])
-
-    @pytest.mark.parametrize("trial", [0, 1, 2])
-    def test_link_distances_match_broadcast_hypot(self, tiny_config, trial):
-        """Bitwise the broadcast oracle; both are sqrt(dx*dx + dy*dy), not hypot."""
-        deployment = sample_deployment(tiny_config, trial)
-        distances = link_distances(deployment)
-        expected = reference_link_distances(deployment)
-        assert distances.flags.c_contiguous
-        assert distances.shape == expected.shape
-        assert distances.tobytes() == expected.tobytes()
+        power = mean_power_matrix(deployment, config)
+        assert power.shape == (2, 2)
+        assert power[0, 0] == 2.0
+        assert power[0, 1] == pytest.approx(25.0**-2, rel=1e-15)
+        assert power[1] == pytest.approx([2.0 * 9.0**-2, 16.0**-2], rel=1e-15)
 
     def test_mean_power_uses_unit_fading(self, tiny_config):
         deployment = sample_deployment(tiny_config, 1)
         mean_power = mean_power_matrix(deployment, tiny_config)
-        distances = link_distances(deployment)
+        squared = reference_squared_distances(deployment)
         powers = deployment.station_powers(tiny_config)
-        path_loss = np.maximum(distances, 1.0) ** (-tiny_config.path_loss_exponent)
+        path_loss = np.maximum(squared, 1.0) ** (-0.5 * tiny_config.path_loss_exponent)
         expected = powers[None, :] * tiny_config.reference_loss * path_loss
         assert mean_power.tobytes() == expected.tobytes()
         assert mean_power.shape == (deployment.n_users, deployment.n_stations)
+        assert mean_power.flags.c_contiguous
 
     def test_immutability(self):
         config = NetworkConfig()

@@ -1,5 +1,6 @@
 """The benchmark's recorded digests and the tracer's spans of the package."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -8,6 +9,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from convexcell import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -67,3 +70,38 @@ def test_tracer_records_every_layer(tmp_path, argv, expected):
     assert run.returncode == 0, run.stderr
     names = Counter(span[0] for span in json.loads(spans_path.read_text())["spans"])
     assert {name: names[name] for name in expected} == expected
+
+
+@pytest.fixture(scope="module")
+def bench_run():
+    """perfbench/run.py as a module, imported without writing bytecode
+    next to it."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_run", ROOT / "perfbench" / "run.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sys, "dont_write_bytecode", True)
+        patch.syspath_prepend(str(ROOT / "perfbench"))
+        patch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
+        spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload", ["sweep-3pt", "bandwidth-default", "evaluate-wide"])
+def test_outputs_match_the_recorded_digests(bench_run, tmp_path, monkeypatch, workload):
+    """The simulator workloads' outputs at seed 42, byte for byte as recorded.
+
+    The benchmark's own inputs and arguments, run in process from a
+    temporary directory that stands in for the checkout: the metadata
+    records the config's relative path, .bench_work/evaluate-wide/config.json.
+    """
+    monkeypatch.setattr(bench_run, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_run, "WORK", tmp_path / ".bench_work")
+    monkeypatch.chdir(tmp_path)
+    case = bench_run.prepare(workload, 42, tiny=False)
+    out = case.work / "out-0"
+    assert cli.main([*case.argv, "--out", bench_run._rel(out)]) == 0
+    expected = bench_run.recorded_digests(case)
+    assert expected is not None
+    assert bench_run.digests(out) == expected
