@@ -12,7 +12,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -57,9 +57,23 @@ def handover_efficiency(
     return max(0.0, 1.0 - rate * config.handover_delay)
 
 
-# links per user block of a trial's reduction: a block's distance, power and
-# instantaneous-power matrices (8 bytes per link each) then fit in L2
+# links per user block of a trial's reduction: a block's offset-then-fading
+# and power matrices (8 bytes per link each) then fit in L2; the per-user
+# kernels take chunks of BLOCK_LINKS // 2 users
 BLOCK_LINKS = 1 << 16
+
+
+def _chunks(users: slice) -> Iterator[tuple[slice, slice]]:
+    """A class's users in consecutive chunks of at most BLOCK_LINKS // 2.
+
+    Yields each chunk as a slice of the geometry's per-user arrays and as
+    the same users' slice of the class's own arrays, so a kernel that walks
+    them holds a constant working set, whatever the class's size.
+    """
+    size = max(1, BLOCK_LINKS // 2)
+    for start in range(users.start, users.stop, size):
+        stop = min(start + size, users.stop)
+        yield slice(start, stop), slice(start - users.start, stop - users.start)
 
 
 def _load_dtype(user_count: int) -> type:
@@ -147,13 +161,15 @@ class BiasVector:
 
 
 class Association(NamedTuple):
-    """Serving stations of one class under one bias value (read-only arrays)."""
+    """Serving stations of one class under one bias value (read-only arrays).
+
+    3 bytes per user of the class and 2 per station id at int16.
+    """
 
     on_small: np.ndarray  # bool per user of the class, True where a small cell serves it
     # the rest are of the geometry's load dtype, int16 up to 32767 users per trial
     loads: np.ndarray  # users of the class per station id
     own: np.ndarray  # per user: its serving station's load from its own class
-    full: np.ndarray  # per user: own plus the station's other_candidates
 
 
 class TrialGeometry:
@@ -176,28 +192,34 @@ class TrialGeometry:
     ``other_candidates[cls]`` counts, per station id, the users of the
     other two classes that have the station as their best macro or best
     small station: whatever their biases, at most that many of them are
-    served there. ``association(cls, bias)`` keeps, per class and bias
-    value and for the life of the geometry, which users a small cell
-    serves, the class's load per station id, and each user's serving
-    station load from its own class alone and with those other-class
-    candidates added. Every count of users at a station is stored as
-    ``load_dtype``, int16 unless a trial has more than 32767 users (then
-    int32); no count or sum of them exceeds ``user_count``. So an
-    association costs 5 bytes per user of the class plus 2 per
-    station-trial; a grid value used by all three classes costs about
-    0.7 MB at the defaults, the 11-value grid about 7.7 MB.
+    served there. ``gaps[cls]`` gathers it once per user of the class, as
+    the count at its best macro and the step from there to the count at its
+    best small station (zero without one), so a user's gap under either
+    choice of station is arithmetic. ``association(cls, bias)`` keeps, per
+    class and bias value and for the life of the geometry, which users a
+    small cell serves, the class's load per station id, and each user's
+    serving station load from its own class. Every count of users at a
+    station is stored as ``load_dtype``, int16 unless a trial has more than
+    32767 users (then int32); no count or sum of them exceeds
+    ``user_count``. So the gaps cost 4 bytes per user-trial once, and an
+    association 3 bytes per user of the class plus 2 per station-trial; a
+    grid value used by all three classes costs about 0.5 MB at the
+    defaults, the 11-value grid about 5.5 MB. Gaps and associations are
+    computed in chunks of at most ``BLOCK_LINKS // 2`` users, so their
+    working memory does not grow with the class.
 
     Trials are sampled and reduced on one thread per usable CPU, each trial
     in blocks of about ``BLOCK_LINKS`` links whose fading is drawn per
-    block. Each worker draws, computes and fades every block in three
-    float64 buffers of its own, reused from block to block and trial to
-    trial, so the build holds workers x three blocks of link data, whatever
-    the user count. Each trial is a pure function of
-    ``(seed, trial)`` and writes its users to slots fixed by their class,
-    trial and index, so the arrays do not depend on the number of threads
-    or the order trials finish in. A trial whose squared distances or
-    instantaneous powers overflow a float raises EstimationError instead of
-    carrying infinities into the rates.
+    block. Each worker computes and fades every block in two float64
+    buffers of its own, reused from block to block and trial to trial: the
+    mean powers go to one, and a block's fading is drawn into the other
+    once the mean powers no longer need its offsets. So the build holds
+    workers x two blocks of link data, whatever the user count. Each trial
+    is a pure function of ``(seed, trial)`` and writes its users to slots
+    fixed by their class, trial and index, so the arrays do not depend on
+    the number of threads or the order trials finish in. A trial whose
+    squared distances or instantaneous powers overflow a float raises
+    EstimationError instead of carrying infinities into the rates.
     """
 
     def __init__(self, config: NetworkConfig) -> None:
@@ -245,7 +267,7 @@ class TrialGeometry:
             links = max(BLOCK_LINKS, deployment.n_stations)
             buffers = getattr(local, "buffers", None)
             if buffers is None or buffers[0].size < links:
-                buffers = local.buffers = [np.empty(links) for _ in range(3)]
+                buffers = local.buffers = [np.empty(links) for _ in range(2)]
             # numpy's error state is per thread, so each worker sets its own
             try:
                 with np.errstate(over="raise"):
@@ -257,8 +279,8 @@ class TrialGeometry:
                 ) from None
             return deployment.n_stations
 
-        # imported here, not at module level: the import takes about 8 ms,
-        # which commands that build no geometry (analyze) need not pay
+        # imported here, not at module level: the import takes about 3 ms
+        # (python 3.11, -X importtime), which only a geometry build needs
         from concurrent.futures import ThreadPoolExecutor
 
         # numpy's ufuncs and fading draws release the GIL; map yields in
@@ -271,22 +293,38 @@ class TrialGeometry:
         for users, count in zip(self.class_slices, counts):
             ids = self.gid_macro[users].reshape(trials, count)
             ids += offsets[:, None]
-        self.n_station_ids = sum(n_stations)
+        self.n_station_ids = n_ids = sum(n_stations)
         for array in arrays.values():
             array.flags.writeable = False
         # a user is served by its best macro or its best small station
         # whatever its bias, so the users of the other classes that have a
         # station among those two bound the load they can put on it
-        candidates = np.empty((3, self.n_station_ids), dtype=self.load_dtype)
-        has_small = self.gid_step != 0
+        candidates = np.zeros((3, n_ids), dtype=self.load_dtype)
         for cls, users in enumerate(self.class_slices):
-            macro = self.gid_macro[users]
-            small = (macro + self.gid_step[users])[has_small[users]]
-            candidates[cls] = np.bincount(macro, minlength=self.n_station_ids)
-            candidates[cls] += np.bincount(small, minlength=self.n_station_ids)
+            for chunk, _ in _chunks(users):
+                macro = self.gid_macro[chunk]
+                step = self.gid_step[chunk]
+                candidates[cls] += np.bincount(macro, minlength=n_ids)
+                small = (macro + step)[step != 0]
+                candidates[cls] += np.bincount(small, minlength=n_ids)
         total = candidates.sum(axis=0, dtype=self.load_dtype)
         self.other_candidates = total - candidates
         self.other_candidates.flags.writeable = False
+        self.gaps = []
+        for other, users in zip(self.other_candidates, self.class_slices):
+            gap_macro = np.empty(users.stop - users.start, dtype=self.load_dtype)
+            gap_step = np.empty_like(gap_macro)
+            for chunk, rows in _chunks(users):
+                # ids are always in range, so mode="clip" changes none of
+                # them and lets take write to out without a buffer
+                macro = self.gid_macro[chunk]
+                other.take(macro, out=gap_macro[rows], mode="clip")
+                small = macro + self.gid_step[chunk]
+                other.take(small, out=gap_step[rows], mode="clip")
+            gap_step -= gap_macro
+            for array in (gap_macro, gap_step):
+                array.flags.writeable = False
+            self.gaps.append((gap_macro, gap_step))
         self._associations: dict[tuple[int, float], Association] = {}
 
     def association(self, cls: int, bias: float) -> Association:
@@ -295,27 +333,35 @@ class TrialGeometry:
         A user is served by its best small station when the bias times its
         power beats the best macro's, ties going to the macro. Besides that
         choice and the class's per-station loads, it keeps each user's
-        station load as gathered by station id: ``own`` from the class
-        alone, ``full`` with the station's ``other_candidates`` added. The
-        serving ids themselves are not kept. The result depends on neither
-        demand nor bandwidth, so it is computed once and kept, read-only,
-        for the life of the geometry: every estimator, scheme and bandwidth
-        bound to this geometry shares it. Biasing on mean power keeps the
-        serving map fixed across fading draws, as a real network configures
-        it.
+        station load from the class alone (``own``), as gathered by station
+        id. The serving ids themselves are not kept: each chunk's are
+        computed once for the loads and once more to gather ``own``. The
+        result depends on neither demand nor bandwidth, so it is computed
+        once and kept, read-only, for the life of the geometry: every
+        estimator, scheme and bandwidth bound to this geometry shares it.
+        Biasing on mean power keeps the serving map fixed across fading
+        draws, as a real network configures it.
         """
         key = (cls, bias)
         found = self._associations.get(key)
         if found is None:
             users = self.class_slices[cls]
-            on_small = bias * self.pw_small[users] > self.pw_macro[users]
-            # the int32 step keeps the ids int32 and avoids a slower np.where
-            gid = self.gid_macro[users] + on_small * self.gid_step[users]
-            loads = np.bincount(gid, minlength=self.n_station_ids)
-            loads = loads.astype(self.load_dtype)
-            own = loads.take(gid)
-            full = own + self.other_candidates[cls].take(gid)
-            found = Association(on_small, loads, own, full)
+            on_small = np.empty(users.stop - users.start, dtype=bool)
+            loads = np.zeros(self.n_station_ids, dtype=self.load_dtype)
+            own = np.empty_like(on_small, dtype=self.load_dtype)
+
+            def serving_ids(chunk: slice, rows: slice) -> np.ndarray:
+                # the int32 step keeps the ids int32 and avoids a slower np.where
+                return self.gid_macro[chunk] + on_small[rows] * self.gid_step[chunk]
+
+            for chunk, rows in _chunks(users):
+                biased = np.multiply(bias, self.pw_small[chunk])
+                np.greater(biased, self.pw_macro[chunk], out=on_small[rows])
+                gid = serving_ids(chunk, rows)
+                loads += np.bincount(gid, minlength=self.n_station_ids)
+            for chunk, rows in _chunks(users):
+                loads.take(serving_ids(chunk, rows), out=own[rows], mode="clip")
+            found = Association(on_small, loads, own)
             for array in found:
                 array.flags.writeable = False
             self._associations[key] = found
@@ -334,19 +380,19 @@ class TrialGeometry:
         array, with its trial-local station ids in ``gid_macro``. Users are
         reduced in row blocks of about ``BLOCK_LINKS`` links (at least one
         user), each with its rows of the deployment's fading. A block's
-        powers, y offsets and fading go to the leading links of the three
-        float64 ``buffers``, each of at least one block's links.
+        powers go to the leading links of the first of the two float64
+        ``buffers``, each of at least one block's links; its y offsets go to
+        the second, and then its fading, drawn once the powers are done.
         """
         n_macro = deployment.n_macro
         n_stations = deployment.n_stations
         has_small = deployment.n_small > 0
         step = max(1, BLOCK_LINKS // n_stations)
-        power_rows, offset_rows, fading_rows = (
+        power_rows, offset_rows = (
             buffer[: step * n_stations].reshape(step, n_stations) for buffer in buffers
         )
-        starts = range(0, deployment.n_users, step)
-        fading_blocks = deployment.fading_blocks(step, out=fading_rows)
-        for start, fading in zip(starts, fading_blocks):
+        fading_blocks = deployment.fading_blocks(step, out=offset_rows)
+        for start in range(0, deployment.n_users, step):
             users = slots[start : start + step]
             block = replace(
                 deployment, user_positions=deployment.user_positions[start : start + step]
@@ -364,8 +410,10 @@ class TrialGeometry:
                 best_small = np.argmax(mean_power[:, n_macro:], axis=1) + n_macro
                 self.pw_small[users] = mean_power[rows, best_small]
                 self.gid_step[users] = best_small - best_macro
-            # the instantaneous powers overwrite the mean powers, so the
-            # block's links stay in one buffer while they are in cache
+            # the offsets are spent, so the block's fading overwrites them,
+            # and the instantaneous powers the mean powers, so the block's
+            # links stay in two buffers while they are in cache
+            fading = next(fading_blocks)
             inst_power = np.multiply(mean_power, fading, out=mean_power)
             self.sig_macro[users] = inst_power[rows, best_macro]
             if has_small:
@@ -380,7 +428,7 @@ def _rate_factors(
     eff: float,
     config: NetworkConfig,
 ) -> np.ndarray:
-    """efficiency * log2(1 + SINR) * W per user of a class for one tier's signal.
+    """efficiency * log2(1 + SINR) * W per user of a chunk for one tier's signal.
 
     SINR is signal / (total - signal + noise * W). Computed in place in one
     new array, in the operation order of the formula; the division by the
@@ -463,18 +511,19 @@ class CoverageEstimator:
     a part. At binding, each user's rate factor and requirement give an
     exact integer cap, the largest load of its station at which it is still
     covered; the estimator keeps only these caps, in the geometry's
-    ``load_dtype``: 4 bytes per user-trial at int16. Users whose own class
-    alone already loads the station past the cap (the association's ``own``)
-    are never covered; users whose cap also holds when every other-class
-    user that could be served there is (its ``full``) are always covered.
-    The association gathers both loads once, so a part is two integer
-    compares per user against its caps. A part keeps the count of the
-    always-covered users and the station ids and caps of the rest, the
-    undecided users, so a bias triple costs the sum of three load vectors
-    and one gather and integer compare per undecided user. Grid searches
-    over n values per class build 3n parts instead of n^3 associations.
-    Every request is computed; identical inputs give identical reports
-    regardless of evaluation order.
+    ``load_dtype``: 4 bytes per user-trial at int16. They are computed a
+    chunk of at most ``BLOCK_LINKS // 2`` users at a time, so a binding's
+    working memory does not grow with the users. A user's slack is its cap
+    minus its own class's load at its station (the association's ``own``):
+    below zero it is never covered, and at or above its gap to every
+    other-class user that could be served there (the geometry's ``gaps``)
+    it is always covered. So a part is a few integer operations per user.
+    A part keeps the count of the always-covered users and the station ids
+    and caps of the rest, the undecided users, so a bias triple costs the
+    sum of three load vectors and one gather and integer compare per
+    undecided user. Grid searches over n values per class build 3n parts
+    instead of n^3 associations. Every request is computed; identical
+    inputs give identical reports regardless of evaluation order.
     """
 
     def __init__(self, config: NetworkConfig, geometry: TrialGeometry) -> None:
@@ -501,15 +550,19 @@ class CoverageEstimator:
             requirement = rate_requirement(
                 profile.traffic_volume, config.demand_peak_factor
             )
-            caps = []
-            for signal, density in (
-                (geo.sig_macro, config.macro_density),
-                (geo.sig_small, config.small_density),
-            ):
-                eff = handover_efficiency(profile.velocity, density, config)
-                scaled = _rate_factors(geo, users, signal, eff, config)
-                caps.append(_rate_caps(scaled, requirement, max_load))
-            macro, step = caps
+            macro = np.empty(users.stop - users.start, dtype=geo.load_dtype)
+            step = np.empty_like(macro)
+            tiers = [
+                (signal, handover_efficiency(profile.velocity, density, config), caps)
+                for signal, density, caps in (
+                    (geo.sig_macro, config.macro_density, macro),
+                    (geo.sig_small, config.small_density, step),
+                )
+            ]
+            for chunk, rows in _chunks(users):
+                for signal, eff, caps in tiers:
+                    scaled = _rate_factors(geo, chunk, signal, eff, config)
+                    caps[rows] = _rate_caps(scaled, requirement, max_load)
             step -= macro
             self._user_caps.append((macro, step))
         self._parts: dict[tuple[int, float], tuple] = {}
@@ -577,14 +630,21 @@ class CoverageEstimator:
         part = self._parts.get(key)
         if part is None:
             geo = self.geometry
-            on_small, loads, own, full = geo.association(cls, bias)
+            on_small, loads, own = geo.association(cls, bias)
             cap_macro, cap_step = self._user_caps[cls]
+            gap_macro, gap_step = geo.gaps[cls]
             cap = cap_macro + on_small * cap_step
-            # below its class's own load the user is never covered, at or
-            # above the full load (own plus every other-class candidate)
-            # always; in between it depends on the other classes' biases
-            always = np.count_nonzero(cap >= full)
-            undecided = np.flatnonzero((cap >= own) & (cap < full))
+            slack = cap - own
+            gap = gap_macro + on_small * gap_step
+            # below its class's own load (a negative slack) the user is never
+            # covered, at or above the full load (a slack of at least the gap
+            # to every other-class candidate) always; in between it depends
+            # on the other classes' biases. Slack and gap lie in
+            # -user_count..user_count and 0..user_count, so as unsigned
+            # integers a negative slack exceeds every gap.
+            always = np.count_nonzero(slack >= gap)
+            unsigned = f"u{own.itemsize}"
+            undecided = np.flatnonzero(slack.view(unsigned) < gap.view(unsigned))
             # the serving ids of the undecided users, with association's arithmetic
             users = geo.class_slices[cls]
             gid = geo.gid_macro[users].take(undecided)

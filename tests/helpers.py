@@ -41,6 +41,9 @@ powers differ in the last bit for some links, so tests can check that the
 integer geometry does not depend on the formula.
 ``reference_fading`` draws a sampled deployment's whole gain matrix in
 one call, as sampling once did, where the package draws it per block.
+``at_two_chunk_sizes`` runs a test's cases at the package's chunk size and
+again in chunks of 97 users, so the per-user kernels' chunk boundaries
+meet the oracles.
 
 The trace oracle (``TraceSample``, ``MobilitySegment``, ``haversine_m``,
 ``classify_mobility``, ``compute_velocity`` and the ``reference_*`` trace
@@ -58,6 +61,7 @@ from datetime import datetime
 from unittest import mock
 
 import numpy as np
+import pytest
 
 from convexcell import (
     DEFAULT_STATIONARY_CUTOFF_KMH,
@@ -124,6 +128,21 @@ def geometry_classes(geo):
     """Each geometry user's class, as the geometry's class_slices give it."""
     sizes = [users.stop - users.start for users in geo.class_slices]
     return np.repeat(np.arange(3, dtype=np.int8), sizes)
+
+
+def at_two_chunk_sizes(cases):
+    """``(case, block_links)`` parameters: each case at the package's chunk
+    size, under the case's own id, then in chunks of 97 users.
+
+    The per-user kernels take ``BLOCK_LINKS // 2`` users per chunk, so a
+    test patches ``coverage.BLOCK_LINKS`` to the given ``block_links`` (194,
+    chunks of 97 users) unless it is None. The tiny config's stationary
+    class (162 users) then spans two chunks, the last one short, and each
+    moving class (9 users) fits in one.
+    """
+    return [pytest.param(case, None, id=str(case)) for case in cases] + [
+        pytest.param(case, 2 * 97, id=f"{case}-97-user-chunks") for case in cases
+    ]
 
 
 def given_geometry(config, deployments):

@@ -5,6 +5,7 @@ import itertools
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from convexcell.optimizer import Scheme, required_bandwidth
 from helpers import (
     GivenDeployment,
     associate,
+    at_two_chunk_sizes,
     distance_mean_power,
     estimator_for,
     geometry_classes,
@@ -759,8 +761,12 @@ EDGE_CONFIGS = {
 
 # 1.7e308 overflows the rate factors of noise-free links to +inf
 @pytest.mark.parametrize("bandwidth", [1e6, 1e7, 1e8, 1.7e308])
-@pytest.mark.parametrize("case", EDGE_CONFIGS)
-def test_edge_configs_match_float_kernel(tiny_config, case, bandwidth):
+@pytest.mark.parametrize("case, block_links", at_two_chunk_sizes(EDGE_CONFIGS))
+def test_edge_configs_match_float_kernel(
+    tiny_config, monkeypatch, case, block_links, bandwidth
+):
+    if block_links is not None:
+        monkeypatch.setattr(coverage, "BLOCK_LINKS", block_links)
     fields = dict(EDGE_CONFIGS[case])
     config = tiny_config.with_volumes(fields.pop("volumes", [20.0, 5.0, 10.0]))
     config = dataclasses.replace(config, bandwidth=bandwidth, **fields)
@@ -892,13 +898,18 @@ PART_CONFIGS = {
 }
 
 
-@pytest.mark.parametrize("case", PART_CONFIGS)
-def test_parts_match_gathered_slack_and_bound(tiny_config, case):
+@pytest.mark.parametrize("case, block_links", at_two_chunk_sizes(PART_CONFIGS))
+def test_parts_match_gathered_slack_and_bound(
+    tiny_config, monkeypatch, case, block_links
+):
     """Each part's always-covered count, undecided ids and caps are those of
     the per-user slack (cap minus the class's own station load) against the
     bound (the station's other-class candidates), gathered by station id,
     and each coverage bound is the share of users with no negative slack.
-    The volumes leave some users of every case undecided."""
+    The association's ``own`` and the geometry's gaps are those gathers. The
+    volumes leave some users of every case undecided."""
+    if block_links is not None:
+        monkeypatch.setattr(coverage, "BLOCK_LINKS", block_links)
     config = tiny_config.with_volumes([3000.0, 1000.0, 2000.0])
     estimator = estimator_for(dataclasses.replace(config, **PART_CONFIGS[case]))
     geo = estimator.geometry
@@ -919,6 +930,11 @@ def test_parts_match_gathered_slack_and_bound(tiny_config, case):
             bound = geo.other_candidates[cls][gid]
             undecided = np.flatnonzero((slack >= 0) & (slack < bound))
 
+            association = geo.association(cls, value)
+            assert np.array_equal(association.on_small, on_small)
+            assert np.array_equal(association.own, loads[gid])
+            gap_macro, gap_step = geo.gaps[cls]
+            assert np.array_equal(gap_macro + on_small * gap_step, bound)
             part_loads, always, part_gid, part_cap = estimator._part(cls, value)
             assert np.array_equal(part_loads, loads)
             assert always == np.count_nonzero(slack >= bound)
@@ -947,21 +963,26 @@ def test_coverage_bounds_hold_for_every_triple(tiny_config, case):
             assert report.per_class_coverage[cls] <= bounds[cls, i]
 
 
-def test_association_holds_five_bytes_per_user(tiny_config):
-    """An association keeps a bool and two int16 loads per user of its
-    class, and one int16 load per station id, all read-only."""
+def test_association_holds_three_bytes_per_user(tiny_config):
+    """An association keeps a bool and an int16 load per user of its class,
+    and one int16 load per station id; the geometry keeps each user's two
+    int16 gaps once. All are read-only."""
     geo = TrialGeometry(tiny_config)
     for cls, users in enumerate(geo.class_slices):
+        n_users = users.stop - users.start
+        gaps = geo.gaps[cls]
+        assert [array.dtype for array in gaps] == [np.int16, np.int16]
+        assert sum(array.nbytes for array in gaps) == 4 * n_users
+        assert not any(array.flags.writeable for array in gaps)
         for value in (1.0, 10.0):
             association = geo.association(cls, value)
-            on_small, loads, own, full = association
+            on_small, loads, own = association
             assert [array.dtype for array in association] == [
-                np.bool_, np.int16, np.int16, np.int16
+                np.bool_, np.int16, np.int16
             ]
             assert loads.shape == (geo.n_station_ids,)
             assert loads.nbytes == 2 * geo.n_station_ids
-            n_users = users.stop - users.start
-            assert on_small.nbytes + own.nbytes + full.nbytes == 5 * n_users
+            assert on_small.nbytes + own.nbytes == 3 * n_users
             for array in association:
                 assert not array.flags.writeable
 
@@ -975,14 +996,63 @@ def test_caps_hold_four_bytes_per_user_trial(default_geometry):
     assert sum(array.nbytes for array in caps) == 4 * config.user_count * config.trials
 
 
+def traced_peak(make):
+    """make()'s result and the traced peak of what it allocated.
+
+    tracemalloc sees numpy's buffers as well as Python objects.
+    """
+    tracemalloc.start()
+    try:
+        made = make()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return made, peak
+
+
+@pytest.fixture(scope="module")
+def wide_geometries():
+    """{trials: (config, geometry)} for 4000 users at 10 and 40 trials.
+
+    At 10 trials the stationary class (35890 users) spans two chunks of
+    the per-user kernels, at 40 trials five.
+    """
+    configs = [NetworkConfig(user_count=4000, trials=trials) for trials in (10, 40)]
+    return {config.trials: (config, TrialGeometry(config)) for config in configs}
+
+
+def test_binding_memory_does_not_grow_with_trials(wide_geometries):
+    """A binding's working memory beyond the caps it keeps is that of one
+    chunk: four times the users take no more of it."""
+    extra = {}
+    for trials, (config, geometry) in wide_geometries.items():
+        estimator = CoverageEstimator(config, geometry)
+        clone, peak = traced_peak(lambda: estimator.with_bandwidth(2 * config.bandwidth))
+        caps = [array for pair in clone._user_caps for array in pair]
+        extra[trials] = peak - sum(array.nbytes for array in [*caps, clone._loads])
+    assert extra[40] < 1.25 * extra[10]
+
+
+def test_association_memory_does_not_grow_with_trials(wide_geometries):
+    """An association's working memory beyond the arrays it keeps is that
+    of one chunk: four times the users take no more of it."""
+    extra = {}
+    for trials, (_, geometry) in wide_geometries.items():
+        association, peak = traced_peak(
+            lambda: geometry.association(UserClass.STATIONARY, 4.0)
+        )
+        extra[trials] = peak - sum(array.nbytes for array in association)
+    assert extra[40] < 1.25 * extra[10]
+
+
 @pytest.mark.parametrize("users, dtype", [(32767, np.int16), (32768, np.int32)])
 def test_one_station_serving_every_user_at_the_dtype_boundary(users, dtype):
     """The largest loads of each dtype give the float kernel's reports.
 
     One trial without a small tier at a macro density whose Poisson mean is
-    far below one: the one forced macro serves every user, so every
-    ``full`` load, the summed load of ``evaluate`` and the zero-volume
-    walking class's caps all equal the user count.
+    far below one: the one forced macro serves every user, so every user's
+    own load plus its gap, the summed load of ``evaluate`` and the
+    zero-volume walking class's caps all equal the user count.
     """
     config = NetworkConfig(
         user_count=users, trials=1, small_density=0.0, macro_density=1e-9
@@ -993,10 +1063,13 @@ def test_one_station_serving_every_user_at_the_dtype_boundary(users, dtype):
     assert geo.load_dtype is dtype
     for cls, count in enumerate(config.class_counts()):
         association = geo.association(cls, 1.0)
-        assert [array.dtype for array in association[1:]] == [dtype] * 3
+        gap_macro, gap_step = geo.gaps[cls]
+        gap = gap_macro + association.on_small * gap_step
+        assert [array.dtype for array in association[1:]] == [dtype] * 2
+        assert gap.dtype == dtype
         assert association.loads.tolist() == [count]
         assert np.all(association.own == count)
-        assert np.all(association.full == users)
+        assert np.all(association.own + gap == users)
     assert np.all(estimator._user_caps[UserClass.WALKING][0] == users)
     biases = [BiasVector.uniform(1.0), BiasVector.from_db(12.0, 6.0, 0.0)]
     reports = [estimator.evaluate(bias) for bias in biases]

@@ -39,8 +39,10 @@ from convexcell.optimizer import (
     _three_stage,
 )
 from helpers import (
+    at_two_chunk_sizes,
     estimator_for,
     reference_cre,
+    reference_float_coverage,
     reference_full_search,
     reference_stage1,
     reference_stage2,
@@ -562,19 +564,28 @@ class TestRequiredBandwidth:
             seen.add(failing)
         assert len(seen) == 3
 
-    @pytest.mark.parametrize("scheme", [Scheme.CRE, Scheme.THREE_STAGE])
-    def test_bisection_brackets_the_threshold(self, tiny_config, scheme):
+    @pytest.mark.parametrize(
+        "scheme, block_links", at_two_chunk_sizes([Scheme.CRE, Scheme.THREE_STAGE])
+    )
+    def test_bisection_brackets_the_threshold(
+        self, tiny_config, monkeypatch, scheme, block_links
+    ):
+        if block_links is not None:
+            monkeypatch.setattr(coverage, "BLOCK_LINKS", block_links)
         tolerance = 1e5
         config = tiny_config.with_volumes([120.0, 30.0, 80.0])
         base = bound_at(config, 1e9)
         width = required_bandwidth(base, SMALL_GRID, scheme, 1e6, tolerance)
         assert width > 1e6 + 2 * tolerance  # interior solution, not the edge
-        _, at = run_scheme(scheme, base.with_bandwidth(width), SMALL_GRID)
-        _, below = run_scheme(
-            scheme, base.with_bandwidth(width - 2 * tolerance), SMALL_GRID
-        )
+        at_width = base.with_bandwidth(width)
+        below_width = base.with_bandwidth(width - 2 * tolerance)
+        bias_at, at = run_scheme(scheme, at_width, SMALL_GRID)
+        bias_below, below = run_scheme(scheme, below_width, SMALL_GRID)
         assert at.feasible
         assert not below.feasible
+        # both ends of the bracket as the float kernel computes them
+        assert [at] == reference_float_coverage(at_width, [bias_at])
+        assert [below] == reference_float_coverage(below_width, [bias_below])
         # a tolerance below the float spacing near the threshold ends the
         # bisection at two adjacent floats
         width = required_bandwidth(base, SMALL_GRID, scheme, 1e6, 1e-12)
