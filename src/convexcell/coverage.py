@@ -391,7 +391,7 @@ class TrialGeometry:
         power_rows, offset_rows = (
             buffer[: step * n_stations].reshape(step, n_stations) for buffer in buffers
         )
-        fading_blocks = deployment.fading_blocks(step, out=offset_rows)
+        fading_blocks = deployment.fading_blocks(offset_rows)
         for start in range(0, deployment.n_users, step):
             users = slots[start : start + step]
             block = replace(

@@ -344,67 +344,49 @@ class NetworkConfig:
 class Deployment:
     """One realization of station and user placement with fading gains.
 
-    Stations carry global ids: macros are 0..n_macro-1, smalls follow.
-    Row u, column s of the (n_users, n_stations) gain matrix is the
-    unit-mean exponential channel power gain of the (user u, station s)
-    link. The deployment never holds that matrix: ``fading_state`` is the
-    state of its bit generator right after the positions were drawn, and
-    :meth:`fading_blocks` draws the rows from it a block at a time.
+    ``station_positions`` holds every station, macros first: row s is the
+    station with trial-local id s, so ids 0..n_macro-1 are macros and the
+    small cells follow. Row u, column s of the (n_users, n_stations) gain
+    matrix is the unit-mean exponential channel power gain of the (user u,
+    station s) link. The deployment never holds that matrix:
+    ``fading_state`` is the state of its bit generator right after the
+    positions were drawn, and :meth:`fading_blocks` draws the rows from it a
+    block at a time.
     """
 
-    macro_positions: np.ndarray
-    small_positions: np.ndarray
+    station_positions: np.ndarray
+    n_macro: int
     user_positions: np.ndarray
     fading_state: Mapping[str, Any]
 
-    def fading_blocks(
-        self, rows: int, out: np.ndarray | None = None
-    ) -> Iterator[np.ndarray]:
-        """The gain matrix as consecutive blocks of ``rows`` rows, in order.
+    def fading_blocks(self, out: np.ndarray) -> Iterator[np.ndarray]:
+        """The gain matrix as consecutive blocks drawn into ``out``, in order.
 
-        The last block may be shorter. Each call draws the blocks from a new
-        generator set to ``fading_state``, which gives the bits of one
-        whole-matrix draw, so every call yields the same gains and at most
-        one block is held. Given ``out``, a C-contiguous float64 array of
-        shape ``(rows, n_stations)``, each block is drawn into its leading
-        rows, which the next block overwrites.
+        ``out`` is a C-contiguous float64 array of shape ``(rows,
+        n_stations)``; each block is drawn into its leading rows, which the
+        next block overwrites, and the last block may be shorter. Each call
+        draws the blocks from a new generator set to ``fading_state``, which
+        gives the bits of one whole-matrix draw, so every call yields the
+        same gains.
         """
         bit_generator = np.random.PCG64()
         bit_generator.state = self.fading_state
         rng = np.random.Generator(bit_generator)
+        rows = out.shape[0]
         for start in range(0, self.n_users, rows):
-            count = min(rows, self.n_users - start)
-            if out is None:
-                yield rng.standard_exponential((count, self.n_stations))
-            else:
-                yield rng.standard_exponential(out=out[:count])
-
-    @property
-    def n_macro(self) -> int:
-        return self.macro_positions.shape[0]
+            yield rng.standard_exponential(out=out[: min(rows, self.n_users - start)])
 
     @property
     def n_small(self) -> int:
-        return self.small_positions.shape[0]
+        return self.n_stations - self.n_macro
 
     @property
     def n_stations(self) -> int:
-        return self.n_macro + self.n_small
+        return self.station_positions.shape[0]
 
     @property
     def n_users(self) -> int:
         return self.user_positions.shape[0]
-
-    def station_positions(self) -> np.ndarray:
-        return np.vstack([self.macro_positions, self.small_positions])
-
-    def station_powers(self, config: NetworkConfig) -> np.ndarray:
-        return np.concatenate(
-            [
-                np.full(self.n_macro, config.macro_power),
-                np.full(self.n_small, config.small_power),
-            ]
-        )
 
 
 def largest_remainder_counts(fractions: Sequence[float], total: int) -> np.ndarray:
@@ -427,10 +409,11 @@ def sample_deployment(config: NetworkConfig, trial_index: int) -> Deployment:
     """Draw one network realization, fully determined by (seed, trial_index).
 
     Station counts are Poisson with mean density*area (at least one macro);
-    positions and users are uniform i.i.d. in the window; fading gains are
-    i.i.d. unit-mean exponential per (user, station) link. The gains are not
-    drawn here: the deployment keeps the generator state that follows the
-    positions, and :meth:`Deployment.fading_blocks` draws them from it.
+    stations (one draw, macros first) and users are uniform i.i.d. in the
+    window; fading gains are i.i.d. unit-mean exponential per (user,
+    station) link. The gains are not drawn here: the deployment keeps the
+    generator state that follows the positions, and
+    :meth:`Deployment.fading_blocks` draws them from it.
     Users carry no class: by index, the first ``config.class_counts()[0]``
     are stationary, the next walking, the rest vehicular.
     """
@@ -441,12 +424,11 @@ def sample_deployment(config: NetworkConfig, trial_index: int) -> Deployment:
     macro_mean, small_mean = config.station_means()
     n_macro = max(1, int(rng.poisson(macro_mean)))
     n_small = int(rng.poisson(small_mean))
-    macro_positions = rng.uniform(0.0, config.area_side, size=(n_macro, 2))
-    small_positions = rng.uniform(0.0, config.area_side, size=(n_small, 2))
+    station_positions = rng.uniform(0.0, config.area_side, size=(n_macro + n_small, 2))
     user_positions = rng.uniform(0.0, config.area_side, size=(config.user_count, 2))
     return Deployment(
-        macro_positions=macro_positions,
-        small_positions=small_positions,
+        station_positions=station_positions,
+        n_macro=n_macro,
         user_positions=user_positions,
         fading_state=rng.bit_generator.state,
     )
@@ -467,8 +449,8 @@ def mean_power_matrix(
     offsets to ``scratch``; either left out is allocated.
     """
     users = deployment.user_positions
-    stations = deployment.station_positions()
-    scale = deployment.station_powers(config)[None, :] * config.reference_loss
+    stations = deployment.station_positions
+    n_macro = deployment.n_macro
     power = np.subtract.outer(users[:, 0], stations[:, 0], out=out)
     dy = np.subtract.outer(users[:, 1], stations[:, 1], out=scratch)
     power *= power
@@ -476,5 +458,8 @@ def mean_power_matrix(
     power += dy
     np.maximum(power, MIN_PATH_DISTANCE_M ** 2, out=power)
     power **= -0.5 * config.path_loss_exponent
-    power *= scale
+    # each tier's scale from the config's power as a float, as in
+    # NetworkConfig.mean_power, so an integer power never reaches numpy
+    power[:, :n_macro] *= float(config.macro_power) * config.reference_loss
+    power[:, n_macro:] *= float(config.small_power) * config.reference_loss
     return power

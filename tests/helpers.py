@@ -1,8 +1,14 @@
 """Hand-built deployments and slow reference implementations.
 
 ``GivenDeployment`` is a deployment with a hand-built gain matrix, its
-``fading``, which ``fading_blocks`` slices (or copies into ``out``)
-instead of drawing; every ``make_deployment`` returns one.
+``fading``, whose row blocks ``fading_blocks`` copies into the caller's
+buffer instead of drawing; every ``make_deployment`` returns one, its
+stations stacked macros first. ``station_powers`` is each station's
+transmit power, ``np.full`` per tier and concatenated, the broadcast scale
+the package's in-place tier scaling must match bit for bit.
+``reference_positions`` draws a trial's macro, small and user positions in
+three ``uniform`` calls, as sampling once did, where the package draws
+both tiers' stations in one.
 ``given_geometry`` builds a TrialGeometry from given deployments, one per
 trial of the config: it patches ``coverage.sample_deployment``, the name
 the build looks up for each trial and the one the benchmark's tracer
@@ -98,24 +104,48 @@ class GivenDeployment(Deployment):
 
     fading: np.ndarray
 
-    def fading_blocks(self, rows, out=None):
+    def fading_blocks(self, out):
+        rows = out.shape[0]
         for start in range(0, self.n_users, rows):
             block = self.fading[start : start + rows]
-            if out is not None:
-                out[: len(block)] = block
-                block = out[: len(block)]
-            yield block
+            out[: len(block)] = block
+            yield out[: len(block)]
 
 
 def make_deployment(macro_xy, small_xy, user_xy, fading):
     """Deployment from plain lists; fading is (n_users, n_stations)."""
+    macros = np.asarray(macro_xy, dtype=float).reshape(-1, 2)
+    smalls = np.asarray(small_xy, dtype=float).reshape(-1, 2)
     return GivenDeployment(
-        macro_positions=np.asarray(macro_xy, dtype=float).reshape(-1, 2),
-        small_positions=np.asarray(small_xy, dtype=float).reshape(-1, 2),
+        station_positions=np.concatenate([macros, smalls]),
+        n_macro=len(macros),
         user_positions=np.asarray(user_xy, dtype=float).reshape(-1, 2),
         fading_state=None,
         fading=np.asarray(fading, dtype=float),
     )
+
+
+def station_powers(deployment, config):
+    """Each station's transmit power: macro_power, then small_power."""
+    return np.concatenate(
+        [
+            np.full(deployment.n_macro, config.macro_power),
+            np.full(deployment.n_small, config.small_power),
+        ]
+    )
+
+
+def reference_positions(config, trial_index):
+    """(macro, small, user positions, generator state after them) of one
+    trial, each tier drawn in its own ``uniform`` call."""
+    rng = np.random.default_rng((config.seed, trial_index))
+    macro_mean, small_mean = config.station_means()
+    n_macro = max(1, int(rng.poisson(macro_mean)))
+    n_small = int(rng.poisson(small_mean))
+    macros = rng.uniform(0.0, config.area_side, size=(n_macro, 2))
+    smalls = rng.uniform(0.0, config.area_side, size=(n_small, 2))
+    users = rng.uniform(0.0, config.area_side, size=(config.user_count, 2))
+    return macros, smalls, users, rng.bit_generator.state
 
 
 def user_classes(config):
@@ -172,7 +202,7 @@ def sinr(user, station, deployment, config, bandwidth=None):
     width = config.bandwidth if bandwidth is None else bandwidth
     distance = np.maximum(reference_link_distances(deployment)[user], MIN_PATH_DISTANCE_M)
     inst = (
-        deployment.station_powers(config)
+        station_powers(deployment, config)
         * config.reference_loss
         * reference_fading(deployment)[user]
         * distance ** (-config.path_loss_exponent)
@@ -312,7 +342,7 @@ def reference_fading(deployment):
 
 def _broadcast_delta(deployment):
     """(U, S, 2) user-minus-station offsets."""
-    stations = deployment.station_positions()
+    stations = deployment.station_positions
     return deployment.user_positions[:, None, :] - stations[None, :, :]
 
 
@@ -336,7 +366,7 @@ def hypot_link_distances(deployment):
 
 def _scaled(path_loss, config, deployment):
     """Mean link powers: station power * reference_loss * path_loss."""
-    return deployment.station_powers(config)[None, :] * config.reference_loss * path_loss
+    return station_powers(deployment, config)[None, :] * config.reference_loss * path_loss
 
 
 def reference_mean_power(config, deployment):

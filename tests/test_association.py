@@ -172,7 +172,7 @@ class TestCellLoads:
         deployment = sample_deployment(config, 0)
         if deployment.n_macro > 1:
             deployment = make_deployment(
-                deployment.macro_positions[:1],
+                deployment.station_positions[:1],
                 np.empty((0, 2)),
                 deployment.user_positions,
                 reference_fading(deployment)[:, :1],

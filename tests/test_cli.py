@@ -10,7 +10,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from convexcell import (
@@ -494,7 +494,8 @@ def test_geometry_overflow_is_one_line_and_writes_nothing(tmp_path, capsys, conf
 
 
 # every real config and profile field, each drawn over the whole float range
-# (NaN, infinities, subnormals and both signs included)
+# (NaN, infinities, subnormals and both signs included) or as an integer of
+# any size, as JSON allows
 GUARD_FIELDS = [
     *(name for name, value in NetworkConfig().to_dict().items()
       if name != "profiles" and isinstance(value, float)),
@@ -508,9 +509,13 @@ GUARD_STATIONS = 500  # largest mean station count of a drawn window
 @settings(max_examples=250)
 @given(
     st.dictionaries(
-        st.sampled_from(GUARD_FIELDS), st.floats(), min_size=1, max_size=3
+        st.sampled_from(GUARD_FIELDS), st.floats() | st.integers(),
+        min_size=1, max_size=3,
     )
 )
+# an integer power beyond int64 once reached numpy as an object array
+@example({"macro_power": 10**20, "small_power": 1, "reference_loss": 1e-30})
+@example({"macro_power": 10**21, "small_power": 10**20, "reference_loss": 1e-30})
 def test_any_drawn_config_runs_clean_or_is_refused_in_one_line(drawn):
     """Property guard over the derived quantities the simulator computes.
 

@@ -545,8 +545,8 @@ class TestTrialGeometry:
         monkeypatch.setattr(coverage, "BLOCK_LINKS", 97)
         first, second = (sample_deployment(tiny_config, t) for t in range(2))
         macros_only = GivenDeployment(
-            macro_positions=second.macro_positions,
-            small_positions=np.empty((0, 2)),
+            station_positions=second.station_positions[: second.n_macro],
+            n_macro=second.n_macro,
             user_positions=second.user_positions,
             fading_state=None,
             fading=reference_fading(second)[:, : second.n_macro],

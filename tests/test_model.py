@@ -26,8 +26,10 @@ from helpers import (
     make_deployment,
     reference_fading,
     reference_link_distances,
+    reference_positions,
     reference_squared_distances,
     sinr,
+    station_powers,
 )
 
 # Config fuzz: each field is omitted, set near its default (the value
@@ -355,8 +357,8 @@ class TestSampleDeployment:
         config = NetworkConfig(user_count=50, trials=1)
         a = sample_deployment(config, 3)
         b = sample_deployment(config, 3)
-        assert np.array_equal(a.macro_positions, b.macro_positions)
-        assert np.array_equal(a.small_positions, b.small_positions)
+        assert a.n_macro == b.n_macro
+        assert np.array_equal(a.station_positions, b.station_positions)
         assert np.array_equal(a.user_positions, b.user_positions)
         assert np.array_equal(reference_fading(a), reference_fading(b))
 
@@ -375,18 +377,43 @@ class TestSampleDeployment:
 
     def test_geometry_inside_window(self, tiny_config):
         deployment = sample_deployment(tiny_config, 2)
-        for positions in (
-            deployment.macro_positions,
-            deployment.small_positions,
-            deployment.user_positions,
-        ):
+        for positions in (deployment.station_positions, deployment.user_positions):
             assert (positions >= 0.0).all()
             assert (positions <= tiny_config.area_side).all()
         assert (reference_fading(deployment) > 0.0).all()
 
+    @pytest.mark.parametrize("seed", [0, 7, 42, 2**64 - 1])
+    @pytest.mark.parametrize("small_density", [0.0, 12.0, 400.0])
+    def test_one_station_draw_equals_the_tier_draws(self, seed, small_density):
+        """Both tiers drawn in one call give the positions and generator
+        state of one call per tier, macros first."""
+        config = NetworkConfig(
+            area_side=1000.0, small_density=small_density, user_count=30, seed=seed
+        )
+        for trial in (0, 3):
+            deployment = sample_deployment(config, trial)
+            macros, smalls, users, state = reference_positions(config, trial)
+            assert deployment.n_macro == len(macros)
+            assert deployment.n_small == len(smalls)
+            stations = np.concatenate([macros, smalls])
+            assert deployment.station_positions.tobytes() == stations.tobytes()
+            assert deployment.user_positions.tobytes() == users.tobytes()
+            assert deployment.fading_state == state
+
     def test_negative_trial_rejected(self):
         with pytest.raises(ValueError, match="trial_index"):
             sample_deployment(NetworkConfig(), -1)
+
+
+def drawn_blocks(deployment, rows):
+    """Copies of the blocks ``fading_blocks`` draws into a stale buffer of
+    ``rows`` rows, each checked to be a view of that buffer."""
+    out = np.full((rows, deployment.n_stations), np.nan)
+    blocks = []
+    for block in deployment.fading_blocks(out):
+        assert np.shares_memory(block, out)
+        blocks.append(block.copy())
+    return blocks
 
 
 class TestFadingBlocks:
@@ -412,7 +439,7 @@ class TestFadingBlocks:
         config, rows_of = self.CASES[case]
         deployment = sample_deployment(config or tiny_config, trial)
         rows = rows_of(deployment.n_stations)
-        blocks = list(deployment.fading_blocks(rows))
+        blocks = drawn_blocks(deployment, rows)
         assert len(blocks) == -(-deployment.n_users // rows) > 1
         *full, last = [block.shape[0] for block in blocks]
         assert full == [rows] * len(full)
@@ -422,14 +449,16 @@ class TestFadingBlocks:
 
     def test_drawing_twice_gives_the_same_bits(self, tiny_config):
         deployment = sample_deployment(tiny_config, 2)
-        first = list(deployment.fading_blocks(5))
-        second = list(deployment.fading_blocks(5))
+        first = drawn_blocks(deployment, 5)
+        second = drawn_blocks(deployment, 5)
         assert [a.tobytes() for a in first] == [b.tobytes() for b in second]
-        # a drawn block is the caller's: writing to it changes no later draw
-        for block in first:
-            block[:] = 0.0
-        third = np.concatenate(list(deployment.fading_blocks(5)))
-        assert third.tobytes() == reference_fading(deployment).tobytes()
+        # the buffer is the caller's: writing to it changes no later draw
+        out = np.empty((5, deployment.n_stations))
+        third = []
+        for block in deployment.fading_blocks(out):
+            third.append(block.copy())
+            out[:] = 0.0
+        assert np.concatenate(third).tobytes() == reference_fading(deployment).tobytes()
 
 
 class TestBlockBuffers:
@@ -458,15 +487,13 @@ class TestBlockBuffers:
         # stale values in every buffer: each result must overwrite them
         out, scratch, fading_out = (np.full(links, np.nan) for _ in range(3))
         fading_rows = fading_out[: rows * n_stations].reshape(rows, n_stations)
-        blocks = zip(
-            range(0, deployment.n_users, rows),
-            deployment.fading_blocks(rows),
-            deployment.fading_blocks(rows, out=fading_rows),
-        )
+        whole = reference_fading(deployment)
+        starts = range(0, deployment.n_users, rows)
+        blocks = zip(starts, deployment.fading_blocks(fading_rows))
         sizes = []
-        for start, fresh_fading, fading in blocks:
+        for start, fading in blocks:
             assert np.shares_memory(fading, fading_out)
-            assert fading.tobytes() == fresh_fading.tobytes()
+            assert fading.tobytes() == whole[start : start + rows].tobytes()
             positions = deployment.user_positions[start : start + rows]
             block = dataclasses.replace(deployment, user_positions=positions)
             count = block.n_users
@@ -626,13 +653,20 @@ class TestGeometryHelpers:
         assert power[0, 1] == pytest.approx(25.0**-2, rel=1e-15)
         assert power[1] == pytest.approx([2.0 * 9.0**-2, 16.0**-2], rel=1e-15)
 
-    def test_mean_power_uses_unit_fading(self, tiny_config):
-        deployment = sample_deployment(tiny_config, 1)
-        mean_power = mean_power_matrix(deployment, tiny_config)
+    @pytest.mark.parametrize(
+        "powers",
+        [{}, {"macro_power": 40, "small_power": 1}],
+        ids=["float-powers", "integer-powers"],
+    )
+    def test_mean_power_uses_unit_fading(self, tiny_config, powers):
+        """Each tier scaled in place equals the broadcast per-station scale."""
+        config = dataclasses.replace(tiny_config, **powers)
+        deployment = sample_deployment(config, 1)
+        mean_power = mean_power_matrix(deployment, config)
         squared = reference_squared_distances(deployment)
-        powers = deployment.station_powers(tiny_config)
-        path_loss = np.maximum(squared, 1.0) ** (-0.5 * tiny_config.path_loss_exponent)
-        expected = powers[None, :] * tiny_config.reference_loss * path_loss
+        path_loss = np.maximum(squared, 1.0) ** (-0.5 * config.path_loss_exponent)
+        scale = station_powers(deployment, config)[None, :] * config.reference_loss
+        expected = scale * path_loss
         assert mean_power.tobytes() == expected.tobytes()
         assert mean_power.shape == (deployment.n_users, deployment.n_stations)
         assert mean_power.flags.c_contiguous
