@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Iterator, NamedTuple, Sequence
 
@@ -189,16 +190,17 @@ class TrialGeometry:
     per user-trial, about 5 MB at the defaults (500 users, 200 trials), and
     are read-only.
 
-    ``other_candidates[cls]`` counts, per station id, the users of the
-    other two classes that have the station as their best macro or best
-    small station: whatever their biases, at most that many of them are
-    served there. ``gaps[cls]`` gathers it once per user of the class, as
+    A station's other-class candidates for class ``cls`` are the users of
+    the other two classes that have it as their best macro or best small
+    station: whatever their biases, at most that many of them are served
+    there. ``gaps[cls]`` gathers that count once per user of the class, as
     the count at its best macro and the step from there to the count at its
     best small station (zero without one), so a user's gap under either
-    choice of station is arithmetic. ``association(cls, bias)`` keeps, per
-    class and bias value and for the life of the geometry, which users a
-    small cell serves, the class's load per station id, and each user's
-    serving station load from its own class. Every count of users at a
+    choice of station is arithmetic; the per-station counts are not kept.
+    ``association(cls, bias)`` keeps, per class and bias value and for the
+    life of the geometry, which users a small cell serves, the class's load
+    per station id, and each user's serving station load from its own
+    class. Every count of users at a
     station is stored as ``load_dtype``, int16 unless a trial has more than
     32767 users (then int32); no count or sum of them exceeds
     ``user_count``. So the gaps cost 4 bytes per user-trial once, and an
@@ -279,10 +281,6 @@ class TrialGeometry:
                 ) from None
             return deployment.n_stations
 
-        # imported here, not at module level: the import takes about 3 ms
-        # (python 3.11, -X importtime), which only a geometry build needs
-        from concurrent.futures import ThreadPoolExecutor
-
         # numpy's ufuncs and fading draws release the GIL; map yields in
         # trial order and cancels the trials not yet started if one raises
         with ThreadPoolExecutor(_worker_count(trials)) as pool:
@@ -307,11 +305,9 @@ class TrialGeometry:
                 candidates[cls] += np.bincount(macro, minlength=n_ids)
                 small = (macro + step)[step != 0]
                 candidates[cls] += np.bincount(small, minlength=n_ids)
-        total = candidates.sum(axis=0, dtype=self.load_dtype)
-        self.other_candidates = total - candidates
-        self.other_candidates.flags.writeable = False
+        other_candidates = candidates.sum(axis=0, dtype=self.load_dtype) - candidates
         self.gaps = []
-        for other, users in zip(self.other_candidates, self.class_slices):
+        for other, users in zip(other_candidates, self.class_slices):
             gap_macro = np.empty(users.stop - users.start, dtype=self.load_dtype)
             gap_step = np.empty_like(gap_macro)
             for chunk, rows in _chunks(users):
@@ -382,7 +378,8 @@ class TrialGeometry:
         user), each with its rows of the deployment's fading. A block's
         powers go to the leading links of the first of the two float64
         ``buffers``, each of at least one block's links; its y offsets go to
-        the second, and then its fading, drawn once the powers are done.
+        the second, then each tier's columns of its powers for the argmax,
+        and then its fading, drawn once the powers are done.
         """
         n_macro = deployment.n_macro
         n_stations = deployment.n_stations
@@ -392,6 +389,15 @@ class TrialGeometry:
             buffer[: step * n_stations].reshape(step, n_stations) for buffer in buffers
         )
         fading_blocks = deployment.fading_blocks(offset_rows)
+
+        def argmax(columns: np.ndarray) -> np.ndarray:
+            # numpy copies a column slice before an argmax along its rows;
+            # the copy goes to the spent offsets, which the fading has not
+            # yet overwritten, so a worker holds no third block
+            spare = buffers[1][: columns.size].reshape(columns.shape)
+            np.copyto(spare, columns)
+            return np.argmax(spare, axis=1)
+
         for start in range(0, deployment.n_users, step):
             users = slots[start : start + step]
             block = replace(
@@ -403,11 +409,11 @@ class TrialGeometry:
                 block, config, out=power_rows[:count], scratch=offset_rows[:count]
             )
             rows = np.arange(count)
-            best_macro = np.argmax(mean_power[:, :n_macro], axis=1)
+            best_macro = argmax(mean_power[:, :n_macro])
             self.pw_macro[users] = mean_power[rows, best_macro]
             self.gid_macro[users] = best_macro
             if has_small:
-                best_small = np.argmax(mean_power[:, n_macro:], axis=1) + n_macro
+                best_small = argmax(mean_power[:, n_macro:]) + n_macro
                 self.pw_small[users] = mean_power[rows, best_small]
                 self.gid_step[users] = best_small - best_macro
             # the offsets are spent, so the block's fading overwrites them,
@@ -566,9 +572,6 @@ class CoverageEstimator:
             step -= macro
             self._user_caps.append((macro, step))
         self._parts: dict[tuple[int, float], tuple] = {}
-        # evaluate's station loads; the three classes' loads sum to at most
-        # user_count, so they fit the load dtype
-        self._loads = np.empty(geo.n_station_ids, dtype=geo.load_dtype)
 
     def with_bandwidth(self, bandwidth: float) -> "CoverageEstimator":
         """Estimator bound to the same geometry and demand at another bandwidth.
@@ -583,9 +586,10 @@ class CoverageEstimator:
         """Rate coverage of one bias vector over the shared realizations."""
         values = (bias.stationary_bias, bias.walking_bias, bias.vehicular_bias)
         parts = [self._part(cls, value) for cls, value in enumerate(values)]
-        loads = self._loads
-        np.add(parts[0][0], parts[1][0], out=loads)
-        np.add(loads, parts[2][0], out=loads)
+        # the three classes' loads sum to at most user_count, so they fit
+        # the load dtype
+        loads = np.add(parts[0][0], parts[1][0])
+        loads += parts[2][0]
         per_class = []
         for (_, always, gid, cap), users in zip(parts, self.geometry.class_slices):
             # take gathers with int32 ids without first copying them to intp;
@@ -601,21 +605,17 @@ class CoverageEstimator:
             trials_used=self.geometry.trials,
         )
 
-    def coverage_bounds(self, values: Sequence[float]) -> np.ndarray:
-        """Each class's highest coverage under each bias value, a (3, n) array.
+    def coverage_bound(self, cls: int, bias: float) -> float:
+        """Class ``cls``'s highest coverage under one bias value.
 
-        Row k, column i bounds class k's coverage when its bias is
-        ``values[i]``, whatever the other classes' biases: its always-covered
-        users plus its undecided users, over its users. ``evaluate`` counts
-        at most those users and divides by the same count, so no per-class
-        coverage it reports exceeds the bound of its value.
+        Whatever the other classes' biases: its always-covered users plus
+        its undecided users, over its users. ``evaluate`` counts at most
+        those users and divides by the same count, so no coverage of the
+        class it reports exceeds the bound of its value.
         """
-        bounds = np.empty((3, len(values)))
-        for cls, users in enumerate(self.geometry.class_slices):
-            for i, value in enumerate(values):
-                _, always, gid, _ = self._part(cls, value)
-                bounds[cls, i] = (always + gid.size) / (users.stop - users.start)
-        return bounds
+        _, always, gid, _ = self._part(cls, bias)
+        users = self.geometry.class_slices[cls]
+        return (always + gid.size) / (users.stop - users.start)
 
     def _part(self, cls: int, bias: float) -> tuple:
         """Station loads, always-covered count and undecided users of a class.

@@ -6,17 +6,20 @@ get the smallest bias that makes the vehicular constraint attainable
 (vacating macro resources), and vehicular users get the bias maximizing
 their own coverage given the first two. CRE applies one common bias to all
 classes; full search is the optimality oracle: it returns the best triple of
-the whole grid cube, walking each class's values in descending order of an
-exact upper bound on their coverage and evaluating only the triples whose
-upper key can still reach the best one found. All candidates under one
-config share common random numbers.
+the whole grid cube. Stage 1, stage 3 and full search are one bounded walk
+(``_walk``): each class's values in descending order of an exact upper
+bound on their coverage, evaluating only the triples whose upper key can
+still reach the best key found. Every scheme and stage keeps the highest
+key, and of equal keys the smallest bias. All candidates under one config
+share common random numbers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Sequence
+from operator import itemgetter
+from typing import Callable, Sequence
 
 from .coverage import (
     BiasVector,
@@ -74,23 +77,52 @@ class BiasGrid:
         return iter(self.values)
 
 
-def _best(
+def _walk(
     estimator: CoverageEstimator,
-    biases: Iterable[BiasVector],
+    lists: Sequence[Sequence[float]],
     key: Callable[[CoverageReport], object],
+    upper: Callable[[tuple[float, float, float]], object],
 ) -> tuple[BiasVector, CoverageReport]:
-    """The candidate whose report has the highest key, with that report.
+    """The triple of ``lists``' product whose report has the highest key.
 
-    The one selection rule of every scheme and stage: the highest key, and
-    of equal keys the earliest candidate, the smallest bias. Candidates are
-    evaluated in order, and ``max`` keeps the first of equal keys.
-    ``_full_search`` applies this rule to the grid cube in product order
-    but skips the triples that its upper bound shows cannot win.
+    ``lists`` holds the stationary, walking and vehicular values offered.
+    Of equal keys the earliest triple in ``itertools.product`` order wins,
+    the smallest bias. Whatever the other classes' biases, a class's
+    coverage under a value is at most its bound
+    (``CoverageEstimator.coverage_bound``). ``upper`` maps a triple's three
+    bounds to a key no report of that triple exceeds, and must not
+    decrease as any bound grows. Each list is walked in descending bound,
+    so likely winners come early. A triple whose upper key is below the
+    best key found is skipped, as is a whole stationary or walking value
+    when even its pairing with the later classes' largest bounds falls
+    below it. The values after a skipped one have no larger bounds, and
+    the best key only grows, so the skip ends that list's walk. The walk
+    holds per-class lists only.
     """
-    return max(
-        ((bias, estimator.evaluate(bias)) for bias in biases),
-        key=lambda item: key(item[1]),
-    )
+    bounds = [
+        [estimator.coverage_bound(cls, value) for value in values]
+        for cls, values in enumerate(lists)
+    ]
+    # sorted is stable, so values of equal bounds keep their order
+    orders = [sorted(range(len(b)), key=b.__getitem__, reverse=True) for b in bounds]
+    b0, b1, b2 = bounds
+    top1, top2 = max(b1), max(b2)
+    best = None  # (key, index triple, bias, report)
+    for i in orders[0]:
+        if best is not None and upper((b0[i], top1, top2)) < best[0]:
+            break
+        for j in orders[1]:
+            if best is not None and upper((b0[i], b1[j], top2)) < best[0]:
+                break
+            for k in orders[2]:
+                if best is not None and upper((b0[i], b1[j], b2[k])) < best[0]:
+                    break
+                bias = BiasVector(lists[0][i], lists[1][j], lists[2][k])
+                report = estimator.evaluate(bias)
+                found, triple = key(report), (i, j, k)
+                if best is None or found > best[0] or (found == best[0] and triple < best[1]):
+                    best = (found, triple, bias, report)
+    return best[2], best[3]
 
 
 def _class_coverage(user_class: UserClass) -> Callable[[CoverageReport], float]:
@@ -112,14 +144,14 @@ def _stage2(
     stage-3 completion (the vehicular-coverage argmax) meets the vehicular
     coverage threshold: the macro resources vacated by walking users are
     just enough. Falls back to the completion with the best vehicular
-    coverage when none qualifies.
+    coverage when none qualifies, the first of equals.
     """
     min_vehicular = estimator.config.profiles[UserClass.VEHICULAR].min_coverage
     vehicular = _class_coverage(UserClass.VEHICULAR)
     completions = []
     for walking in grid:
-        biases = (BiasVector(stationary, walking, v) for v in grid)
-        bias, report = _best(estimator, biases, vehicular)
+        lists = ([stationary], [walking], grid.values)
+        bias, report = _walk(estimator, lists, vehicular, itemgetter(UserClass.VEHICULAR))
         if vehicular(report) >= min_vehicular:
             return bias, report
         completions.append((bias, report))
@@ -134,10 +166,11 @@ def _three_stage(
     Stage 1 takes the bias maximizing stationary coverage with the other
     classes unbiased; stages 2 and 3 are the walking scan of ``_stage2``.
     """
-    stage1, _ = _best(
+    stage1, _ = _walk(
         estimator,
-        (BiasVector(b, 1.0, 1.0) for b in grid),
+        (grid.values, [1.0], [1.0]),
         _class_coverage(UserClass.STATIONARY),
+        itemgetter(UserClass.STATIONARY),
     )
     return _stage2(estimator, grid, stage1.stationary_bias)
 
@@ -148,10 +181,11 @@ def _cre(
     """Best common bias: highest average coverage, feasible candidates first.
 
     When no common bias is feasible the best-average infeasible candidate
-    is returned. Ties break to the smallest bias.
+    is returned. ``max`` keeps the first of equal keys, so ties break to
+    the smallest bias.
     """
-    biases = (BiasVector.uniform(b) for b in grid)
-    return _best(estimator, biases, _feasible_average)
+    candidates = ((bias, estimator.evaluate(bias)) for bias in map(BiasVector.uniform, grid))
+    return max(candidates, key=lambda item: _feasible_average(item[1]))
 
 
 def _full_search(
@@ -159,60 +193,21 @@ def _full_search(
 ) -> tuple[BiasVector, CoverageReport]:
     """Best triple of the grid cube, feasible first; the optimality oracle.
 
-    Returns what ``_best`` returns over the whole cube in
-    ``itertools.product`` order with ``_feasible_average``, without
-    evaluating every triple. Whatever the other classes' biases, a class's
-    coverage under a grid value is at most its bound
-    (``CoverageEstimator.coverage_bounds``), so no triple's report key
-    exceeds its upper key: every bound meeting its class's threshold, and
-    the density-weighted sum of the three bounds raised by
-    ``_UPPER_MARGIN``. Each class's values are walked in descending
-    (meets, weighted bound), so likely winners come early, and a triple
-    whose upper key is below the best key found is skipped, as is a whole
-    stationary or walking value when even its best pairing with the later
-    classes' largest bounds falls below it. Of equal keys the smallest index
-    triple wins, ``_best``'s first-of-equals rule. The walk holds per-class
-    lists only.
+    Walks the whole cube with ``_feasible_average``. No report's key
+    exceeds its triple's upper key: every bound meeting its class's
+    threshold, and the density-weighted sum of the three bounds raised by
+    ``_UPPER_MARGIN``.
     """
     config = estimator.config
-    values = grid.values
-    bounds = estimator.coverage_bounds(values)
-    meets = [
-        [bound >= profile.min_coverage for bound in row]
-        for row, profile in zip(bounds.tolist(), config.profiles)
-    ]
-    weighted = (config.density_fractions()[:, None] * bounds).tolist()
-    orders = [
-        sorted(range(len(values)), key=lambda i: (m[i], w[i]), reverse=True)
-        for m, w in zip(meets, weighted)
-    ]
-    (m0, m1, m2), (w0, w1, w2) = meets, weighted
-    any1, any2 = any(m1), any(m2)
-    top1, top2 = max(w1), max(w2)
-    best = None  # (key, index triple, bias, report)
-    for i in orders[0]:
-        # the highest upper key of a triple with this stationary value (and
-        # below, with this walking value); the orders do not sort these keys
-        # when some class has no value that meets, so a value is skipped,
-        # never the rest of its walk
-        reach = (m0[i] and any1 and any2, (w0[i] + top1 + top2) * (1.0 + _UPPER_MARGIN))
-        if best is not None and reach < best[0]:
-            continue
-        for j in orders[1]:
-            reach = (m0[i] and m1[j] and any2, (w0[i] + w1[j] + top2) * (1.0 + _UPPER_MARGIN))
-            if best is not None and reach < best[0]:
-                continue
-            for k in orders[2]:
-                upper_average = (w0[i] + w1[j] + w2[k]) * (1.0 + _UPPER_MARGIN)
-                if best is not None and (m0[i] and m1[j] and m2[k], upper_average) < best[0]:
-                    continue
-                triple = (i, j, k)
-                bias = BiasVector(values[i], values[j], values[k])
-                report = estimator.evaluate(bias)
-                key = _feasible_average(report)
-                if best is None or key > best[0] or (key == best[0] and triple < best[1]):
-                    best = (key, triple, bias, report)
-    return best[2], best[3]
+    t0, t1, t2 = (profile.min_coverage for profile in config.profiles)
+    f0, f1, f2 = config.density_fractions().tolist()
+    margin = 1.0 + _UPPER_MARGIN
+
+    def upper(bounds: tuple[float, float, float]) -> tuple[bool, float]:
+        b0, b1, b2 = bounds
+        return b0 >= t0 and b1 >= t1 and b2 >= t2, (f0 * b0 + f1 * b1 + f2 * b2) * margin
+
+    return _walk(estimator, [grid.values] * 3, _feasible_average, upper)
 
 
 _SCHEME_RUNNERS = {

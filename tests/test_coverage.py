@@ -540,6 +540,24 @@ class TestTrialGeometry:
             ]
             assert not any(getattr(a, "shape", None) == whole for a in arrays)
 
+    def test_a_worker_holds_two_blocks_of_links(self, monkeypatch):
+        """A one-worker build holds the arrays it keeps, its two block
+        buffers and per-user arrays, but no third block of links: each
+        tier's argmax reads a copy of its columns in the spent offsets
+        buffer, not one numpy makes of a column slice. The 4000 users of
+        the one trial are one block here, about 6 MB of links."""
+        monkeypatch.setattr(coverage, "_worker_count", lambda trials: 1)
+        monkeypatch.setattr(coverage, "BLOCK_LINKS", 1 << 20)
+        config = NetworkConfig(user_count=4000, trials=1)
+        # a first build outside the trace, so no first-use cost is counted
+        TrialGeometry(dataclasses.replace(config, user_count=100))
+        geometry, peak = traced_peak(lambda: TrialGeometry(config))
+        assert geometry.n_station_ids * config.user_count <= coverage.BLOCK_LINKS
+        kept = 48 * config.user_count
+        buffers = 2 * 8 * coverage.BLOCK_LINKS
+        block = 8 * geometry.n_station_ids * config.user_count
+        assert peak - kept - buffers < block / 4
+
     def test_hand_built_trials_match_oracle(self, tiny_config, monkeypatch):
         """Given deployments, one without a small tier, build like the oracle."""
         monkeypatch.setattr(coverage, "BLOCK_LINKS", 97)
@@ -846,7 +864,8 @@ def test_tight_bound_matches_oracles():
     estimator = CoverageEstimator(config, geometry)
 
     stationary = geometry.association(UserClass.STATIONARY, 1.0)
-    assert geometry.other_candidates[UserClass.STATIONARY][0] == 2
+    # both stationary users' gap at station 0: the two moving users
+    assert geometry.gaps[UserClass.STATIONARY][0].tolist() == [2, 2]
     for cls in (UserClass.WALKING, UserClass.VEHICULAR):
         assert geometry.association(cls, 1.0).loads[0] == 1  # the bound is met
     scaled_macro, _, requirements = reference_rate_factors(geometry, config)
@@ -917,17 +936,25 @@ def test_parts_match_gathered_slack_and_bound(
         geo, estimator.config
     )
     values = BiasGrid.from_db([0.0, 4.0, 8.0, 12.0]).values
-    bounds = estimator.coverage_bounds(values)
+    # per class and station id, the users with it as best macro or best small
+    candidates = []
+    for users in geo.class_slices:
+        macro, step = geo.gid_macro[users], geo.gid_step[users]
+        candidates.append(
+            np.bincount(macro, minlength=geo.n_station_ids)
+            + np.bincount((macro + step)[step != 0], minlength=geo.n_station_ids)
+        )
     undecided_users = 0
     for cls, users in enumerate(geo.class_slices):
-        for i, value in enumerate(values):
+        other_candidates = sum(candidates) - candidates[cls]
+        for value in values:
             on_small = value * geo.pw_small[users] > geo.pw_macro[users]
             gid = geo.gid_macro[users] + on_small * geo.gid_step[users]
             loads = np.bincount(gid, minlength=geo.n_station_ids)
             scaled = np.where(on_small, scaled_small[users], scaled_macro[users])
             cap = coverage._rate_caps(scaled, requirements[cls], config.user_count)
             slack = cap - loads[gid]
-            bound = geo.other_candidates[cls][gid]
+            bound = other_candidates[gid]
             undecided = np.flatnonzero((slack >= 0) & (slack < bound))
 
             association = geo.association(cls, value)
@@ -944,7 +971,8 @@ def test_parts_match_gathered_slack_and_bound(
             assert np.array_equal(part_cap, cap[undecided])
             # always covered or undecided: the cap admits the class's own load
             n_users = users.stop - users.start
-            assert bounds[cls, i] == np.count_nonzero(slack >= 0) / n_users
+            share = np.count_nonzero(slack >= 0) / n_users
+            assert estimator.coverage_bound(cls, value) == share
             undecided_users += undecided.size
     assert undecided_users > 0
 
@@ -955,12 +983,10 @@ def test_coverage_bounds_hold_for_every_triple(tiny_config, case):
     config = tiny_config.with_volumes([3000.0, 1000.0, 2000.0])
     estimator = estimator_for(dataclasses.replace(config, **PART_CONFIGS[case]))
     values = BiasGrid.from_db(DEFAULT_GRID_DB).values
-    bounds = estimator.coverage_bounds(values)
-    assert bounds.shape == (3, len(values))
-    for triple in itertools.product(range(len(values)), repeat=3):
-        report = estimator.evaluate(BiasVector(*(values[i] for i in triple)))
-        for cls, i in enumerate(triple):
-            assert report.per_class_coverage[cls] <= bounds[cls, i]
+    for triple in itertools.product(values, repeat=3):
+        report = estimator.evaluate(BiasVector(*triple))
+        for cls, value in enumerate(triple):
+            assert report.per_class_coverage[cls] <= estimator.coverage_bound(cls, value)
 
 
 def test_association_holds_three_bytes_per_user(tiny_config):
@@ -1029,7 +1055,7 @@ def test_binding_memory_does_not_grow_with_trials(wide_geometries):
         estimator = CoverageEstimator(config, geometry)
         clone, peak = traced_peak(lambda: estimator.with_bandwidth(2 * config.bandwidth))
         caps = [array for pair in clone._user_caps for array in pair]
-        extra[trials] = peak - sum(array.nbytes for array in [*caps, clone._loads])
+        extra[trials] = peak - sum(array.nbytes for array in caps)
     assert extra[40] < 1.25 * extra[10]
 
 
@@ -1073,8 +1099,9 @@ def test_one_station_serving_every_user_at_the_dtype_boundary(users, dtype):
     assert np.all(estimator._user_caps[UserClass.WALKING][0] == users)
     biases = [BiasVector.uniform(1.0), BiasVector.from_db(12.0, 6.0, 0.0)]
     reports = [estimator.evaluate(bias) for bias in biases]
-    assert estimator._loads.dtype == dtype
-    assert estimator._loads.tolist() == [users]
+    parts = [estimator._part(cls, 1.0) for cls in UserClass]
+    assert [loads.dtype for loads, *_ in parts] == [dtype] * 3
+    assert sum(loads for loads, *_ in parts).tolist() == [users]
     assert reports == reference_float_coverage(estimator, biases)
     stationary, walking, vehicular = reports[0].per_class_coverage
     assert 0.0 < stationary < 1.0 and walking == 1.0 and 0.0 < vehicular < 1.0

@@ -6,6 +6,7 @@ import time
 import tracemalloc
 from collections import defaultdict
 from dataclasses import replace
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -27,16 +28,17 @@ from convexcell import (
     required_bandwidth,
     run_scheme,
 )
+from convexcell import optimizer
 from convexcell.coverage import CoverageReport
 from convexcell.optimizer import (
     _UPPER_MARGIN,
-    _best,
     _class_coverage,
     _cre,
     _feasible_average,
     _full_search,
     _stage2,
     _three_stage,
+    _walk,
 )
 from helpers import (
     at_two_chunk_sizes,
@@ -137,17 +139,23 @@ class TestDemandScenario:
         )
 
 
+def stage_walk(estimator, user_class, values, fixed=(1.0, 1.0)):
+    """Stage 1 or stage 3: the walk over one class's values, the other two
+    classes at the fixed values, keyed by the class's own coverage."""
+    lists = [[value] for value in fixed]
+    lists.insert(user_class, values)
+    return _walk(
+        estimator, lists, _class_coverage(user_class), itemgetter(user_class)
+    )
+
+
 class TestStages:
     def test_singleton_grid_forces_unbiased(self, estimator):
         grid = BiasGrid((1.0,))
         unbiased = BiasVector(1.0, 1.0, 1.0)
-        stage1 = (BiasVector(b, 1.0, 1.0) for b in grid)
-        stationary = _class_coverage(UserClass.STATIONARY)
-        assert _best(estimator, stage1, stationary)[0] == unbiased
+        assert stage_walk(estimator, UserClass.STATIONARY, grid.values)[0] == unbiased
         assert _stage2(estimator, grid, 1.0)[0] == unbiased
-        stage3 = (BiasVector(1.0, 1.0, b) for b in grid)
-        vehicular = _class_coverage(UserClass.VEHICULAR)
-        assert _best(estimator, stage3, vehicular)[0] == unbiased
+        assert stage_walk(estimator, UserClass.VEHICULAR, grid.values)[0] == unbiased
 
     def test_stage1_all_candidates_tie_without_smalls(self):
         config = NetworkConfig(
@@ -167,11 +175,7 @@ class TestStages:
         expected_bias, _, expected_report = reference_stage3(
             estimator, SMALL_GRID, 2.0, 1.0
         )
-        got = _best(
-            estimator,
-            (BiasVector(2.0, 1.0, b) for b in SMALL_GRID),
-            _class_coverage(UserClass.VEHICULAR),
-        )
+        got = stage_walk(estimator, UserClass.VEHICULAR, SMALL_GRID.values, (2.0, 1.0))
         assert got == (BiasVector(2.0, 1.0, expected_bias), expected_report)
 
     def test_stage2_zero_vehicular_demand_stays_low(self, tiny_config):
@@ -324,12 +328,11 @@ def test_full_search_skips_only_triples_that_cannot_win(estimator, monkeypatch):
     # each triple's upper key, from the per-class bounds alone: every bound
     # meets its class's threshold, and the density-weighted sum of the bounds
     config = estimator.config
-    bounds = estimator.coverage_bounds(DEFAULT_GRID.values)
+    values = DEFAULT_GRID.values
     thresholds = [p.min_coverage for p in config.profiles]
     fractions = config.density_fractions()
-    values = DEFAULT_GRID.values
     for indices in itertools.product(range(len(values)), repeat=3):
-        column = [bounds[cls, i] for cls, i in enumerate(indices)]
+        column = [estimator.coverage_bound(cls, values[i]) for cls, i in enumerate(indices)]
         upper = (
             all(bound >= t for bound, t in zip(column, thresholds)),
             sum(f * bound for f, bound in zip(fractions, column)) * (1 + _UPPER_MARGIN),
@@ -341,8 +344,83 @@ def test_full_search_skips_only_triples_that_cannot_win(estimator, monkeypatch):
             assert upper < winner
 
 
+def test_stage_walks_skip_only_candidates_that_cannot_win(estimator, monkeypatch):
+    """Three-stage's stage-1 walk and each of its stage-3 walks evaluate
+    every candidate whose coverage bound reaches the winner's coverage,
+    and skip at least one candidate overall."""
+    walks = []  # (offered lists, evaluated triples) per walk
+    winners = []  # the report each walk returned
+    walk, evaluate = optimizer._walk, estimator.evaluate
+
+    def recording_walk(estimator, lists, key, upper):
+        walks.append((lists, set()))
+        bias, report = walk(estimator, lists, key, upper)
+        winners.append(report)
+        return bias, report
+
+    def recording(bias):
+        walks[-1][1].add((bias.stationary_bias, bias.walking_bias, bias.vehicular_bias))
+        return evaluate(bias)
+
+    monkeypatch.setattr(optimizer, "_walk", recording_walk)
+    monkeypatch.setattr(estimator, "evaluate", recording)
+    _three_stage(estimator, DEFAULT_GRID)
+    assert len(walks) >= 2
+    skipped = 0
+    for (lists, evaluated), winner in zip(walks, winners):
+        # stage 1 offers the grid to the stationary class, stage 3 to the
+        # vehicular class
+        cls = UserClass.STATIONARY if len(lists[0]) > 1 else UserClass.VEHICULAR
+        assert list(lists[cls]) == list(DEFAULT_GRID.values)
+        for triple in itertools.product(*lists):
+            if triple not in evaluated:
+                bound = estimator.coverage_bound(cls, triple[cls])
+                assert bound < winner.per_class_coverage[cls]
+                skipped += 1
+    assert skipped > 0
+
+
+def past_every_useful_bias(estimator):
+    """The default grid and two values beyond every user's macro-to-small
+    mean power ratio: each puts every user with a small station on it, so
+    the two tie in every class."""
+    geo = estimator.geometry
+    has_small = geo.pw_small > 0
+    ratio = np.max(geo.pw_macro[has_small] / geo.pw_small[has_small], initial=0.0)
+    top = max(DEFAULT_GRID.values[-1], float(ratio))
+    return BiasGrid((*DEFAULT_GRID.values, 2.0 * top, 4.0 * top))
+
+
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    volume=st.floats(10.0, 2000.0),
+    convexity=st.floats(0.1, 10.0),
+    tied=st.booleans(),
+)
+def test_three_stage_matches_the_unbounded_stages_across_demand(
+    seed, volume, convexity, tied
+):
+    """The bounded walks pick the biases and report of the stages' plain
+    scans, on the default grid and on one whose last two values tie."""
+    config = NetworkConfig(trials=2, seed=seed)
+    volumes = DemandScenario(volume, 0.6107, convexity).class_volumes()
+    estimator = estimator_for(config.with_volumes(volumes))
+    grid = past_every_useful_bias(estimator) if tied else DEFAULT_GRID
+    if tied:
+        last_two = [estimator.evaluate(BiasVector.uniform(b)) for b in grid.values[-2:]]
+        assert last_two[0] == last_two[1]
+    stationary = reference_stage1(estimator, grid)
+    walking, vehicular, report = reference_stage2(estimator, grid, stationary)
+    expected = (BiasVector(stationary, walking, vehicular), report)
+    assert run_scheme(Scheme.THREE_STAGE, estimator, grid) == expected
+
+
 class StubEstimator:
-    """Fixed reports by bias triple; records the order of evaluation."""
+    """Fixed reports by bias triple; records the order of evaluation.
+
+    Every coverage bound is 1.0, the weakest valid one: no walk skips a
+    candidate, and equal bounds keep the values in grid order.
+    """
 
     def __init__(self, reports):
         self.reports = reports
@@ -352,6 +430,9 @@ class StubEstimator:
         key = (bias.stationary_bias, bias.walking_bias, bias.vehicular_bias)
         self.calls.append(key)
         return self.reports[key]
+
+    def coverage_bound(self, cls, value):
+        return 1.0
 
 
 def stub_report(average, feasible, vehicular=0.0):
@@ -376,13 +457,12 @@ SELECTION_CASES = {
     "candidates, winner", SELECTION_CASES.values(), ids=SELECTION_CASES.keys()
 )
 def test_select_rule_on_fixed_reports(candidates, winner):
-    biases = [BiasVector.uniform(float(i + 1)) for i in range(len(candidates))]
+    grid = BiasGrid(tuple(float(i + 1) for i in range(len(candidates))))
+    biases = [BiasVector.uniform(b) for b in grid]
     reports = [stub_report(average, feasible) for feasible, average in candidates]
-    stub = StubEstimator(
-        {(b.stationary_bias,) * 3: r for b, r in zip(biases, reports)}
-    )
-    assert _best(stub, biases, _feasible_average) == (biases[winner], reports[winner])
-    assert stub.calls == [(b.stationary_bias,) * 3 for b in biases]
+    stub = StubEstimator({(b,) * 3: r for b, r in zip(grid, reports)})
+    assert _cre(stub, grid) == (biases[winner], reports[winner])
+    assert stub.calls == [(b,) * 3 for b in grid]
 
 
 @pytest.mark.parametrize(
@@ -394,8 +474,7 @@ def test_argmax_rule_on_fixed_reports(coverages, winner):
     # the average runs against the class coverage, so only the class counts
     reports = [stub_report(1.0 - c, True, vehicular=c) for c in coverages]
     stub = StubEstimator({(1.0, 1.0, b): r for b, r in zip(grid, reports)})
-    completions = (BiasVector(1.0, 1.0, b) for b in grid)
-    got = _best(stub, completions, _class_coverage(UserClass.VEHICULAR))
+    got = stage_walk(stub, UserClass.VEHICULAR, grid.values)
     assert got == (BiasVector(1.0, 1.0, grid.values[winner]), reports[winner])
     assert stub.calls == [(1.0, 1.0, b) for b in grid]
 
@@ -409,7 +488,7 @@ def test_full_search_keeps_the_first_of_equal_keys_evaluated_last():
     reports[(1.0, 1.0, 1.0)] = reports[(2.0, 2.0, 2.0)] = stub_report(0.9, True)
     stub = StubEstimator(reports)
     stub.config = NetworkConfig()
-    stub.coverage_bounds = lambda values: np.array([[0.9, 1.0]] * 3)
+    stub.coverage_bound = lambda cls, value: 0.9 if value == 1.0 else 1.0
     bias, report = _full_search(stub, grid)
     assert bias == BiasVector(1.0, 1.0, 1.0)
     assert report is reports[(1.0, 1.0, 1.0)]
@@ -424,7 +503,7 @@ def test_full_search_holds_per_class_state_only():
     grid = BiasGrid.from_db([db / 3 for db in range(61)])
     stub = StubEstimator(defaultdict(lambda: stub_report(0.5, True)))
     stub.config = NetworkConfig()
-    stub.coverage_bounds = lambda values: np.array([[1.0] + [0.5] * 60] * 3)
+    stub.coverage_bound = lambda cls, value: 1.0 if value == 1.0 else 0.5
     tracemalloc.start()
     try:
         bias, _ = _full_search(stub, grid)
@@ -448,7 +527,7 @@ def test_full_search_skips_stationary_values_that_cannot_win(n, seconds):
     grid = BiasGrid.from_db([db / (n // 20) for db in range(n)])
     stub = StubEstimator(defaultdict(lambda: stub_report(0.5, True)))
     stub.config = NetworkConfig()
-    stub.coverage_bounds = lambda values: np.array([[1.0] + [0.5] * (n - 1)] * 3)
+    stub.coverage_bound = lambda cls, value: 1.0 if value == 1.0 else 0.5
     start = time.perf_counter()
     bias, _ = _full_search(stub, grid)
     elapsed = time.perf_counter() - start
