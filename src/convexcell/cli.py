@@ -207,10 +207,12 @@ def run_bandwidth(args: argparse.Namespace) -> int:
     failed = False
     for volume, point_config in zip(args.volumes, point_configs):
         for scheme in schemes:
-            estimator = CoverageEstimator(point_config, geometry)
             try:
+                # bound in the call, so no name holds the last bisection's
+                # binding (caps and parts) while this one binds
                 width = required_bandwidth(
-                    estimator, grid, scheme, args.w_min, args.tolerance
+                    CoverageEstimator(point_config, geometry),
+                    grid, scheme, args.w_min, args.tolerance,
                 )
                 rows.append((volume, scheme.value, width))
             except UnsatisfiableRequirementError as exc:

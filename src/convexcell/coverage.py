@@ -77,6 +77,16 @@ def _chunks(users: slice) -> Iterator[tuple[slice, slice]]:
         yield slice(start, stop), slice(start - users.start, stop - users.start)
 
 
+def _add_counts(out: np.ndarray, ids: np.ndarray) -> None:
+    """Add to ``out[i]`` the number of times ``i`` occurs in ``ids``.
+
+    The count runs only up to the largest id: a chunk holds consecutive
+    trials, so a count over every station id would be mostly zeros.
+    """
+    counts = np.bincount(ids)
+    out[: counts.size] += counts
+
+
 def _load_dtype(user_count: int) -> type:
     """Integer type of every count of a trial's users at a station.
 
@@ -302,9 +312,8 @@ class TrialGeometry:
             for chunk, _ in _chunks(users):
                 macro = self.gid_macro[chunk]
                 step = self.gid_step[chunk]
-                candidates[cls] += np.bincount(macro, minlength=n_ids)
-                small = (macro + step)[step != 0]
-                candidates[cls] += np.bincount(small, minlength=n_ids)
+                _add_counts(candidates[cls], macro)
+                _add_counts(candidates[cls], (macro + step)[step != 0])
         other_candidates = candidates.sum(axis=0, dtype=self.load_dtype) - candidates
         self.gaps = []
         for other, users in zip(other_candidates, self.class_slices):
@@ -353,8 +362,7 @@ class TrialGeometry:
             for chunk, rows in _chunks(users):
                 biased = np.multiply(bias, self.pw_small[chunk])
                 np.greater(biased, self.pw_macro[chunk], out=on_small[rows])
-                gid = serving_ids(chunk, rows)
-                loads += np.bincount(gid, minlength=self.n_station_ids)
+                _add_counts(loads, serving_ids(chunk, rows))
             for chunk, rows in _chunks(users):
                 loads.take(serving_ids(chunk, rows), out=own[rows], mode="clip")
             found = Association(on_small, loads, own)
@@ -572,6 +580,7 @@ class CoverageEstimator:
             step -= macro
             self._user_caps.append((macro, step))
         self._parts: dict[tuple[int, float], tuple] = {}
+        self._bounds: dict[tuple[int, float], float] = {}
 
     def with_bandwidth(self, bandwidth: float) -> "CoverageEstimator":
         """Estimator bound to the same geometry and demand at another bandwidth.
@@ -608,14 +617,26 @@ class CoverageEstimator:
     def coverage_bound(self, cls: int, bias: float) -> float:
         """Class ``cls``'s highest coverage under one bias value.
 
-        Whatever the other classes' biases: its always-covered users plus
-        its undecided users, over its users. ``evaluate`` counts at most
-        those users and divides by the same count, so no coverage of the
-        class it reports exceeds the bound of its value.
+        Whatever the other classes' biases: the share of its users whose
+        cap at their serving station reaches their own class's load there
+        (``cap >= own``), the always-covered and undecided users of the
+        value's part. ``evaluate`` counts at most those users and divides
+        by the same count, so no coverage of the class it reports exceeds
+        the bound of its value. The count needs the association and the
+        caps only, not the part, and is kept for the life of the binding.
         """
-        _, always, gid, _ = self._part(cls, bias)
-        users = self.geometry.class_slices[cls]
-        return (always + gid.size) / (users.stop - users.start)
+        key = (cls, bias)
+        bound = self._bounds.get(key)
+        if bound is None:
+            on_small, _, own = self.geometry.association(cls, bias)
+            covered = np.count_nonzero(self._serving_caps(cls, on_small) >= own)
+            bound = self._bounds[key] = covered / own.size
+        return bound
+
+    def _serving_caps(self, cls: int, on_small: np.ndarray) -> np.ndarray:
+        """Each user's rate cap at its serving station under an association."""
+        cap_macro, cap_step = self._user_caps[cls]
+        return cap_macro + on_small * cap_step
 
     def _part(self, cls: int, bias: float) -> tuple:
         """Station loads, always-covered count and undecided users of a class.
@@ -631,9 +652,8 @@ class CoverageEstimator:
         if part is None:
             geo = self.geometry
             on_small, loads, own = geo.association(cls, bias)
-            cap_macro, cap_step = self._user_caps[cls]
             gap_macro, gap_step = geo.gaps[cls]
-            cap = cap_macro + on_small * cap_step
+            cap = self._serving_caps(cls, on_small)
             slack = cap - own
             gap = gap_macro + on_small * gap_step
             # below its class's own load (a negative slack) the user is never

@@ -9,9 +9,11 @@ classes; full search is the optimality oracle: it returns the best triple of
 the whole grid cube. Stage 1, stage 3 and full search are one bounded walk
 (``_walk``): each class's values in descending order of an exact upper
 bound on their coverage, evaluating only the triples whose upper key can
-still reach the best key found. Every scheme and stage keeps the highest
-key, and of equal keys the smallest bias. All candidates under one config
-share common random numbers.
+still reach the best key found. CRE walks the grid's diagonal the same
+way, with full search's upper key. A bound is counted from the binding's
+rate caps, so a value the walk skips costs no part. Every scheme and stage
+keeps the highest key, and of equal keys the smallest bias (``_keep``).
+All candidates under one config share common random numbers.
 """
 
 from __future__ import annotations
@@ -36,10 +38,10 @@ from .domain import (
 )
 from .model import NetworkConfig
 
-# relative margin on a triple's upper average coverage: full search sums the
-# weighted bounds in another order than evaluate's np.dot, and two 3-term
-# sums of the same non-negative products differ by a few ulps, far below
-# it; a bound raised too far only costs evaluations
+# relative margin on a triple's upper average coverage: CRE and full search
+# sum the weighted bounds in another order than evaluate's np.dot, and two
+# 3-term sums of the same non-negative products differ by a few ulps, far
+# below it; a bound raised too far only costs evaluations
 _UPPER_MARGIN = 1e-12
 
 
@@ -75,6 +77,25 @@ class BiasGrid:
 
     def __iter__(self):
         return iter(self.values)
+
+
+def _keep(
+    best: tuple | None,
+    estimator: CoverageEstimator,
+    key: Callable[[CoverageReport], object],
+    index: object,
+    bias: BiasVector,
+) -> tuple:
+    """``best`` or the candidate ``bias``, whichever wins; evaluates ``bias``.
+
+    ``best`` is None or ``(key, index, bias, report)``. The higher key
+    wins, and of equal keys the smaller index, the earlier candidate.
+    """
+    report = estimator.evaluate(bias)
+    found = key(report)
+    if best is None or found > best[0] or (found == best[0] and index < best[1]):
+        return found, index, bias, report
+    return best
 
 
 def _walk(
@@ -118,10 +139,7 @@ def _walk(
                 if best is not None and upper((b0[i], b1[j], b2[k])) < best[0]:
                     break
                 bias = BiasVector(lists[0][i], lists[1][j], lists[2][k])
-                report = estimator.evaluate(bias)
-                found, triple = key(report), (i, j, k)
-                if best is None or found > best[0] or (found == best[0] and triple < best[1]):
-                    best = (found, triple, bias, report)
+                best = _keep(best, estimator, key, (i, j, k), bias)
     return best[2], best[3]
 
 
@@ -131,6 +149,25 @@ def _class_coverage(user_class: UserClass) -> Callable[[CoverageReport], float]:
 
 def _feasible_average(report: CoverageReport) -> tuple[bool, float]:
     return (report.feasible, report.average_coverage)
+
+
+def _feasible_upper(
+    config: NetworkConfig,
+) -> Callable[[Sequence[float]], tuple[bool, float]]:
+    """Upper ``_feasible_average`` key of a triple from its three bounds.
+
+    No report's key exceeds it: every bound meeting its class's threshold,
+    and the density-weighted sum of the bounds raised by ``_UPPER_MARGIN``.
+    """
+    t0, t1, t2 = (profile.min_coverage for profile in config.profiles)
+    f0, f1, f2 = config.density_fractions().tolist()
+    margin = 1.0 + _UPPER_MARGIN
+
+    def upper(bounds: Sequence[float]) -> tuple[bool, float]:
+        b0, b1, b2 = bounds
+        return b0 >= t0 and b1 >= t1 and b2 >= t2, (f0 * b0 + f1 * b1 + f2 * b2) * margin
+
+    return upper
 
 
 def _stage2(
@@ -181,11 +218,23 @@ def _cre(
     """Best common bias: highest average coverage, feasible candidates first.
 
     When no common bias is feasible the best-average infeasible candidate
-    is returned. ``max`` keeps the first of equal keys, so ties break to
-    the smallest bias.
+    is returned; of equal keys the smallest bias wins. The diagonal is
+    walked in descending upper key (``_feasible_upper`` of the value's
+    three bounds), values of equal upper keys in grid order, and the walk
+    stops at the first value whose upper key is below the best key found.
     """
-    candidates = ((bias, estimator.evaluate(bias)) for bias in map(BiasVector.uniform, grid))
-    return max(candidates, key=lambda item: _feasible_average(item[1]))
+    upper = _feasible_upper(estimator.config)
+    uppers = [
+        upper([estimator.coverage_bound(cls, value) for cls in range(3)])
+        for value in grid
+    ]
+    best = None
+    # sorted is stable, so values of equal upper keys keep their order
+    for i in sorted(range(len(uppers)), key=uppers.__getitem__, reverse=True):
+        if best is not None and uppers[i] < best[0]:
+            break
+        best = _keep(best, estimator, _feasible_average, i, BiasVector.uniform(grid.values[i]))
+    return best[2], best[3]
 
 
 def _full_search(
@@ -193,20 +242,9 @@ def _full_search(
 ) -> tuple[BiasVector, CoverageReport]:
     """Best triple of the grid cube, feasible first; the optimality oracle.
 
-    Walks the whole cube with ``_feasible_average``. No report's key
-    exceeds its triple's upper key: every bound meeting its class's
-    threshold, and the density-weighted sum of the three bounds raised by
-    ``_UPPER_MARGIN``.
+    Walks the whole cube with ``_feasible_average`` and ``_feasible_upper``.
     """
-    config = estimator.config
-    t0, t1, t2 = (profile.min_coverage for profile in config.profiles)
-    f0, f1, f2 = config.density_fractions().tolist()
-    margin = 1.0 + _UPPER_MARGIN
-
-    def upper(bounds: tuple[float, float, float]) -> tuple[bool, float]:
-        b0, b1, b2 = bounds
-        return b0 >= t0 and b1 >= t1 and b2 >= t2, (f0 * b0 + f1 * b1 + f2 * b2) * margin
-
+    upper = _feasible_upper(estimator.config)
     return _walk(estimator, [grid.values] * 3, _feasible_average, upper)
 
 

@@ -7,6 +7,7 @@ import json
 import math
 import tempfile
 import warnings
+import weakref
 from pathlib import Path
 
 import pytest
@@ -271,6 +272,30 @@ class TestBandwidthCommand:
         # 60 MB/day is feasible at --wmin; 3000 MB/day bisects below the top
         assert counts["probes"] > 2 * 2 * 2
         assert counts["binds"] == counts["probes"]
+
+    def test_one_live_binding_per_bisection(self, tmp_path, config_path, monkeypatch):
+        """A finished bisection's binding is freed before the next one binds."""
+        live = weakref.WeakSet()
+        bound = []
+
+        class Recorded(coverage.CoverageEstimator):
+            def __init__(self, *args):
+                assert not live, "an earlier bisection's binding is still alive"
+                super().__init__(*args)
+                live.add(self)
+                bound.append(self.config.bandwidth)
+
+        monkeypatch.setattr(cli, "CoverageEstimator", Recorded)
+        code = run(
+            [
+                "bandwidth", "--config", config_path, "--out", str(tmp_path / "out"),
+                "--volumes", "60", "3000", "--grid-db", "0", "6",
+            ]
+        )
+        assert code == 0
+        # two volumes times three-stage and CRE, each bound once at the top
+        # of its bracket; the lower probes clone it with_bandwidth
+        assert len(bound) == 4 and len(set(bound)) == 1
 
 
 @pytest.mark.parametrize("command", ["sweep", "bandwidth"])

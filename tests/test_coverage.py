@@ -978,6 +978,24 @@ def test_parts_match_gathered_slack_and_bound(
 
 
 @pytest.mark.parametrize("case", PART_CONFIGS)
+def test_coverage_bounds_need_no_parts(tiny_config, case):
+    """Every (class, value) bound is counted from the caps and the
+    association without building a part, and once the part is built the
+    bound is its always-covered plus undecided users over the class."""
+    config = tiny_config.with_volumes([3000.0, 1000.0, 2000.0])
+    estimator = estimator_for(dataclasses.replace(config, **PART_CONFIGS[case]))
+    values = BiasGrid.from_db(DEFAULT_GRID_DB).values
+    keys = list(itertools.product(range(3), values))
+    bounds = {key: estimator.coverage_bound(*key) for key in keys}
+    assert estimator._parts == {}
+    for (cls, value), bound in bounds.items():
+        _, always, gid, _ = estimator._part(cls, value)
+        users = estimator.geometry.class_slices[cls]
+        assert bound == (always + gid.size) / (users.stop - users.start)
+        assert estimator.coverage_bound(cls, value) == bound
+
+
+@pytest.mark.parametrize("case", PART_CONFIGS)
 def test_coverage_bounds_hold_for_every_triple(tiny_config, case):
     """No triple's coverage of a class exceeds the bound of its value."""
     config = tiny_config.with_volumes([3000.0, 1000.0, 2000.0])

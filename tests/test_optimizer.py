@@ -35,6 +35,7 @@ from convexcell.optimizer import (
     _class_coverage,
     _cre,
     _feasible_average,
+    _feasible_upper,
     _full_search,
     _stage2,
     _three_stage,
@@ -210,6 +211,35 @@ class TestThreeStage:
         assert report == fresh
 
 
+def past_every_useful_bias(estimator):
+    """The default grid and two values beyond every user's macro-to-small
+    mean power ratio: each puts every user with a small station on it, so
+    the two tie in every class."""
+    geo = estimator.geometry
+    has_small = geo.pw_small > 0
+    ratio = np.max(geo.pw_macro[has_small] / geo.pw_small[has_small], initial=0.0)
+    top = max(DEFAULT_GRID.values[-1], float(ratio))
+    return BiasGrid((*DEFAULT_GRID.values, 2.0 * top, 4.0 * top))
+
+
+def with_min_coverage(config, value):
+    profiles = tuple(replace(p, min_coverage=value) for p in config.profiles)
+    return replace(config, profiles=profiles)
+
+
+# (config variant of the tiny config, grid of its estimator) per CRE case
+CRE_CASES = {
+    "tied-diagonal": (lambda config: config, past_every_useful_bias),
+    "nothing-feasible": (
+        lambda config: with_min_coverage(config, 1.0), lambda _: DEFAULT_GRID
+    ),
+    "one-value": (lambda config: config, lambda _: BiasGrid((1.0,))),
+    "noise-free": (
+        lambda config: replace(config, noise_power=0.0), lambda _: DEFAULT_GRID
+    ),
+}
+
+
 class TestCre:
     def test_singleton_grid(self, estimator):
         bias, _ = run_scheme(Scheme.CRE, estimator, BiasGrid((1.0,)))
@@ -225,6 +255,52 @@ class TestCre:
         assert bias == BiasVector.uniform(expected_bias)
         assert report == expected_report
 
+    @pytest.mark.parametrize("case", CRE_CASES)
+    def test_bounded_walk_matches_selection_reference(self, tiny_config, case):
+        config, grid_of = CRE_CASES[case]
+        estimator = estimator_for(config(tiny_config))
+        grid = grid_of(estimator)
+        expected_bias, expected_report = reference_cre(estimator, grid)
+        assert _cre(estimator, grid) == (BiasVector.uniform(expected_bias), expected_report)
+        if case == "tied-diagonal":
+            last_two = [estimator.evaluate(BiasVector.uniform(b)) for b in grid.values[-2:]]
+            assert last_two[0] == last_two[1]
+        if case == "nothing-feasible":
+            assert not expected_report.feasible
+
+    @pytest.mark.parametrize("case", CRE_CASES)
+    def test_skips_only_values_that_cannot_win(self, tiny_config, monkeypatch, case):
+        """The walk evaluates every value whose upper key reaches the
+        winner's key, each once, and skips the rest."""
+        config, grid_of = CRE_CASES[case]
+        estimator = estimator_for(config(tiny_config))
+        grid = grid_of(estimator)
+        evaluated = []
+        evaluate = estimator.evaluate
+
+        def recording(bias):
+            evaluated.append(bias.stationary_bias)
+            return evaluate(bias)
+
+        monkeypatch.setattr(estimator, "evaluate", recording)
+        _, report = _cre(estimator, grid)
+        assert len(evaluated) == len(set(evaluated))
+        winner = _feasible_average(report)
+        upper = _feasible_upper(estimator.config)
+        for value in grid:
+            bounds = [estimator.coverage_bound(cls, value) for cls in range(3)]
+            assert (value in evaluated) == (upper(bounds) >= winner)
+
+    def test_bounded_walk_skips_values(self, tiny_config):
+        """With a demand that some values cannot serve, the walk evaluates
+        fewer values than the grid holds."""
+        estimator = estimator_for(tiny_config.with_volumes([400.0, 60.0, 200.0]))
+        evaluated = []
+        evaluate = estimator.evaluate
+        estimator.evaluate = lambda bias: evaluated.append(bias) or evaluate(bias)
+        _cre(estimator, DEFAULT_GRID)
+        assert 0 < len(evaluated) < len(DEFAULT_GRID.values)
+
 
 def assert_full_search_is_brute_force(estimator, grid=DEFAULT_GRID):
     """Full search returns the enumeration oracle's (bias, report); returns it."""
@@ -233,11 +309,6 @@ def assert_full_search_is_brute_force(estimator, grid=DEFAULT_GRID):
     assert bias == BiasVector(*expected_triple)
     assert report == expected_report
     return bias, report
-
-
-def with_min_coverage(config, value):
-    profiles = tuple(replace(p, min_coverage=value) for p in config.profiles)
-    return replace(config, profiles=profiles)
 
 
 # variants of the tiny config, each searched over the default 11-value grid
@@ -380,17 +451,6 @@ def test_stage_walks_skip_only_candidates_that_cannot_win(estimator, monkeypatch
     assert skipped > 0
 
 
-def past_every_useful_bias(estimator):
-    """The default grid and two values beyond every user's macro-to-small
-    mean power ratio: each puts every user with a small station on it, so
-    the two tie in every class."""
-    geo = estimator.geometry
-    has_small = geo.pw_small > 0
-    ratio = np.max(geo.pw_macro[has_small] / geo.pw_small[has_small], initial=0.0)
-    top = max(DEFAULT_GRID.values[-1], float(ratio))
-    return BiasGrid((*DEFAULT_GRID.values, 2.0 * top, 4.0 * top))
-
-
 @given(
     seed=st.integers(0, 2**31 - 1),
     volume=st.floats(10.0, 2000.0),
@@ -418,13 +478,16 @@ def test_three_stage_matches_the_unbounded_stages_across_demand(
 class StubEstimator:
     """Fixed reports by bias triple; records the order of evaluation.
 
-    Every coverage bound is 1.0, the weakest valid one: no walk skips a
-    candidate, and equal bounds keep the values in grid order.
+    Its config is the default one, whose thresholds and density fractions
+    CRE's and full search's upper keys read. Every coverage bound is 1.0,
+    the weakest valid one: no walk skips a candidate, and equal bounds keep
+    the values in grid order.
     """
 
     def __init__(self, reports):
         self.reports = reports
         self.calls = []
+        self.config = NetworkConfig()
 
     def evaluate(self, bias):
         key = (bias.stationary_bias, bias.walking_bias, bias.vehicular_bias)
@@ -487,7 +550,6 @@ def test_full_search_keeps_the_first_of_equal_keys_evaluated_last():
     reports = {triple: stub_report(0.5, True) for triple in cube}
     reports[(1.0, 1.0, 1.0)] = reports[(2.0, 2.0, 2.0)] = stub_report(0.9, True)
     stub = StubEstimator(reports)
-    stub.config = NetworkConfig()
     stub.coverage_bound = lambda cls, value: 0.9 if value == 1.0 else 1.0
     bias, report = _full_search(stub, grid)
     assert bias == BiasVector(1.0, 1.0, 1.0)
@@ -502,7 +564,6 @@ def test_full_search_holds_per_class_state_only():
     # triple of the 61³ cube would pass the 1 MB bound
     grid = BiasGrid.from_db([db / 3 for db in range(61)])
     stub = StubEstimator(defaultdict(lambda: stub_report(0.5, True)))
-    stub.config = NetworkConfig()
     stub.coverage_bound = lambda cls, value: 1.0 if value == 1.0 else 0.5
     tracemalloc.start()
     try:
@@ -526,7 +587,6 @@ def test_full_search_skips_stationary_values_that_cannot_win(n, seconds):
     # about 0.5 s at 3001 values (python 3.11 on 2 vCPUs)
     grid = BiasGrid.from_db([db / (n // 20) for db in range(n)])
     stub = StubEstimator(defaultdict(lambda: stub_report(0.5, True)))
-    stub.config = NetworkConfig()
     stub.coverage_bound = lambda cls, value: 1.0 if value == 1.0 else 0.5
     start = time.perf_counter()
     bias, _ = _full_search(stub, grid)
@@ -541,15 +601,13 @@ def stage2_stub(vehicular_coverages):
 
     Its config is the default one, whose vehicular threshold is 0.8.
     """
-    stub = StubEstimator(
+    return StubEstimator(
         {
             (1.0, w, v): stub_report(0.5, False, vehicular=coverage)
             for w, row in vehicular_coverages.items()
             for v, coverage in row.items()
         }
     )
-    stub.config = NetworkConfig()
-    return stub
 
 
 def test_stage2_falls_back_to_the_first_of_equal_completions():
