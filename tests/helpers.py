@@ -297,7 +297,8 @@ def reference_float_coverage(estimator, biases):
         if (cls, value) not in served:
             users = geo.class_slices[cls]
             on_small = value * geo.pw_small[users] > geo.pw_macro[users]
-            gid = geo.gid_macro[users] + on_small * geo.gid_step[users]
+            best_small = geo.gid_macro[users] + geo.gid_step[users]
+            gid = np.where(on_small, best_small, geo.gid_macro[users])
             scaled = np.where(on_small, scaled_small[users], scaled_macro[users])
             loads = np.bincount(gid, minlength=geo.n_station_ids)
             served[cls, value] = (gid, scaled, loads)

@@ -949,7 +949,9 @@ def test_parts_match_gathered_slack_and_bound(
         other_candidates = sum(candidates) - candidates[cls]
         for value in values:
             on_small = value * geo.pw_small[users] > geo.pw_macro[users]
-            gid = geo.gid_macro[users] + on_small * geo.gid_step[users]
+            # the best small station's id is the best macro's plus the step
+            best_small = geo.gid_macro[users] + geo.gid_step[users]
+            gid = np.where(on_small, best_small, geo.gid_macro[users])
             loads = np.bincount(gid, minlength=geo.n_station_ids)
             scaled = np.where(on_small, scaled_small[users], scaled_macro[users])
             cap = coverage._rate_caps(scaled, requirements[cls], config.user_count)
@@ -961,7 +963,8 @@ def test_parts_match_gathered_slack_and_bound(
             assert np.array_equal(association.on_small, on_small)
             assert np.array_equal(association.own, loads[gid])
             gap_macro, gap_step = geo.gaps[cls]
-            assert np.array_equal(gap_macro + on_small * gap_step, bound)
+            gap = np.where(on_small, gap_macro + gap_step, gap_macro)
+            assert np.array_equal(gap, bound)
             part_loads, always, part_gid, part_cap = estimator._part(cls, value)
             assert np.array_equal(part_loads, loads)
             assert always == np.count_nonzero(slack >= bound)
