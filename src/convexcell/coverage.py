@@ -556,7 +556,7 @@ class CoverageEstimator:
         """Attach the demand and bandwidth of config to the geometry."""
         self.config = config
         self.geometry = geo = geometry
-        self._min_coverage = np.array([p.min_coverage for p in config.profiles])
+        self._thresholds = [p.min_coverage for p in config.profiles]
         self._fractions = config.density_fractions()
         # each class's rate caps at its users' best macro station, and the
         # step to their caps at their best small station; a user without a
@@ -606,12 +606,23 @@ class CoverageEstimator:
             # ids are always in range, so mode="clip" changes none of them
             count = always + np.count_nonzero(loads.take(gid, mode="clip") <= cap)
             per_class.append(count / (users.stop - users.start))
-        average = float(np.dot(self._fractions, per_class))
-        feasible = bool(np.all(np.asarray(per_class) >= self._min_coverage))
+        return self.report(per_class)
+
+    def report(self, per_class: Sequence[float]) -> CoverageReport:
+        """The report of three per-class coverages: their average and feasibility.
+
+        Every report, of a bias vector or of its classes' coverage bounds,
+        is formed here. Raising any coverage lowers neither the average nor
+        the feasibility: the average is one ``np.dot`` over three
+        non-negative values, a fixed sequence of rounded products and sums,
+        each non-decreasing in its inputs, and feasibility is a per-class
+        ``>=``. So the report of a bias vector's bounds is an exact upper
+        report of the vector, with no margin.
+        """
         return CoverageReport(
             per_class_coverage=tuple(per_class),
-            average_coverage=average,
-            feasible=feasible,
+            average_coverage=float(np.dot(self._fractions, per_class)),
+            feasible=all(c >= t for c, t in zip(per_class, self._thresholds)),
             trials_used=self.geometry.trials,
         )
 

@@ -9,18 +9,19 @@ classes; full search is the optimality oracle: it returns the best triple of
 the whole grid cube. Stage 1, stage 3 and full search are one bounded walk
 (``_walk``): each class's values in descending order of an exact upper
 bound on their coverage, evaluating only the triples whose upper key can
-still reach the best key found. CRE walks the grid's diagonal the same
-way, with full search's upper key. A bound is counted from the binding's
-rate caps, so a value the walk skips costs no part. Every scheme and stage
-keeps the highest key, and of equal keys the smallest bias (``_keep``).
-All candidates under one config share common random numbers.
+still reach the best key found. A triple's upper key is the key of
+``CoverageEstimator.report`` of its three bounds, the one rule that forms
+every report. CRE walks the grid's diagonal the same way, with full
+search's key. A bound is counted from the binding's rate caps, so a value
+the walk skips costs no part. Every scheme and stage keeps the highest
+key, and of equal keys the smallest bias (``_keep``). All candidates
+under one config share common random numbers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from operator import itemgetter
 from typing import Callable, Sequence
 
 from .coverage import (
@@ -37,12 +38,6 @@ from .domain import (
     UserClass,
 )
 from .model import NetworkConfig
-
-# relative margin on a triple's upper average coverage: CRE and full search
-# sum the weighted bounds in another order than evaluate's np.dot, and two
-# 3-term sums of the same non-negative products differ by a few ulps, far
-# below it; a bound raised too far only costs evaluations
-_UPPER_MARGIN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -102,7 +97,6 @@ def _walk(
     estimator: CoverageEstimator,
     lists: Sequence[Sequence[float]],
     key: Callable[[CoverageReport], object],
-    upper: Callable[[tuple[float, float, float]], object],
 ) -> tuple[BiasVector, CoverageReport]:
     """The triple of ``lists``' product whose report has the highest key.
 
@@ -110,9 +104,11 @@ def _walk(
     Of equal keys the earliest triple in ``itertools.product`` order wins,
     the smallest bias. Whatever the other classes' biases, a class's
     coverage under a value is at most its bound
-    (``CoverageEstimator.coverage_bound``). ``upper`` maps a triple's three
-    bounds to a key no report of that triple exceeds, and must not
-    decrease as any bound grows. Each list is walked in descending bound,
+    (``CoverageEstimator.coverage_bound``). A triple's upper key is the
+    key of ``estimator.report`` of its three bounds: no report of the
+    triple has a higher coverage, average or feasibility (see ``report``),
+    and ``key`` must not decrease as they grow, so no report of the triple
+    has a higher key. Each list is walked in descending bound,
     so likely winners come early. A triple whose upper key is below the
     best key found is skipped, as is a whole stationary or walking value
     when even its pairing with the later classes' largest bounds falls
@@ -128,6 +124,10 @@ def _walk(
     orders = [sorted(range(len(b)), key=b.__getitem__, reverse=True) for b in bounds]
     b0, b1, b2 = bounds
     top1, top2 = max(b1), max(b2)
+
+    def upper(bounds: tuple[float, float, float]) -> object:
+        return key(estimator.report(bounds))
+
     best = None  # (key, index triple, bias, report)
     for i in orders[0]:
         if best is not None and upper((b0[i], top1, top2)) < best[0]:
@@ -151,25 +151,6 @@ def _feasible_average(report: CoverageReport) -> tuple[bool, float]:
     return (report.feasible, report.average_coverage)
 
 
-def _feasible_upper(
-    config: NetworkConfig,
-) -> Callable[[Sequence[float]], tuple[bool, float]]:
-    """Upper ``_feasible_average`` key of a triple from its three bounds.
-
-    No report's key exceeds it: every bound meeting its class's threshold,
-    and the density-weighted sum of the bounds raised by ``_UPPER_MARGIN``.
-    """
-    t0, t1, t2 = (profile.min_coverage for profile in config.profiles)
-    f0, f1, f2 = config.density_fractions().tolist()
-    margin = 1.0 + _UPPER_MARGIN
-
-    def upper(bounds: Sequence[float]) -> tuple[bool, float]:
-        b0, b1, b2 = bounds
-        return b0 >= t0 and b1 >= t1 and b2 >= t2, (f0 * b0 + f1 * b1 + f2 * b2) * margin
-
-    return upper
-
-
 def _stage2(
     estimator: CoverageEstimator,
     grid: BiasGrid,
@@ -188,7 +169,7 @@ def _stage2(
     completions = []
     for walking in grid:
         lists = ([stationary], [walking], grid.values)
-        bias, report = _walk(estimator, lists, vehicular, itemgetter(UserClass.VEHICULAR))
+        bias, report = _walk(estimator, lists, vehicular)
         if vehicular(report) >= min_vehicular:
             return bias, report
         completions.append((bias, report))
@@ -207,7 +188,6 @@ def _three_stage(
         estimator,
         (grid.values, [1.0], [1.0]),
         _class_coverage(UserClass.STATIONARY),
-        itemgetter(UserClass.STATIONARY),
     )
     return _stage2(estimator, grid, stage1.stationary_bias)
 
@@ -219,13 +199,15 @@ def _cre(
 
     When no common bias is feasible the best-average infeasible candidate
     is returned; of equal keys the smallest bias wins. The diagonal is
-    walked in descending upper key (``_feasible_upper`` of the value's
-    three bounds), values of equal upper keys in grid order, and the walk
-    stops at the first value whose upper key is below the best key found.
+    walked in descending upper key (the key of the report of the value's
+    three bounds, as in ``_walk``), values of equal upper keys in grid
+    order, and the walk stops at the first value whose upper key is below
+    the best key found.
     """
-    upper = _feasible_upper(estimator.config)
     uppers = [
-        upper([estimator.coverage_bound(cls, value) for cls in range(3)])
+        _feasible_average(
+            estimator.report([estimator.coverage_bound(cls, value) for cls in range(3)])
+        )
         for value in grid
     ]
     best = None
@@ -242,10 +224,9 @@ def _full_search(
 ) -> tuple[BiasVector, CoverageReport]:
     """Best triple of the grid cube, feasible first; the optimality oracle.
 
-    Walks the whole cube with ``_feasible_average`` and ``_feasible_upper``.
+    Walks the whole cube with ``_feasible_average``.
     """
-    upper = _feasible_upper(estimator.config)
-    return _walk(estimator, [grid.values] * 3, _feasible_average, upper)
+    return _walk(estimator, [grid.values] * 3, _feasible_average)
 
 
 _SCHEME_RUNNERS = {

@@ -9,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from convexcell import (
@@ -303,6 +303,61 @@ class TestEstimator:
         assert report.feasible == all(
             c >= t for c, t in zip(report.per_class_coverage, thresholds)
         )
+
+    @pytest.mark.parametrize(
+        "min_coverage", [None, 1.0], ids=["tiny", "thresholds-of-one"]
+    )
+    def test_report_is_monotone_and_forms_evaluate(self, tiny_config, min_coverage):
+        """No class, average or feasibility of the report of three
+        coverages exceeds that of the report of values at or above them,
+        and evaluate's report is the report of its own coverages."""
+        config = tiny_config
+        if min_coverage is not None:
+            profiles = tuple(
+                dataclasses.replace(p, min_coverage=min_coverage)
+                for p in config.profiles
+            )
+            config = dataclasses.replace(config, profiles=profiles)
+        estimator = estimator_for(config)
+
+        @st.composite
+        def value_and_bound(draw):
+            value = draw(st.floats(0.0, 1.0))
+            bound = draw(
+                st.sampled_from([value, math.nextafter(value, math.inf)])
+                | st.floats(value, 1.0)
+            )
+            return value, bound
+
+        @settings(max_examples=250)
+        @given(st.tuples(*[value_and_bound()] * 3))
+        def monotone(pairs):
+            values, bounds = zip(*pairs)
+            low, high = estimator.report(values), estimator.report(bounds)
+            assert (low.feasible, low.average_coverage) <= (
+                high.feasible,
+                high.average_coverage,
+            )
+            for got, bound in zip(low.per_class_coverage, high.per_class_coverage):
+                assert got <= bound
+
+        monotone()
+        report = estimator.report
+        formed = []
+
+        def recording(per_class):
+            formed.append(report(per_class))
+            return formed[-1]
+
+        estimator.report = recording
+        for bias in (
+            BiasVector(1.0, 1.0, 1.0),
+            BiasVector(2.0, 8.0, 25.0),
+            BiasVector.uniform(100.0),
+        ):
+            got = estimator.evaluate(bias)
+            assert got is formed[-1]
+            assert got == report(list(got.per_class_coverage))
 
     def test_monotone_in_bandwidth(self, tiny_config):
         estimator = estimator_for(tiny_config)

@@ -6,7 +6,7 @@ import time
 import tracemalloc
 from collections import defaultdict
 from dataclasses import replace
-from operator import itemgetter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,13 +29,11 @@ from convexcell import (
     run_scheme,
 )
 from convexcell import optimizer
-from convexcell.coverage import CoverageReport
+from convexcell.coverage import CoverageEstimator, CoverageReport
 from convexcell.optimizer import (
-    _UPPER_MARGIN,
     _class_coverage,
     _cre,
     _feasible_average,
-    _feasible_upper,
     _full_search,
     _stage2,
     _three_stage,
@@ -145,9 +143,7 @@ def stage_walk(estimator, user_class, values, fixed=(1.0, 1.0)):
     classes at the fixed values, keyed by the class's own coverage."""
     lists = [[value] for value in fixed]
     lists.insert(user_class, values)
-    return _walk(
-        estimator, lists, _class_coverage(user_class), itemgetter(user_class)
-    )
+    return _walk(estimator, lists, _class_coverage(user_class))
 
 
 class TestStages:
@@ -286,10 +282,10 @@ class TestCre:
         _, report = _cre(estimator, grid)
         assert len(evaluated) == len(set(evaluated))
         winner = _feasible_average(report)
-        upper = _feasible_upper(estimator.config)
         for value in grid:
             bounds = [estimator.coverage_bound(cls, value) for cls in range(3)]
-            assert (value in evaluated) == (upper(bounds) >= winner)
+            upper = _feasible_average(estimator.report(bounds))
+            assert (value in evaluated) == (upper >= winner)
 
     def test_bounded_walk_skips_values(self, tiny_config):
         """With a demand that some values cannot serve, the walk evaluates
@@ -396,23 +392,15 @@ def test_full_search_skips_only_triples_that_cannot_win(estimator, monkeypatch):
     seen = set(evaluated)
     assert len(evaluated) == len(seen) < 11**3
     winner = _feasible_average(report)
-    # each triple's upper key, from the per-class bounds alone: every bound
-    # meets its class's threshold, and the density-weighted sum of the bounds
-    config = estimator.config
-    values = DEFAULT_GRID.values
-    thresholds = [p.min_coverage for p in config.profiles]
-    fractions = config.density_fractions()
-    for indices in itertools.product(range(len(values)), repeat=3):
-        column = [estimator.coverage_bound(cls, values[i]) for cls, i in enumerate(indices)]
-        upper = (
-            all(bound >= t for bound, t in zip(column, thresholds)),
-            sum(f * bound for f, bound in zip(fractions, column)) * (1 + _UPPER_MARGIN),
-        )
-        triple = tuple(values[i] for i in indices)
+    # a skipped triple, evaluated on its own after the walk, cannot win; an
+    # evaluated one's key is at most the key of its bounds' report
+    for triple in itertools.product(DEFAULT_GRID.values, repeat=3):
         if triple in seen:
+            bounds = [estimator.coverage_bound(cls, v) for cls, v in enumerate(triple)]
+            upper = _feasible_average(estimator.report(bounds))
             assert _feasible_average(reports[triple]) <= upper
         else:
-            assert upper < winner
+            assert _feasible_average(evaluate(BiasVector(*triple))) < winner
 
 
 def test_stage_walks_skip_only_candidates_that_cannot_win(estimator, monkeypatch):
@@ -423,9 +411,9 @@ def test_stage_walks_skip_only_candidates_that_cannot_win(estimator, monkeypatch
     winners = []  # the report each walk returned
     walk, evaluate = optimizer._walk, estimator.evaluate
 
-    def recording_walk(estimator, lists, key, upper):
+    def recording_walk(estimator, lists, key):
         walks.append((lists, set()))
-        bias, report = walk(estimator, lists, key, upper)
+        bias, report = walk(estimator, lists, key)
         winners.append(report)
         return bias, report
 
@@ -478,16 +466,22 @@ def test_three_stage_matches_the_unbounded_stages_across_demand(
 class StubEstimator:
     """Fixed reports by bias triple; records the order of evaluation.
 
-    Its config is the default one, whose thresholds and density fractions
-    CRE's and full search's upper keys read. Every coverage bound is 1.0,
-    the weakest valid one: no walk skips a candidate, and equal bounds keep
-    the values in grid order.
+    Its config is the default one. The upper keys are formed by
+    ``CoverageEstimator.report`` itself, from the fields it reads: the
+    default thresholds of 0.8 and density fractions. Every coverage bound
+    is 1.0, the weakest valid one: no walk skips a candidate, and equal
+    bounds keep the values in grid order.
     """
+
+    report = CoverageEstimator.report
 
     def __init__(self, reports):
         self.reports = reports
         self.calls = []
         self.config = NetworkConfig()
+        self._fractions = self.config.density_fractions()
+        self._thresholds = [p.min_coverage for p in self.config.profiles]
+        self.geometry = SimpleNamespace(trials=1)
 
     def evaluate(self, bias):
         key = (bias.stationary_bias, bias.walking_bias, bias.vehicular_bias)
